@@ -23,6 +23,7 @@ from .model import (
     mle_loss_grad,
     sample,
     save_checkpoint,
+    weighted_log_prob_grad,
 )
 from .mrt import (
     RiskEstimate,

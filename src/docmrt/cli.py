@@ -301,8 +301,12 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
     for action in subparser._actions:
         dest = action.dest
         if dest in values:
-            raw = values[dest]
-            known[dest] = action.type(raw) if action.type else raw
+            # a store_true flag has no type, but "false" in a file must stay False
+            convert = _bool if isinstance(action, argparse._StoreTrueAction) else action.type
+            try:
+                known[dest] = convert(values[dest]) if convert else values[dest]
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise ValueError(f"config key {dest!r}: {exc}") from None
     subparser.set_defaults(**known)
     return argv
 

@@ -513,23 +513,12 @@ def score_corpus(
             lines.extend(fh)
     distinct = len({tok for line in lines for tok in line.split()})
     vocab = textcore.build_vocab(lines, max_size=distinct + 4)
+    if docid_path is None and pseudo_doc_size is None:
+        # no document structure given: one block over every line is one document
+        pseudo_doc_size = max(len(lines), 1)
     hyp_corpus = textcore.read_document_corpus(
-        hyp_path, ref_path, vocab, docid_path,
-        pseudo_doc_size if docid_path is None else None,
-    ) if (docid_path or pseudo_doc_size) else None
-    if hyp_corpus is None:
-        # no document structure given: the whole corpus is one document
-        with open(hyp_path, encoding="utf-8") as fh:
-            hyp_lines = [l.rstrip("\n") for l in fh]
-        with open(ref_path, encoding="utf-8") as fh:
-            ref_lines = [l.rstrip("\n") for l in fh]
-        if len(hyp_lines) != len(ref_lines):
-            raise ValueError("line count mismatch between hypothesis and reference files")
-        entries = [
-            (textcore.encode(h, vocab), textcore.encode(r, vocab), 0)
-            for h, r in zip(hyp_lines, ref_lines)
-        ]
-        hyp_corpus = DocumentCorpus(entries)
+        hyp_path, ref_path, vocab, docid_path, pseudo_doc_size
+    )
     srcs = None
     if src_path is not None:
         with open(src_path, encoding="utf-8") as fh:
@@ -549,19 +538,17 @@ def score_corpus(
         return metrics.gleu(h, s, r).value
 
     per_document = []
+    start = 0  # doc ids are contiguous, so each document is one slice
     for doc in hyp_corpus.documents():
-        idx = [i for i, e in enumerate(hyp_corpus.entries) if e[2] == doc[0][2]]
+        rows = slice(start, start + len(doc))
         per_document.append(
             {
                 "doc_id": doc[0][2],
-                "sentences": len(idx),
-                "score": pooled(
-                    [hyps[i] for i in idx],
-                    [refs[i] for i in idx],
-                    [srcs[i] for i in idx] if srcs else None,
-                ),
+                "sentences": len(doc),
+                "score": pooled(hyps[rows], refs[rows], srcs[rows] if srcs else None),
             }
         )
+        start = rows.stop
     return {
         "metric": metric,
         "corpus_score": pooled(hyps, refs, srcs),

@@ -245,68 +245,83 @@ class Decoder:
 
 
 def log_prob(params: ModelParams, src: Sentence, tgt: Sentence, max_len: int) -> float:
-    """Sum of per-token log-probabilities of tgt given src, including EOS."""
-    prevs, targets = _step_sequences(tgt, max_len)
-    if not targets:
-        return 0.0
-    ctx = _source_context(params, src)
-    t = len(targets)
-    inputs = np.concatenate([np.tile(ctx, (t, 1)), params.tgt_emb[prevs]], axis=1)
+    """Sum of per-token log-probabilities of tgt given src, including EOS.
+
+    Reads the same decoding table as sampling and beam search, so their
+    recorded log-probabilities equal this value bitwise.
+    """
+    return Decoder(params, src, max_len).score(tgt)
+
+
+def weighted_log_prob_grad(
+    params: ModelParams,
+    srcs: list[Sentence],
+    tgts: list[Sentence],
+    weights: np.ndarray | list[float],
+    max_len: int,
+) -> tuple[float, np.ndarray]:
+    """sum_i w_i * log P(tgts[i] | srcs[i]) and its exact gradient.
+
+    Every decoder step of every pair is one row of a single stacked forward
+    and backward pass, so any weighted sum of sentence gradients (MLE, risk
+    estimators, exact risk) costs one pass and one theta-sized buffer.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (len(srcs),) or len(tgts) != len(srcs):
+        raise ValueError(
+            f"misaligned: {len(srcs)} sources, {len(tgts)} targets, weights {weights.shape}"
+        )
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    grad = np.zeros_like(params.theta)
+    if not len(srcs):
+        return 0.0, grad
+    v, d = params.vocab_size, params.emb_dim
+    prevs: list[int] = []
+    targets: list[int] = []
+    steps = np.empty(len(tgts), dtype=np.intp)
+    for i, tgt in enumerate(tgts):
+        p, t = _step_sequences(tgt, max_len)
+        prevs += p
+        targets += t
+        steps[i] = len(t)  # max_len >= 1 gives every pair a step, as reduceat needs
+    # pool[i] @ E_src is the mean source embedding of pair i
+    src_lens = np.array([len(src) for src in srcs])
+    tokens = np.array([t for src in srcs for t in src], dtype=np.intp)
+    cells = np.repeat(np.arange(len(srcs)) * v, src_lens) + tokens
+    pool = np.bincount(cells, minlength=len(srcs) * v).reshape(-1, v)
+    pool = pool / np.maximum(src_lens, 1)[:, None]
+    ctx = np.repeat(pool @ params.src_emb, steps, axis=0)
+    inputs = np.concatenate([ctx, params.tgt_emb[prevs]], axis=1)
     hidden = np.tanh(inputs @ params.w_hidden + params.b_hidden)
     logits = hidden @ params.w_out + params.b_out
     zmax = logits.max(axis=1, keepdims=True)
-    logz = logits - zmax - np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True))
-    total = 0.0
-    for step, tok in enumerate(targets):
-        total += float(logz[step, tok])
-    return total
-
-
-def _score_and_grad(
-    params: ModelParams, src: Sentence, tgt: Sentence, max_len: int
-) -> tuple[float, np.ndarray]:
-    prevs, targets = _step_sequences(tgt, max_len)
-    grad = np.zeros_like(params.theta)
-    if not targets:
-        return 0.0, grad
-    d = params.emb_dim
-    m = len(src)
-    ctx = _source_context(params, src)
-    t = len(targets)
-    inputs = np.concatenate([np.tile(ctx, (t, 1)), params.tgt_emb[prevs]], axis=1)
-    act = inputs @ params.w_hidden + params.b_hidden
-    hidden = np.tanh(act)
-    logits = hidden @ params.w_out + params.b_out
-    zmax = logits.max(axis=1, keepdims=True)
     ez = np.exp(logits - zmax)
-    soft = ez / ez.sum(axis=1, keepdims=True)
-    rows = np.arange(t)
-    logp = float(
-        (logits[rows, targets] - zmax[:, 0] - np.log(ez.sum(axis=1))).sum()
-    )
-    # d logp / d logits = one-hot(target) - softmax(logits)
-    gz = -soft
-    gz[rows, targets] += 1.0
+    norm = ez.sum(axis=1)
+    rows = np.arange(len(targets))
+    step_w = np.repeat(weights, steps)
+    value = float(step_w @ (logits[rows, targets] - zmax[:, 0] - np.log(norm)))
+    # d logp / d logits = one-hot(target) - softmax(logits), scaled per step
+    gz = ez * (-step_w / norm)[:, None]
+    gz[rows, targets] += step_w
     views = params.like(grad)
     views.b_out[:] = gz.sum(axis=0)
     views.w_out[:] = hidden.T @ gz
-    dh = gz @ params.w_out.T
-    da = (1.0 - hidden * hidden) * dh
+    da = (1.0 - hidden * hidden) * (gz @ params.w_out.T)
     views.b_hidden[:] = da.sum(axis=0)
     views.w_hidden[:] = inputs.T @ da
     dinputs = da @ params.w_hidden.T
     np.add.at(views.tgt_emb, prevs, dinputs[:, d:])
-    if m:
-        gctx = dinputs[:, :d].sum(axis=0) / m
-        np.add.at(views.src_emb, list(src), gctx)
-    return logp, grad
+    starts = np.cumsum(steps) - steps
+    views.src_emb[:] = pool.T @ np.add.reduceat(dinputs[:, :d], starts, axis=0)
+    return value, grad
 
 
 def log_prob_grad(
     params: ModelParams, src: Sentence, tgt: Sentence, max_len: int
 ) -> np.ndarray:
     """Exact analytic gradient of log_prob, in the flat parameter layout."""
-    return _score_and_grad(params, src, tgt, max_len)[1]
+    return weighted_log_prob_grad(params, [src], [tgt], [1.0], max_len)[1]
 
 
 def sample(
@@ -350,13 +365,8 @@ def mle_loss_grad(
     if len(batch) == 0:
         raise ValueError("empty batch")
     token_count = sum(len(ref) + 1 for ref in batch.references)
-    loss = 0.0
-    grad = np.zeros_like(params.theta)
-    for src, ref in zip(batch.sources, batch.references):
-        logp, g = _score_and_grad(params, src, ref, max_len)
-        loss -= logp
-        grad -= g
-    return loss / token_count, grad / token_count
+    weights = np.full(len(batch), -1.0 / token_count)
+    return weighted_log_prob_grad(params, batch.sources, batch.references, weights, max_len)
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
@@ -370,10 +380,20 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
+    """Read a save_checkpoint file; malformed or non-finite values raise ValueError."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "docmrt-ckpt" or header[1] != "v1":
             raise ValueError("not a docmrt v1 checkpoint")
         v, d, h = (int(x) for x in header[2:])
-        theta = np.array([float(line) for line in fh], dtype=np.float64)
+        values = []
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: unparseable value {line.strip()!r}") from None
+    theta = np.array(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ValueError(f"{path}:{bad[0] + 2}: non-finite parameter {theta[bad[0]]}")
     return ModelParams(v, d, h, theta)

@@ -15,6 +15,7 @@ sample pool by probability**alpha instead of 1/N; it is consistent but biased.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -72,24 +73,10 @@ class TrainConfig:
         return self
 
 
-def _sample_grads(
-    params: model.ModelParams, sample_set: sampling.SampleSet, max_len: int
-) -> list[list[np.ndarray]]:
-    return [
-        [model.log_prob_grad(params, src, hyp.sentence, max_len) for hyp in row]
-        for src, row in zip(sample_set.batch.sources, sample_set.grid)
-    ]
-
-
-def _weighted_grid_sum(
-    weights: np.ndarray, grads: list[list[np.ndarray]], theta_size: int
-) -> np.ndarray:
-    """Accumulate weights[s, n] * grads[s][n] in fixed grid order."""
-    acc = np.zeros(theta_size)
-    for s, row in enumerate(grads):
-        for n, g in enumerate(row):
-            acc += weights[s, n] * g
-    return acc
+def _grid_pairs(sample_set: sampling.SampleSet) -> tuple[list, list]:
+    """Sources and sampled targets of the grid, flattened in [sentence][sample] order."""
+    rows = list(zip(sample_set.batch.sources, sample_set.grid))
+    return [src for src, row in rows for _ in row], [h.sentence for _, row in rows for h in row]
 
 
 def seq_mrt_grad(
@@ -107,7 +94,6 @@ def seq_mrt_grad(
             params, batch, cfg.n_samples, cfg.tau, rng, cfg.max_len,
             cfg.cost_kind.as_sentence_kind(),
         )
-    grads = _sample_grads(params, sample_set, cfg.max_len)
     n = sample_set.n_samples
     if cfg.estimator == "raw":
         weights = sample_set.costs / n
@@ -118,7 +104,9 @@ def seq_mrt_grad(
         q /= q.sum(axis=1, keepdims=True)  # one distribution per sentence
         weights = q * sample_set.costs
         risk = float(weights.sum())
-    grad = _weighted_grid_sum(weights, grads, params.theta.size)
+    _, grad = model.weighted_log_prob_grad(
+        params, *_grid_pairs(sample_set), weights.ravel(), cfg.max_len
+    )
     return RiskEstimate(risk=risk, grad=grad, n_used=n * sample_set.n_sentences)
 
 
@@ -132,8 +120,9 @@ def doc_mrt_grad(
 ) -> RiskEstimate:
     """Document-level risk gradient over N assembled sample documents.
 
-    Each sample's gradient is weighted by the aggregated score of the one
-    document containing it, accumulated in grid order.
+    Each sample's log-probability is weighted by the aggregated cost of the
+    one document containing it; one weighted pass over the grid gives the
+    gradient.
     """
     if scheme is None:
         scheme = {"doc_mrt_ordered": "ordered", "doc_mrt_random": "random"}.get(cfg.mode)
@@ -153,41 +142,59 @@ def doc_mrt_grad(
         if rng is None:
             raise ValueError("the random scheme needs an rng")
         docs = sampling.build_documents_random(sample_set, rng)
-    grads = _sample_grads(params, sample_set, cfg.max_len)
     n = sample_set.n_samples
-    weights = np.zeros((sample_set.n_sentences, n))
+    costs = np.array([doc.cost for doc in docs])
     if cfg.estimator == "raw":
-        for doc in docs:
-            for s, idx in enumerate(doc.assignment):
-                weights[s, idx] = doc.cost / n
+        doc_weights = costs / n
         risk = sum(doc.cost for doc in docs) / n
     else:
         logps = np.array([doc.log_prob for doc in docs])
         q = np.exp(cfg.alpha * (logps - logps.max()))
         q /= q.sum()
-        for doc, qn in zip(docs, q):
-            for s, idx in enumerate(doc.assignment):
-                weights[s, idx] = qn * doc.cost
-        risk = float(np.dot(q, [doc.cost for doc in docs]))
-    grad = _weighted_grid_sum(weights, grads, params.theta.size)
+        doc_weights = q * costs
+        risk = float(np.dot(q, costs))
+    weights = np.zeros((sample_set.n_sentences, n))
+    for doc, w in zip(docs, doc_weights):
+        for s, idx in enumerate(doc.assignment):
+            weights[s, idx] = w
+    _, grad = model.weighted_log_prob_grad(
+        params, *_grid_pairs(sample_set), weights.ravel(), cfg.max_len
+    )
     return RiskEstimate(risk=risk, grad=grad, n_used=len(docs))
 
 
 CostLike = "CostKind | metrics.DocCostFn"
 
 
-def _output_spaces(
-    params: model.ModelParams, batch: DocumentBatch, max_len: int
-) -> list[list[tuple]]:
+def _enumerated_risk(
+    params: model.ModelParams,
+    batch: DocumentBatch,
+    cost_kind: CostLike,
+    max_len: int,
+) -> tuple[float, list[list[tuple]], list[np.ndarray]]:
+    """Exact risk sum_Y D(Y) P(Y) over every output document Y, plus, per
+    sentence s, each output sentence's coefficient sum_{Y: y_s = y} D(Y) P(Y).
+    """
     spaces = [
         model.enumerate_output_space(params, src, max_len) for src in batch.sources
     ]
-    total = 1
-    for space in spaces:
-        total *= len(space)
-        if total > RISK_ENUMERATION_GUARD:
-            raise ValueError("document space exceeds the risk enumeration guard")
-    return spaces
+    if math.prod(len(space) for space in spaces) > RISK_ENUMERATION_GUARD:
+        raise ValueError("document space exceeds the risk enumeration guard")
+    cost_fn = metrics.document_cost_fn(cost_kind)
+    risk = 0.0
+    coeffs = [np.zeros(len(space)) for space in spaces]
+    for combo_idx in itertools.product(*(range(len(sp)) for sp in spaces)):
+        p = 1.0
+        hyps = []
+        for s, i in enumerate(combo_idx):
+            sent, prob = spaces[s][i]
+            p *= prob
+            hyps.append(sent)
+        dp = p * cost_fn(hyps, batch.references, batch.sources)
+        risk += dp
+        for s, i in enumerate(combo_idx):
+            coeffs[s][i] += dp
+    return risk, spaces, coeffs
 
 
 def exact_risk(
@@ -197,16 +204,7 @@ def exact_risk(
     max_len: int,
 ) -> float:
     """Exact expected document cost by full enumeration of the output space."""
-    cost_fn = metrics.document_cost_fn(cost_kind)
-    spaces = _output_spaces(params, batch, max_len)
-    risk = 0.0
-    for combo in itertools.product(*spaces):
-        p = 1.0
-        for _, prob in combo:
-            p *= prob
-        hyps = [sent for sent, _ in combo]
-        risk += p * cost_fn(hyps, batch.references, batch.sources)
-    return risk
+    return _enumerated_risk(params, batch, cost_kind, max_len)[0]
 
 
 def exact_risk_grad(
@@ -217,29 +215,14 @@ def exact_risk_grad(
 ) -> np.ndarray:
     """Exact risk gradient sum_Y D(Y) P(Y) dlog P(Y), by full enumeration.
 
-    The per-sentence coefficient sum_{Y: y_s = y} D(Y) P(Y) is accumulated
-    first, so each output sentence's gradient is computed once.
+    Since log P(Y) = sum_s log P(y_s), this equals sum over output sentences of
+    their coefficient times dlog P(y_s): one weighted pass, each sentence once.
     """
-    spaces = _output_spaces(params, batch, max_len)
-    cost_fn = metrics.document_cost_fn(cost_kind)
-    coeffs = [np.zeros(len(space)) for space in spaces]
-    for combo_idx in itertools.product(*(range(len(sp)) for sp in spaces)):
-        p = 1.0
-        hyps = []
-        for s, i in enumerate(combo_idx):
-            sent, prob = spaces[s][i]
-            p *= prob
-            hyps.append(sent)
-        dp = p * cost_fn(hyps, batch.references, batch.sources)
-        for s, i in enumerate(combo_idx):
-            coeffs[s][i] += dp
-    grad = np.zeros_like(params.theta)
-    for s, (space, coeff) in enumerate(zip(spaces, coeffs)):
-        src = batch.sources[s]
-        for (sent, _), c in zip(space, coeff):
-            if c != 0.0:
-                grad += c * model.log_prob_grad(params, src, sent, max_len)
-    return grad
+    _, spaces, coeffs = _enumerated_risk(params, batch, cost_kind, max_len)
+    srcs = [src for src, space in zip(batch.sources, spaces) for _ in space]
+    tgts = [sent for space in spaces for sent, _ in space]
+    weights = [c for coeff in coeffs for c in coeff]
+    return model.weighted_log_prob_grad(params, srcs, tgts, weights, max_len)[1]
 
 
 def fd_gradient_check(

@@ -238,6 +238,13 @@ def test_score_corpus_pseudo_docs(tmp_path):
     assert [row["doc_id"] for row in report["per_document"]] == [0, 1]
 
 
+def test_score_corpus_rejects_zero_pseudo_doc_size(tmp_path):
+    _write_lines(tmp_path / "hyp.txt", ["a", "b"])
+    _write_lines(tmp_path / "ref.txt", ["a", "b"])
+    with pytest.raises(ValueError, match="pseudo_doc_size"):
+        score_corpus(tmp_path / "hyp.txt", tmp_path / "ref.txt", pseudo_doc_size=0)
+
+
 # ---------------------------------------------------------------------------
 # verification commands
 # ---------------------------------------------------------------------------
@@ -421,6 +428,24 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert (out_dir / "train.src").exists()
 
 
+def test_cli_config_file_booleans(tmp_path, capsys):
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text("corrupt = false\n", encoding="utf-8")
+    assert cli.main(["grad-check", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    cfg.write_text("corrupt = true\n", encoding="utf-8")
+    assert cli.main(["grad-check", "--config", str(cfg)]) == 2
+
+
+def test_cli_config_file_bad_value_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("style-consistency = maybe\n", encoding="utf-8")
+    rc = cli.main(["gen-data", "--config", str(cfg), "--out-dir", str(tmp_path / "data")])
+    assert rc == 2
+    assert "style_consistency" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_cli_train_and_finetune_round_trip(tmp_path, capsys):
     data = tmp_path / "data"
     assert (
@@ -462,3 +487,26 @@ def test_cli_train_and_finetune_round_trip(tmp_path, capsys):
     log_lines = (tmp_path / "log.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(log_lines) == 2
     assert {"update", "mode", "risk", "seed"} <= set(json.loads(log_lines[0]))
+
+
+@pytest.mark.parametrize("bad", ["nan", "0.1.2"])
+def test_cli_finetune_rejects_bad_checkpoint(tmp_path, capsys, bad):
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--out-dir", str(data), "--vocab-size", "8", "--rule", "0"]) == 0
+    params = model.init_params(12, 2, 2, seed=0)
+    ckpt = tmp_path / "base.ckpt"
+    model.save_checkpoint(params, ckpt)
+    lines = ckpt.read_text(encoding="utf-8").splitlines()
+    lines[5] = bad
+    ckpt.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    tuned = tmp_path / "tuned.ckpt"
+    rc = cli.main(
+        [
+            "finetune-mrt", "--data-dir", str(data), "--ckpt", str(ckpt),
+            "--out-ckpt", str(tuned), "--max-updates", "1",
+        ]
+    )
+    assert rc == 2
+    assert ":6:" in capsys.readouterr().err
+    assert not tuned.exists()

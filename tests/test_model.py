@@ -37,6 +37,36 @@ def oracle_log_prob(params, src, tgt, max_len):
     return total
 
 
+def reference_score_and_grad(params, src, tgt, max_len):
+    """Per-sentence forward/backward pass: log P(tgt | src) and its gradient."""
+    prevs, targets = model._step_sequences(tgt, max_len)
+    grad = np.zeros_like(params.theta)
+    d, m = params.emb_dim, len(src)
+    ctx = params.src_emb[list(src)].mean(axis=0) if m else np.zeros(d)
+    t = len(targets)
+    inputs = np.concatenate([np.tile(ctx, (t, 1)), params.tgt_emb[prevs]], axis=1)
+    hidden = np.tanh(inputs @ params.w_hidden + params.b_hidden)
+    logits = hidden @ params.w_out + params.b_out
+    zmax = logits.max(axis=1, keepdims=True)
+    ez = np.exp(logits - zmax)
+    soft = ez / ez.sum(axis=1, keepdims=True)
+    rows = np.arange(t)
+    logp = float((logits[rows, targets] - zmax[:, 0] - np.log(ez.sum(axis=1))).sum())
+    gz = -soft
+    gz[rows, targets] += 1.0
+    views = params.like(grad)
+    views.b_out[:] = gz.sum(axis=0)
+    views.w_out[:] = hidden.T @ gz
+    da = (1.0 - hidden * hidden) * (gz @ params.w_out.T)
+    views.b_hidden[:] = da.sum(axis=0)
+    views.w_hidden[:] = inputs.T @ da
+    dinputs = da @ params.w_hidden.T
+    np.add.at(views.tgt_emb, prevs, dinputs[:, d:])
+    if m:
+        np.add.at(views.src_emb, list(src), dinputs[:, :d].sum(axis=0) / m)
+    return logp, grad
+
+
 def test_init_params_deterministic_per_seed():
     a = model.init_params(6, 3, 4, seed=5)
     b = model.init_params(6, 3, 4, seed=5)
@@ -123,6 +153,49 @@ def test_log_prob_grad_untouched_embeddings_are_zero():
             assert not grad.src_emb[tok].any()
         if tok not in used_tgt:
             assert not grad.tgt_emb[tok].any()
+
+
+# Each batch: (sources, targets, weights) at max_len 3.
+WEIGHTED_BATCHES = {
+    "empty source": ([(), (4, 1)], [(3, 0), (1,)], [0.5, 1.0]),
+    "empty target": ([(4, 0), (2,)], [(), (3,)], [1.0, 2.0]),
+    "target at cap": ([(4,), (1, 1)], [(3, 3, 0), (4, 4, 4)], [1.0, 0.25]),
+    "repeated pairs": ([(4, 3)] * 3 + [(0,)], [(1, 0)] * 3 + [(4,)], [0.3, 0.3, 0.3, 1.0]),
+    "zero and negative": ([(4, 3), (0, 1), (2, 2, 2)], [(1,), (3, 4), ()], [0.0, -0.7, -2.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_BATCHES))
+def test_weighted_log_prob_grad_matches_per_sentence_reference(name):
+    srcs, tgts, weights = WEIGHTED_BATCHES[name]
+    p = model.init_params(5, 3, 4, seed=11)
+    p.theta += np.random.default_rng(5).normal(0, 0.5, size=p.theta.size)
+    value, grad = model.weighted_log_prob_grad(p, srcs, tgts, weights, 3)
+    triples = list(zip(srcs, tgts, weights))
+    want_grad = sum(w * reference_score_and_grad(p, s, t, 3)[1] for s, t, w in triples)
+    want_value = sum(w * model.log_prob(p, s, t, 3) for s, t, w in triples)
+    assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+    assert math.isclose(value, want_value, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_weighted_log_prob_grad_rejects_misaligned_inputs():
+    p = model.init_params(5, 2, 2, seed=0)
+    with pytest.raises(ValueError, match="misaligned"):
+        model.weighted_log_prob_grad(p, [(4,), (1,)], [(4,)], [1.0, 1.0], 3)
+    with pytest.raises(ValueError, match="misaligned"):
+        model.weighted_log_prob_grad(p, [(4,)], [(4,)], [1.0, 1.0], 3)
+
+
+def test_weighted_log_prob_grad_empty_batch_is_zero():
+    p = model.init_params(5, 2, 2, seed=0)
+    value, grad = model.weighted_log_prob_grad(p, [], [], [], 3)
+    assert value == 0.0 and not grad.any()
+
+
+def test_log_prob_rejects_nonpositive_max_len():
+    p = model.init_params(5, 2, 2, seed=0)
+    with pytest.raises(ValueError, match="max_len"):
+        model.log_prob(p, (4,), (), 0)
 
 
 def test_sample_deterministic_per_seed():
@@ -298,3 +371,27 @@ def test_checkpoint_rejects_other_files(tmp_path):
     path.write_text("not a checkpoint\n", encoding="utf-8")
     with pytest.raises(ValueError):
         model.load_checkpoint(path)
+
+
+def _write_checkpoint(path, values):
+    path.write_text("docmrt-ckpt v1 5 1 1\n" + "".join(f"{x}\n" for x in values), encoding="utf-8")
+
+
+def test_checkpoint_rejects_non_finite_values(tmp_path):
+    values = [0.0] * model.param_count(5, 1, 1)
+    for bad in ("nan", "inf", "-inf"):
+        values[3] = bad
+        _write_checkpoint(tmp_path / "bad.ckpt", values)
+        with pytest.raises(ValueError, match=":5: non-finite"):
+            model.load_checkpoint(tmp_path / "bad.ckpt")
+
+
+def test_checkpoint_rejects_unparseable_line_and_wrong_count(tmp_path):
+    values = [0.0] * model.param_count(5, 1, 1)
+    values[1] = "0.5x"
+    _write_checkpoint(tmp_path / "bad.ckpt", values)
+    with pytest.raises(ValueError, match=r":3: unparseable value '0\.5x'"):
+        model.load_checkpoint(tmp_path / "bad.ckpt")
+    _write_checkpoint(tmp_path / "short.ckpt", [0.0] * 3)
+    with pytest.raises(ValueError, match="layout requires"):
+        model.load_checkpoint(tmp_path / "short.ckpt")
