@@ -285,28 +285,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Seed subparser defaults from a --config file so flags still override."""
+    # "--config=FILE" is the same argument as "--config FILE"
+    argv = [p for a in argv for p in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise ValueError("--config needs a path")
     values = harness.parse_config_file(argv[idx + 1])
-    if not argv or argv[0].startswith("-"):
+    if argv[0].startswith("-"):
         return argv
     sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     subparser = sub_actions[0].choices.get(argv[0]) if sub_actions else None
     if subparser is None:
         return argv
+    actions = {action.dest: action for action in subparser._actions}
     known = {}
-    for action in subparser._actions:
-        dest = action.dest
-        if dest in values:
-            # a store_true flag has no type, but "false" in a file must stay False
-            convert = _bool if isinstance(action, argparse._StoreTrueAction) else action.type
-            try:
-                known[dest] = convert(values[dest]) if convert else values[dest]
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                raise ValueError(f"config key {dest!r}: {exc}") from None
+    for dest, value in values.items():
+        action = actions.get(dest)
+        if action is None:
+            raise ValueError(f"unknown config key {dest!r} for {argv[0]}")
+        # a store_true flag has no type, but "false" in a file must stay False
+        convert = _bool if isinstance(action, argparse._StoreTrueAction) else action.type
+        try:
+            known[dest] = convert(value) if convert else value
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise ValueError(f"config key {dest!r}: {exc}") from None
     subparser.set_defaults(**known)
     return argv
 

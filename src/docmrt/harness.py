@@ -182,12 +182,7 @@ def evaluate_corpus(
     hyps = decode_corpus(params, corpus, beam, max_len)
     refs = [e[1] for e in corpus.entries]
     srcs = [e[0] for e in corpus.entries]
-    kind = kind.as_document_kind()
-    if kind is CostKind.ONE_MINUS_DOCBLEU:
-        return metrics.corpus_bleu(hyps, refs)
-    if kind is CostKind.DOC_TER:
-        return metrics.doc_ter(hyps, refs)
-    return metrics.gleu(hyps, srcs, refs)
+    return metrics.pooled(kind.metric, hyps, refs, srcs)
 
 
 def train_mle_baseline(
@@ -241,11 +236,7 @@ def train_mle_baseline(
 def _doc_scores(
     hyps: list[Sentence], srcs: list[Sentence], refs: list[Sentence]
 ) -> dict:
-    return {
-        "doc_bleu": metrics.corpus_bleu(hyps, refs).value,
-        "doc_ter": metrics.doc_ter(hyps, refs).value,
-        "doc_gleu": metrics.gleu(hyps, srcs, refs).value,
-    }
+    return {f"doc_{m}": metrics.pooled(m, hyps, refs, srcs).value for m in metrics.METRICS}
 
 
 @dataclass
@@ -500,9 +491,11 @@ def score_corpus(
     """Corpus-level and per-document scores for parallel text files.
 
     Token identity is literal whitespace-token equality; a throwaway vocabulary
-    over all provided files keeps distinct surface tokens distinct.
+    over all provided files keeps distinct surface tokens distinct. Each line's
+    metric stats are extracted once; every document and the corpus are scored
+    from the sum of their lines' stats.
     """
-    if metric not in ("bleu", "ter", "gleu"):
+    if metric not in metrics.METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "gleu" and src_path is None:
         raise ValueError("GLEU scoring requires a source file")
@@ -522,36 +515,23 @@ def score_corpus(
     srcs = None
     if src_path is not None:
         with open(src_path, encoding="utf-8") as fh:
-            src_lines = [l.rstrip("\n") for l in fh]
-        if len(src_lines) != len(hyp_corpus):
-            raise ValueError("line count mismatch between source and hypothesis files")
-        srcs = [textcore.encode(l, vocab) for l in src_lines]
-
+            srcs = [textcore.encode(line, vocab) for line in fh]
     hyps = [e[0] for e in hyp_corpus.entries]
     refs = [e[1] for e in hyp_corpus.entries]
-
-    def pooled(h, r, s):
-        if metric == "bleu":
-            return metrics.corpus_bleu(h, r).value
-        if metric == "ter":
-            return metrics.doc_ter(h, r).value
-        return metrics.gleu(h, s, r).value
-
+    stats = metrics.line_stats(metric, hyps, refs, srcs)  # one row per line
     per_document = []
     start = 0  # doc ids are contiguous, so each document is one slice
     for doc in hyp_corpus.documents():
-        rows = slice(start, start + len(doc))
-        per_document.append(
-            {
-                "doc_id": doc[0][2],
-                "sentences": len(doc),
-                "score": pooled(hyps[rows], refs[rows], srcs[rows] if srcs else None),
-            }
-        )
-        start = rows.stop
+        doc_id, stop = doc[0][2], start + len(doc)
+        try:
+            value = metrics.score(metric, stats[start:stop].sum(axis=0))
+        except ValueError as exc:
+            raise ValueError(f"document {doc_id}: {exc}") from None
+        per_document.append({"doc_id": doc_id, "sentences": len(doc), "score": value})
+        start = stop
     return {
         "metric": metric,
-        "corpus_score": pooled(hyps, refs, srcs),
+        "corpus_score": metrics.score(metric, stats.sum(axis=0)),
         "num_sentences": len(hyp_corpus),
         "per_document": per_document,
     }

@@ -2,6 +2,11 @@
 
 All comparisons are on token ids. Costs are "lower is better": 1 - score for
 BLEU/GLEU selectors, raw TER for TER selectors.
+
+Every metric is a function of per-line counts that add up over lines, its
+sufficient statistics. Each sentence, document and corpus score extracts one
+stats row per line, sums the rows and scores the sum. BLEU and GLEU share one
+n-gram extractor (BLEU is GLEU with an empty source); TER has its own.
 """
 
 from __future__ import annotations
@@ -11,12 +16,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .textcore import Sentence, ngrams
 
 DEFAULT_MAX_N = 4
 
 # Longest hypothesis block considered by the TER shift search.
 MAX_SHIFT_BLOCK = 10
+
+METRICS = ("bleu", "ter", "gleu")
+
+Extractor = Callable[[Sentence], list[int]]
 
 
 @dataclass
@@ -34,12 +45,13 @@ class CostKind(Enum):
     ONE_MINUS_DOC_GLEU = "one_minus_doc_gleu"
 
     @property
+    def metric(self) -> str:
+        """The metric the cost is built on: "bleu", "ter" or "gleu"."""
+        return next(m for m in METRICS if self.value.endswith(m))
+
+    @property
     def is_sentence_level(self) -> bool:
-        return self in (
-            CostKind.ONE_MINUS_SBLEU,
-            CostKind.SENT_TER,
-            CostKind.ONE_MINUS_SENT_GLEU,
-        )
+        return self.as_sentence_kind() is self
 
     @property
     def is_document_level(self) -> bool:
@@ -47,7 +59,7 @@ class CostKind(Enum):
 
     @property
     def needs_source(self) -> bool:
-        return self in (CostKind.ONE_MINUS_SENT_GLEU, CostKind.ONE_MINUS_DOC_GLEU)
+        return self.metric == "gleu"
 
     def as_sentence_kind(self) -> "CostKind":
         return {
@@ -64,87 +76,36 @@ class CostKind(Enum):
         }.get(self, self)
 
 
-def _clipped_matches(hyp: Sentence, ref: Sentence, n: int) -> tuple[int, int]:
-    """(clipped match count, total hyp n-grams) for one order."""
-    hyp_grams = ngrams(hyp, n)
-    total = sum(hyp_grams.values())
-    if total == 0:
-        return 0, 0
-    ref_grams = ngrams(ref, n)
-    matches = sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
-    return matches, total
+def ngram_extractor(ref: Sentence, src: Sentence = (), max_n: int = DEFAULT_MAX_N) -> Extractor:
+    """Stats of any hypothesis against one (reference, source) line.
 
-
-def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
-    if hyp_len >= ref_len:
-        return 1.0
-    return math.exp(1.0 - ref_len / hyp_len)
-
-
-def _bleu_from_stats(
-    matches: list[int], totals: list[int], hyp_len: int, ref_len: int, smoothed: bool
-) -> float:
-    if hyp_len == 0:
-        return 1.0 if ref_len == 0 else 0.0
-    log_sum = 0.0
-    orders = 0
-    for m, t in zip(matches, totals):
-        if smoothed:
-            p = (m + 1.0) / (t + 1.0)  # zero-total orders contribute p = 1
-        else:
-            if t == 0:
-                continue  # excluded from the geometric mean
-            if m == 0:
-                return 0.0
-            p = m / t
-        log_sum += math.log(p)
-        orders += 1
-    if orders == 0:
-        return 0.0
-    return _brevity_penalty(hyp_len, ref_len) * math.exp(log_sum / orders)
-
-
-def sentence_bleu_smoothed(hyp: Sentence, ref: Sentence, max_n: int = DEFAULT_MAX_N) -> MetricScore:
-    """Sentence BLEU with add-one smoothing on every order's counts.
-
-    p_n = (matches_n + 1) / (total_n + 1), geometric mean over n = 1..max_n,
-    times the brevity penalty. Always positive for a non-empty hypothesis.
+    A row is [matches per order, hypothesis n-grams per order, hypothesis
+    length, reference length]. Matches are clipped by the reference counts,
+    minus the hypothesis n-grams that appear in the source but not the
+    reference (the GLEU penalty), floored at 0 per order. An empty source
+    gives no penalty, so the matches are BLEU's. The reference and source
+    n-grams are counted once, here.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    stats = [_clipped_matches(hyp, ref, n) for n in range(1, max_n + 1)]
-    value = _bleu_from_stats(
-        [m for m, _ in stats], [t for _, t in stats], len(hyp), len(ref), smoothed=True
-    )
-    return MetricScore(value, "BLEU")
+    tables = []
+    for n in range(1, max_n + 1):
+        ref_grams = ngrams(ref, n)
+        src_only = {g: c for g, c in ngrams(src, n).items() if g not in ref_grams}
+        tables.append((ref_grams, src_only))
+    return lambda hyp: ngram_stats(hyp, tables, len(ref))
 
 
-def corpus_bleu(
-    hyps: Sequence[Sentence],
-    refs: Sequence[Sentence],
-    max_n: int = DEFAULT_MAX_N,
-    smoothed: bool = False,
-) -> MetricScore:
-    """Corpus BLEU: clipped matches and totals pooled over all pairs before p_n.
-
-    Unsmoothed by default; pooled orders with zero total n-grams are excluded
-    from the geometric mean, and any remaining zero-match order gives 0.
-    """
-    if len(hyps) != len(refs):
-        raise ValueError("hypothesis/reference count mismatch")
-    if not hyps:
-        raise ValueError("empty corpus")
-    matches = [0] * max_n
-    totals = [0] * max_n
-    for hyp, ref in zip(hyps, refs):
-        for n in range(1, max_n + 1):
-            m, t = _clipped_matches(hyp, ref, n)
-            matches[n - 1] += m
-            totals[n - 1] += t
-    hyp_len = sum(len(h) for h in hyps)
-    ref_len = sum(len(r) for r in refs)
-    value = _bleu_from_stats(matches, totals, hyp_len, ref_len, smoothed)
-    return MetricScore(value, "BLEU")
+def ngram_stats(hyp: Sentence, tables: list, ref_len: int) -> list[int]:
+    """One hypothesis's row against the per-order tables of ngram_extractor."""
+    matches = []
+    for n, (ref_grams, src_only) in enumerate(tables, start=1):
+        hyp_grams = ngrams(hyp, n)
+        m = sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
+        m -= sum(min(c, src_only[g]) for g, c in hyp_grams.items() if g in src_only)
+        matches.append(max(m, 0))
+    totals = [max(len(hyp) - n + 1, 0) for n in range(1, len(tables) + 1)]
+    return matches + totals + [len(hyp), ref_len]
 
 
 def _edit_distance(a: Sequence[int], b: Sequence[int]) -> int:
@@ -190,10 +151,14 @@ def _best_shift(hyp: list[int], ref: Sequence[int], edits: int):
     return best
 
 
-def _ter_counts(hyp: Sentence, ref: Sentence) -> tuple[int, int]:
-    """(edits + shifts, reference length) for one pair."""
-    if len(ref) == 0:
-        raise ValueError("empty reference")
+def ter_stats(hyp: Sentence, ref: Sentence) -> list[int]:
+    """TER stats of one line: [edits + shifts, reference length].
+
+    Edits are word-level Levenshtein operations; a shift moves one contiguous
+    block to a position where it exactly matches the reference, costs 1, and is
+    accepted greedily only while it strictly reduces the remaining edit
+    distance. An empty reference gives [len(hyp), 0].
+    """
     current = list(hyp)
     edits = _edit_distance(current, ref)
     shifts = 0
@@ -203,56 +168,128 @@ def _ter_counts(hyp: Sentence, ref: Sentence) -> tuple[int, int]:
             break
         edits, current = found
         shifts += 1
-    return edits + shifts, len(ref)
+    return [edits + shifts, len(ref)]
+
+
+def extractor(
+    metric: str, ref: Sentence, src: Sentence | None = None, max_n: int = DEFAULT_MAX_N
+) -> Extractor:
+    """The stats extractor of metric for one reference line; GLEU needs its source."""
+    if metric == "ter":
+        return lambda hyp: ter_stats(hyp, ref)
+    if metric == "gleu" and src is None:
+        raise ValueError("GLEU requires a source sentence")
+    return ngram_extractor(ref, src if metric == "gleu" else (), max_n)
+
+
+def line_stats(
+    metric: str,
+    hyps: Sequence[Sentence],
+    refs: Sequence[Sentence],
+    srcs: Sequence[Sentence] | None = None,
+    max_n: int = DEFAULT_MAX_N,
+) -> np.ndarray:
+    """One stats row per aligned line, shape (lines, K); sources only for GLEU."""
+    if len(hyps) != len(refs) or srcs is not None and len(srcs) != len(refs):
+        raise ValueError("hypothesis/source/reference count mismatch")
+    if not hyps:
+        raise ValueError("empty corpus")
+    srcs = [None] * len(refs) if srcs is None else srcs
+    return np.array(
+        [extractor(metric, r, s, max_n)(h) for h, r, s in zip(hyps, refs, srcs)],
+        dtype=np.int64,
+    )
+
+
+def score(metric: str, stats: Sequence[int], smoothed: bool = False) -> float:
+    """The metric's value on one line's stats or on a sum of lines' stats.
+
+    BLEU/GLEU: geometric mean of the per-order precisions times the brevity
+    penalty. smoothed adds one to every order's matches and total; unsmoothed,
+    orders with zero total n-grams are excluded from the mean and any remaining
+    zero-match order gives 0. TER: edits over reference length, which must be
+    positive.
+    """
+    stats = [int(v) for v in stats]
+    if metric == "ter":
+        edits, ref_len = stats
+        if ref_len == 0:
+            raise ValueError("TER needs a non-empty reference")
+        return edits / ref_len
+    max_n = len(stats) // 2 - 1
+    hyp_len, ref_len = stats[-2:]
+    if hyp_len == 0:
+        return 1.0 if ref_len == 0 else 0.0
+    log_sum = 0.0
+    orders = 0
+    for m, t in zip(stats[:max_n], stats[max_n : 2 * max_n]):
+        if smoothed:
+            p = (m + 1.0) / (t + 1.0)  # zero-total orders contribute p = 1
+        else:
+            if t == 0:
+                continue  # excluded from the geometric mean
+            if m == 0:
+                return 0.0
+            p = m / t
+        log_sum += math.log(p)
+        orders += 1
+    if orders == 0:
+        return 0.0
+    penalty = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return penalty * math.exp(log_sum / orders)
+
+
+def pooled(
+    metric: str,
+    hyps: Sequence[Sentence],
+    refs: Sequence[Sentence],
+    srcs: Sequence[Sentence] | None = None,
+    max_n: int = DEFAULT_MAX_N,
+    smoothed: bool = False,
+) -> MetricScore:
+    """The metric on the summed stats of every line."""
+    stats = line_stats(metric, hyps, refs, srcs, max_n).sum(axis=0)
+    return MetricScore(score(metric, stats, smoothed), metric.upper())
+
+
+def sentence_bleu_smoothed(hyp: Sentence, ref: Sentence, max_n: int = DEFAULT_MAX_N) -> MetricScore:
+    """Sentence BLEU with add-one smoothing on every order's counts.
+
+    p_n = (matches_n + 1) / (total_n + 1), geometric mean over n = 1..max_n,
+    times the brevity penalty. Always positive for a non-empty hypothesis.
+    """
+    stats = ngram_extractor(ref, (), max_n)(hyp)
+    return MetricScore(score("bleu", stats, smoothed=True), "BLEU")
+
+
+def corpus_bleu(
+    hyps: Sequence[Sentence],
+    refs: Sequence[Sentence],
+    max_n: int = DEFAULT_MAX_N,
+    smoothed: bool = False,
+) -> MetricScore:
+    """Corpus BLEU: clipped matches and totals pooled over all pairs before p_n.
+
+    Unsmoothed by default; pooled orders with zero total n-grams are excluded
+    from the geometric mean, and any remaining zero-match order gives 0.
+    """
+    return pooled("bleu", hyps, refs, None, max_n, smoothed)
 
 
 def ter(hyp: Sentence, ref: Sentence) -> MetricScore:
-    """Translation edit rate: (edits + shifts) / |ref|.
-
-    Edits are word-level Levenshtein operations; a shift moves one contiguous
-    block to a position where it exactly matches the reference, costs 1, and is
-    accepted greedily only while it strictly reduces the remaining edit
-    distance.
-    """
-    numer, denom = _ter_counts(hyp, ref)
-    return MetricScore(numer / denom, "TER")
+    """Translation edit rate of one pair: (edits + shifts) / |ref|; see ter_stats."""
+    return MetricScore(score("ter", ter_stats(hyp, ref)), "TER")
 
 
 def doc_ter(hyps: Sequence[Sentence], refs: Sequence[Sentence]) -> MetricScore:
-    """Pooled document TER: sum of per-sentence (edits + shifts) over summed |ref|."""
-    if len(hyps) != len(refs):
-        raise ValueError("hypothesis/reference count mismatch")
-    if not hyps:
-        raise ValueError("empty corpus")
-    numer = 0
-    denom = 0
-    for hyp, ref in zip(hyps, refs):
-        e, r = _ter_counts(hyp, ref)
-        numer += e
-        denom += r
-    return MetricScore(numer / denom, "TER")
+    """Pooled document TER: sum of per-sentence (edits + shifts) over summed |ref|.
 
-
-def _gleu_sentence_stats(
-    hyp: Sentence, src: Sentence, ref: Sentence, n: int
-) -> tuple[int, int]:
-    """(penalized match count, total hyp n-grams) for one order of one triple.
-
-    The penalty counts hypothesis n-grams that match the source but not the
-    reference; the numerator is floored at 0.
+    Every reference must be non-empty, as for sentence TER. Costs and
+    `docmrt score` sum stats directly and so pool empty reference lines.
     """
-    hyp_grams = ngrams(hyp, n)
-    total = sum(hyp_grams.values())
-    if total == 0:
-        return 0, 0
-    ref_grams = ngrams(ref, n)
-    src_only = ngrams(src, n)
-    for g in list(src_only):
-        if g in ref_grams:
-            del src_only[g]
-    matches = sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
-    penalty = sum(min(c, src_only[g]) for g, c in hyp_grams.items() if g in src_only)
-    return max(matches - penalty, 0), total
+    if not all(refs):
+        raise ValueError("TER needs a non-empty reference")
+    return pooled("ter", hyps, refs)
 
 
 def gleu(
@@ -270,21 +307,13 @@ def gleu(
     orders with the BLEU brevity penalty. Zero-total orders follow the same
     rules as corpus_bleu.
     """
-    if not len(hyps) == len(sources) == len(refs):
-        raise ValueError("hypothesis/source/reference count mismatch")
-    if not hyps:
-        raise ValueError("empty corpus")
-    matches = [0] * max_n
-    totals = [0] * max_n
-    for hyp, src, ref in zip(hyps, sources, refs):
-        for n in range(1, max_n + 1):
-            m, t = _gleu_sentence_stats(hyp, src, ref, n)
-            matches[n - 1] += m
-            totals[n - 1] += t
-    hyp_len = sum(len(h) for h in hyps)
-    ref_len = sum(len(r) for r in refs)
-    value = _bleu_from_stats(matches, totals, hyp_len, ref_len, smoothed)
-    return MetricScore(value, "GLEU")
+    return pooled("gleu", hyps, refs, sources, max_n, smoothed)
+
+
+def cost_from_stats(kind: CostKind, stats: Sequence[int]) -> float:
+    """Cost of one line's stats (sentence kinds, smoothed) or of summed stats."""
+    value = score(kind.metric, stats, smoothed=kind.is_sentence_level)
+    return value if kind.metric == "ter" else 1.0 - value
 
 
 def seq_cost(
@@ -293,13 +322,7 @@ def seq_cost(
     """Sentence-level cost for one hypothesis; lower is better."""
     if not kind.is_sentence_level:
         raise ValueError(f"{kind.value} is a document-level cost")
-    if kind is CostKind.ONE_MINUS_SBLEU:
-        return 1.0 - sentence_bleu_smoothed(hyp, ref).value
-    if kind is CostKind.SENT_TER:
-        return ter(hyp, ref).value
-    if src is None:
-        raise ValueError("GLEU cost requires a source sentence")
-    return 1.0 - gleu([hyp], [src], [ref], smoothed=True).value
+    return cost_from_stats(kind, extractor(kind.metric, ref, src)(hyp))
 
 
 def doc_cost(
@@ -311,13 +334,7 @@ def doc_cost(
     """Document-level cost for an aligned hypothesis document; lower is better."""
     if not kind.is_document_level:
         raise ValueError(f"{kind.value} is a sentence-level cost")
-    if kind is CostKind.ONE_MINUS_DOCBLEU:
-        return 1.0 - corpus_bleu(hyps, refs).value
-    if kind is CostKind.DOC_TER:
-        return doc_ter(hyps, refs).value
-    if srcs is None:
-        raise ValueError("GLEU cost requires source sentences")
-    return 1.0 - gleu(hyps, srcs, refs).value
+    return cost_from_stats(kind, line_stats(kind.metric, hyps, refs, srcs).sum(axis=0))
 
 
 DocCostFn = Callable[
@@ -335,12 +352,6 @@ def document_cost_fn(kind: "CostKind | DocCostFn") -> DocCostFn:
         return kind
     if kind.is_document_level:
         return lambda hyps, refs, srcs=None: doc_cost(kind, hyps, refs, srcs)
-
-    def additive(hyps, refs, srcs=None):
-        if srcs is None:
-            srcs = [None] * len(hyps)
-        return sum(
-            seq_cost(kind, h, r, s) for h, r, s in zip(hyps, refs, srcs)
-        )
-
-    return additive
+    return lambda hyps, refs, srcs=None: sum(
+        cost_from_stats(kind, row) for row in line_stats(kind.metric, hyps, refs, srcs)
+    )

@@ -8,6 +8,7 @@ Both schemes use each grid cell exactly once across the N documents.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -22,13 +23,19 @@ DOCUMENT_ENUMERATION_GUARD = 10**6
 
 @dataclass
 class SampleSet:
-    """N scored hypotheses per sentence plus their sentence-level costs."""
+    """N scored hypotheses per sentence, their sentence-level costs and the
+    metric stats of every cell (extracted here when not given)."""
 
     batch: DocumentBatch
     grid: list[list[model.ScoredHypothesis]]  # [sentence][sample]
     costs: np.ndarray  # shape (S, N)
     cost_kind: CostKind
     ranks: list[list[int]] | None = None  # per-sentence sample order, best first
+    stats: np.ndarray | None = None  # shape (S, N, K), K stats per cell
+
+    def __post_init__(self):
+        if self.stats is None:
+            self.stats = _grid_stats(self.batch, self.grid, self.cost_kind.metric)
 
     @property
     def n_sentences(self) -> int:
@@ -50,13 +57,13 @@ class SampledDocument:
     weight: float | None = None  # set by enumerate_documents
 
 
-def _document_cost(sample_set: SampleSet, hyps: list[model.ScoredHypothesis]) -> float:
-    cost_fn = metrics.document_cost_fn(sample_set.cost_kind)
-    return cost_fn(
-        [h.sentence for h in hyps],
-        sample_set.batch.references,
-        sample_set.batch.sources,
-    )
+def _grid_stats(batch: DocumentBatch, grid, metric: str) -> np.ndarray:
+    """Stats of every cell; each reference's n-grams are counted once."""
+    stats = []
+    for src, ref, row in zip(batch.sources, batch.references, grid):
+        extract = metrics.extractor(metric, ref, src)
+        stats.append([extract(hyp.sentence) for hyp in row])
+    return np.array(stats, dtype=np.int64)
 
 
 def draw_sample_set(
@@ -76,16 +83,16 @@ def draw_sample_set(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    seq_kind = cost_kind.as_sentence_kind() if isinstance(cost_kind, CostKind) else cost_kind
-    grid: list[list[model.ScoredHypothesis]] = []
-    costs = np.zeros((len(batch), n_samples))
-    for s, (src, ref) in enumerate(zip(batch.sources, batch.references)):
+    if not isinstance(cost_kind, CostKind):
+        raise ValueError("a CostKind is required; exact_risk takes custom cost callables")
+    grid = []
+    for src in batch.sources:
         decoder = model.Decoder(params, src, max_len)
-        row = [decoder.sample(tau, rng) for _ in range(n_samples)]
-        grid.append(row)
-        for n, hyp in enumerate(row):
-            costs[s, n] = metrics.seq_cost(seq_kind, hyp.sentence, ref, src)
-    return SampleSet(batch=batch, grid=grid, costs=costs, cost_kind=cost_kind)
+        grid.append([decoder.sample(tau, rng) for _ in range(n_samples)])
+    stats = _grid_stats(batch, grid, cost_kind.metric)
+    seq_kind = cost_kind.as_sentence_kind()
+    costs = np.array([[metrics.cost_from_stats(seq_kind, c) for c in row] for row in stats])
+    return SampleSet(batch=batch, grid=grid, costs=costs, cost_kind=cost_kind, stats=stats)
 
 
 def order_samples(sample_set: SampleSet) -> SampleSet:
@@ -100,25 +107,28 @@ def order_samples(sample_set: SampleSet) -> SampleSet:
             key=lambda n: (sample_set.costs[s, n], -row[n].log_prob, n),
         )
         ranks.append(order)
-    return SampleSet(
-        batch=sample_set.batch,
-        grid=sample_set.grid,
-        costs=sample_set.costs,
-        cost_kind=sample_set.cost_kind,
-        ranks=ranks,
-    )
+    return dataclasses.replace(sample_set, ranks=ranks)
 
 
-def _build(sample_set: SampleSet, assignments: list[tuple[int, ...]]) -> list[SampledDocument]:
+def _build(sample_set: SampleSet, cells: np.ndarray) -> list[SampledDocument]:
+    """Documents from a (documents, S) array of sample indices, each costed by
+    gathering and summing its cells: stats for document-level kinds, sentence
+    costs for additive ones."""
+    kind, sentences = sample_set.cost_kind, range(sample_set.n_sentences)
+    if kind.is_document_level:
+        summed = sum(sample_set.stats[s, cells[:, s]] for s in sentences)
+        costs = [metrics.cost_from_stats(kind, row) for row in summed]
+    else:
+        costs = sum(sample_set.costs[s, cells[:, s]] for s in sentences).tolist()
     docs = []
-    for assignment in assignments:
+    for assignment, cost in zip(cells.tolist(), costs):
         hyps = [sample_set.grid[s][n] for s, n in enumerate(assignment)]
         docs.append(
             SampledDocument(
-                assignment=assignment,
+                assignment=tuple(assignment),
                 hyps=hyps,
                 log_prob=sum(h.log_prob for h in hyps),
-                cost=_document_cost(sample_set, hyps),
+                cost=cost,
             )
         )
     return docs
@@ -128,12 +138,7 @@ def build_documents_ordered(sample_set: SampleSet) -> list[SampledDocument]:
     """Document n concatenates the rank-n sample of every sentence."""
     if sample_set.ranks is None:
         raise ValueError("sample set is not ordered; call order_samples first")
-    n_docs = sample_set.n_samples
-    assignments = [
-        tuple(sample_set.ranks[s][n] for s in range(sample_set.n_sentences))
-        for n in range(n_docs)
-    ]
-    return _build(sample_set, assignments)
+    return _build(sample_set, np.array(sample_set.ranks).T)
 
 
 def build_documents_random(
@@ -142,11 +147,7 @@ def build_documents_random(
     """Assign samples to documents by an independent uniform permutation per sentence."""
     n_docs = sample_set.n_samples
     perms = [rng.permutation(n_docs) for _ in range(sample_set.n_sentences)]
-    assignments = [
-        tuple(int(perms[s][n]) for s in range(sample_set.n_sentences))
-        for n in range(n_docs)
-    ]
-    return _build(sample_set, assignments)
+    return _build(sample_set, np.array(perms).T)
 
 
 def enumerate_documents(sample_set: SampleSet) -> list[SampledDocument]:
@@ -155,7 +156,7 @@ def enumerate_documents(sample_set: SampleSet) -> list[SampledDocument]:
     total = n**s
     if total > DOCUMENT_ENUMERATION_GUARD:
         raise ValueError("document space exceeds the enumeration guard")
-    docs = _build(sample_set, [tuple(a) for a in itertools.product(range(n), repeat=s)])
+    docs = _build(sample_set, np.array(list(itertools.product(range(n), repeat=s))))
     weight = 1.0 / total
     for doc in docs:
         doc.weight = weight

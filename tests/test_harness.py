@@ -215,6 +215,32 @@ def _ref_len(refs, row, report):
     return lens[2]
 
 
+def test_score_corpus_ter_pools_empty_reference_lines(tmp_path):
+    # "b c" against an empty reference adds 2 edits and no reference length
+    _write_lines(tmp_path / "hyp.txt", ["a x", "b c", "d"])
+    _write_lines(tmp_path / "ref.txt", ["a b", "", "d"])
+    _write_lines(tmp_path / "ids.txt", ["0", "0", "1"])
+    paths = (tmp_path / "hyp.txt", tmp_path / "ref.txt")
+    report = score_corpus(*paths, docid_path=tmp_path / "ids.txt", metric="ter")
+    assert report["corpus_score"] == 3 / 3
+    assert [row["score"] for row in report["per_document"]] == [3 / 2, 0.0]
+    assert score_corpus(*paths, metric="bleu")["corpus_score"] == 0.0  # no bigram matches
+
+
+def test_score_corpus_ter_names_document_with_only_empty_references(tmp_path):
+    _write_lines(tmp_path / "hyp.txt", ["a", "b", "c"])
+    _write_lines(tmp_path / "ref.txt", ["a", "", ""])
+    _write_lines(tmp_path / "ids.txt", ["0", "7", "7"])
+    argv = ["score", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "ref.txt")]
+    with pytest.raises(ValueError, match="document 7: TER needs a non-empty reference"):
+        score_corpus(
+            tmp_path / "hyp.txt", tmp_path / "ref.txt",
+            docid_path=tmp_path / "ids.txt", metric="ter",
+        )
+    assert cli.main(argv + ["--docid", str(tmp_path / "ids.txt"), "--metric", "ter"]) == 2
+    assert cli.main(argv + ["--metric", "ter"]) == 0  # one document with |ref| = 1
+
+
 def test_score_corpus_gleu_requires_sources(tmp_path):
     _write_lines(tmp_path / "hyp.txt", ["a"])
     _write_lines(tmp_path / "ref.txt", ["a"])
@@ -435,6 +461,22 @@ def test_cli_config_file_booleans(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["passed"]
     cfg.write_text("corrupt = true\n", encoding="utf-8")
     assert cli.main(["grad-check", "--config", str(cfg)]) == 2
+
+
+def test_cli_config_file_equals_form(tmp_path, capsys):
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text("corrupt = true\n", encoding="utf-8")
+    assert cli.main(["grad-check", f"--config={cfg}"]) == 2
+    cfg.write_text("corrupt = false\n", encoding="utf-8")
+    assert cli.main(["grad-check", f"--config={cfg}"]) == 0
+
+
+def test_cli_config_file_unknown_key_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text("corupt = true\n", encoding="utf-8")
+    assert cli.main(["grad-check", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'corupt'" in err and "grad-check" in err
 
 
 def test_cli_config_file_bad_value_exit_code(tmp_path, capsys):

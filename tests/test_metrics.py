@@ -3,9 +3,13 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docmrt.metrics import (
     CostKind,
+    _best_shift,
+    _edit_distance,
     corpus_bleu,
     doc_cost,
     doc_ter,
@@ -14,7 +18,9 @@ from docmrt.metrics import (
     sentence_bleu_smoothed,
     seq_cost,
     ter,
+    ter_stats,
 )
+from docmrt.textcore import ngrams
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -402,3 +408,138 @@ def test_pooled_metrics_are_permutation_covariant():
             gleu(shuffle(hyps), shuffle(srcs), shuffle(refs)).value
             == gleu(hyps, srcs, refs).value
         )
+
+
+# ---------------------------------------------------------------------------
+# summed sufficient statistics against the per-metric loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_clipped_matches(hyp, ref, n):
+    hyp_grams = ngrams(hyp, n)
+    total = sum(hyp_grams.values())
+    if total == 0:
+        return 0, 0
+    ref_grams = ngrams(ref, n)
+    return sum(min(c, ref_grams[g]) for g, c in hyp_grams.items()), total
+
+
+def reference_gleu_sentence_stats(hyp, src, ref, n):
+    hyp_grams = ngrams(hyp, n)
+    total = sum(hyp_grams.values())
+    if total == 0:
+        return 0, 0
+    ref_grams = ngrams(ref, n)
+    src_only = ngrams(src, n)
+    for g in list(src_only):
+        if g in ref_grams:
+            del src_only[g]
+    matches = sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
+    penalty = sum(min(c, src_only[g]) for g, c in hyp_grams.items() if g in src_only)
+    return max(matches - penalty, 0), total
+
+
+def reference_bleu_from_stats(matches, totals, hyp_len, ref_len, smoothed):
+    if hyp_len == 0:
+        return 1.0 if ref_len == 0 else 0.0
+    log_sum = 0.0
+    orders = 0
+    for m, t in zip(matches, totals):
+        if smoothed:
+            p = (m + 1.0) / (t + 1.0)
+        else:
+            if t == 0:
+                continue
+            if m == 0:
+                return 0.0
+            p = m / t
+        log_sum += math.log(p)
+        orders += 1
+    if orders == 0:
+        return 0.0
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return bp * math.exp(log_sum / orders)
+
+
+def reference_pooled_ngram(stats_fn, hyps, refs, max_n, smoothed):
+    """The pooled loop shared by corpus BLEU and GLEU before stats were summed."""
+    matches = [0] * max_n
+    totals = [0] * max_n
+    for i in range(len(hyps)):
+        for n in range(1, max_n + 1):
+            m, t = stats_fn(i, n)
+            matches[n - 1] += m
+            totals[n - 1] += t
+    hyp_len = sum(len(h) for h in hyps)
+    ref_len = sum(len(r) for r in refs)
+    return reference_bleu_from_stats(matches, totals, hyp_len, ref_len, smoothed)
+
+
+def reference_corpus_bleu(hyps, refs, max_n, smoothed):
+    stats_fn = lambda i, n: reference_clipped_matches(hyps[i], refs[i], n)
+    return reference_pooled_ngram(stats_fn, hyps, refs, max_n, smoothed)
+
+
+def reference_gleu(hyps, srcs, refs, max_n, smoothed):
+    stats_fn = lambda i, n: reference_gleu_sentence_stats(hyps[i], srcs[i], refs[i], n)
+    return reference_pooled_ngram(stats_fn, hyps, refs, max_n, smoothed)
+
+
+def reference_ter_counts(hyp, ref):
+    current = list(hyp)
+    edits = _edit_distance(current, ref)
+    shifts = 0
+    while edits > 0:
+        found = _best_shift(current, ref, edits)
+        if found is None:
+            break
+        edits, current = found
+        shifts += 1
+    return edits + shifts, len(ref)
+
+
+def reference_doc_ter(hyps, refs):
+    numer = denom = 0
+    for hyp, ref in zip(hyps, refs):
+        e, r = reference_ter_counts(hyp, ref)
+        numer += e
+        denom += r
+    return numer / denom
+
+
+sentences = st.lists(st.integers(4, 7), max_size=7).map(tuple)
+nonempty = st.lists(st.integers(4, 7), min_size=1, max_size=7).map(tuple)
+
+
+@st.composite
+def corpora(draw):
+    """Aligned (hyps, srcs, refs); hypotheses and sources may be empty."""
+    size = draw(st.integers(1, 4))
+    line = lambda strategy: draw(st.lists(strategy, min_size=size, max_size=size))
+    return line(sentences), line(sentences), line(nonempty)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(corpus=corpora(), max_n=st.integers(1, 4), smoothed=st.booleans())
+def test_summed_stats_equal_reference_loops_bitwise(corpus, max_n, smoothed):
+    hyps, srcs, refs = corpus
+    got = corpus_bleu(hyps, refs, max_n, smoothed).value
+    assert got == reference_corpus_bleu(hyps, refs, max_n, smoothed)
+    got = gleu(hyps, srcs, refs, max_n, smoothed).value
+    assert got == reference_gleu(hyps, srcs, refs, max_n, smoothed)
+    assert doc_ter(hyps, refs).value == reference_doc_ter(hyps, refs)
+
+
+def test_ter_stats_of_empty_reference_count_every_hypothesis_token():
+    assert ter_stats((4, 5, 6), ()) == [3, 0]
+    assert ter_stats((), ()) == [0, 0]
+
+
+def test_doc_cost_pools_empty_reference_lines():
+    # (1 edit, |ref| 2) + (3 edits, |ref| 0): the empty line adds its hypothesis
+    hyps, refs = [(4, 9), (5, 6, 7)], [(4, 5), ()]
+    assert doc_cost(CostKind.DOC_TER, hyps, refs) == 4 / 2
+    with pytest.raises(ValueError, match="non-empty reference"):
+        doc_cost(CostKind.DOC_TER, [(4,)], [()])
+    with pytest.raises(ValueError, match="empty reference"):
+        seq_cost(CostKind.SENT_TER, (4,), ())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from docmrt import model
-from docmrt.metrics import CostKind, seq_cost
+from docmrt.metrics import CostKind, doc_cost, document_cost_fn, seq_cost
 from docmrt.model import ScoredHypothesis
 from docmrt.sampling import (
     SampleSet,
@@ -268,3 +268,47 @@ def test_enumerate_documents_guard():
     ss = SampleSet(batch=batch, grid=grid, costs=np.zeros((4, 40)), cost_kind=CostKind.SENT_TER)
     with pytest.raises(ValueError, match="guard"):
         enumerate_documents(ss)
+
+
+def test_document_costs_equal_costs_recomputed_from_sentences():
+    rng = np.random.default_rng(21)
+    for trial in range(12):
+        params = model.init_params(7, 3, 3, seed=trial)
+        s = int(rng.integers(1, 4))
+        batch = DocumentBatch(
+            sources=[tuple(int(x) for x in rng.integers(4, 7, size=2)) for _ in range(s)],
+            references=[tuple(int(x) for x in rng.integers(4, 7, size=3)) for _ in range(s)],
+            doc_ids=[0] * s,
+        )
+        for kind in CostKind:
+            ss = draw_sample_set(params, batch, 3, 1.0, rng, 4, kind)
+            for docs in (
+                build_documents_ordered(order_samples(ss)),
+                build_documents_random(ss, rng),
+                enumerate_documents(ss),
+            ):
+                for doc in docs:
+                    hyps = [h.sentence for h in doc.hyps]
+                    if kind.is_document_level:
+                        assert doc.cost == doc_cost(kind, hyps, batch.references, batch.sources)
+                    else:
+                        fn = document_cost_fn(kind)
+                        assert abs(doc.cost - fn(hyps, batch.references, batch.sources)) <= 1e-12
+
+
+def test_sample_set_without_stats_extracts_them():
+    ss = fabricated_sample_set()
+    assert ss.stats.shape == (2, 3, 2)  # TER stats: (edits + shifts, |ref|)
+    assert ss.stats[:, :, 0].tolist() == [[3, 1, 5], [2, 6, 4]]
+    assert order_samples(ss).stats is ss.stats
+    doc_kind = SampleSet(batch=ss.batch, grid=ss.grid, costs=ss.costs, cost_kind=CostKind.DOC_TER)
+    docs = build_documents_ordered(order_samples(doc_kind))
+    assert [d.cost for d in docs] == [3 / 20, 7 / 20, 11 / 20]
+
+
+def test_draw_sample_set_rejects_custom_cost_callable():
+    params = model.init_params(6, 3, 3, seed=1)
+    with pytest.raises(ValueError, match="CostKind"):
+        draw_sample_set(
+            params, small_batch(), 2, 1.0, np.random.default_rng(0), 4, lambda h, r, s=None: 0.0
+        )
