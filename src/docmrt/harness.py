@@ -66,7 +66,10 @@ class TaskSpec:
         if self.sentences_per_doc < 1 or self.num_documents < 1:
             raise ValueError("documents must be non-empty")
         if self.rule not in (RULE_COPY, RULE_REVERSE, RULE_CIPHER):
-            raise ValueError(f"invalid rule id {self.rule}")
+            raise ValueError(
+                f"invalid rule id {self.rule} (expected {RULE_COPY} copy, "
+                f"{RULE_REVERSE} reverse or {RULE_CIPHER} cipher)"
+            )
         if self.style_consistency and self.rule != RULE_CIPHER:
             raise ValueError("style consistency requires the cipher rule")
         if not 0.0 <= self.noise_rate <= 1.0 or not 0.0 <= self.style_weight <= 1.0:
@@ -323,19 +326,24 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def _coerce(value, like):
+    """A setting's value (a config or command-line string) as the type of its
+    default like; a setting without a default (None) keeps its value. This is
+    the only place such a string becomes a value."""
+    if like is None:
+        return value
     if isinstance(like, bool):
-        if isinstance(value, bool):
-            return value
         if str(value).lower() in ("1", "true", "yes", "on"):
             return True
         if str(value).lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"expected a boolean, got {value!r}")
-    if isinstance(like, int) and not isinstance(like, bool):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    return str(value)
+    return type(like)(value)  # int, float, str and enums such as CostKind
+
+
+def _fields_in(config: dict, cls) -> dict:
+    """The settings of config named like fields of the dataclass cls, as their types."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name in config]
+    return {name: _coerce(config[name], getattr(cls, name)) for name in names}
 
 
 def resolve_experiment_config(config: dict | str | Path | None) -> dict:
@@ -363,18 +371,9 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
     cfg = resolve_experiment_config(config)
     seed = cfg["seed"]
     base_task = TaskSpec(
-        vocab_size=cfg["vocab_size"],
-        len_min=cfg["len_min"],
-        len_max=cfg["len_max"],
-        sentences_per_doc=cfg["sentences_per_doc"],
+        **_fields_in(cfg, TaskSpec),
         num_documents=cfg["train_documents"],
-        valid_documents=cfg["valid_documents"],
-        test_documents=cfg["test_documents"],
-        rule=cfg["rule"],
-        style_consistency=cfg["style_consistency"],
         style_weight=cfg["baseline_style_weight"],
-        noise_rate=cfg["noise_rate"],
-        seed=seed,
     )
     ft_task = dataclasses.replace(
         base_task,
@@ -386,6 +385,20 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
     )
     if cfg["len_max"] > cfg["max_len"]:
         raise ValueError("len_max must not exceed max_len")
+    # every fine-tuning run is configured and validated before anything is trained
+    run_cfgs = [
+        mrt.TrainConfig(
+            **_fields_in(cfg, mrt.TrainConfig),
+            mode=mode,
+            batch_size=cfg["mrt_batch_size"] if mode != "mle" else cfg["mle_batch_size"],
+            learning_rate=cfg["mrt_learning_rate"],
+            accum_steps=cfg["mrt_accum_steps"] if mode != "mle" else cfg["mle_accum_steps"],
+            max_updates=cfg["mrt_max_updates"],
+            batching=batching,
+        ).validate()
+        for mode in [m.strip() for m in cfg["modes"].split(",") if m.strip()]
+        for batching in [b.strip() for b in cfg["batchings"].split(",") if b.strip()]
+    ]
     train, valid, _ = generate_synthetic_corpus(base_task)
     ft_train, _, ft_test = generate_synthetic_corpus(ft_task)
 
@@ -425,18 +438,9 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
             return
         out_dir = Path(cfg["save_decodes"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        for suffix, column in (("ref", test_refs), ("src", test_srcs)):
-            path = out_dir / f"test.{suffix}"
-            if not path.exists():
-                path.write_text(
-                    "".join(textcore.decode(s, vocab) + "\n" for s in column),
-                    encoding="utf-8",
-                )
-        docid_path = out_dir / "test.docid"
-        if not docid_path.exists():
-            docid_path.write_text(
-                "".join(f"{e[2]}\n" for e in ft_test.entries), encoding="utf-8"
-            )
+        # rewritten every time, so a reused directory never pairs these
+        # hypotheses with another run's references
+        textcore.write_document_corpus(ft_test, vocab, out_dir / "test")
         (out_dir / f"{name}.hyp").write_text(
             "".join(textcore.decode(h, vocab) + "\n" for h in hyps), encoding="utf-8"
         )
@@ -446,29 +450,13 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
     save_decodes("start", start_hyps)
 
     rows = []
-    for mode in [m.strip() for m in cfg["modes"].split(",") if m.strip()]:
-        for batching in [b.strip() for b in cfg["batchings"].split(",") if b.strip()]:
-            run_cfg = mrt.TrainConfig(
-                mode=mode,
-                cost_kind=CostKind(cfg["cost_kind"]),
-                n_samples=cfg["n_samples"],
-                batch_size=cfg["mrt_batch_size"] if mode != "mle" else cfg["mle_batch_size"],
-                tau=cfg["tau"],
-                alpha=cfg["alpha"],
-                estimator=cfg["estimator"],
-                learning_rate=cfg["mrt_learning_rate"],
-                accum_steps=cfg["mrt_accum_steps"] if mode != "mle" else cfg["mle_accum_steps"],
-                max_updates=cfg["mrt_max_updates"],
-                seed=seed,
-                max_len=cfg["max_len"],
-                batching=batching,
-            ).validate()
-            tuned, _ = mrt.finetune(baseline, ft_train, run_cfg)
-            hyps = decode_corpus(tuned, ft_test, cfg["eval_beam"], cfg["max_len"])
-            row = {"mode": mode, "batching": batching, "cost_kind": cfg["cost_kind"]}
-            row.update(_doc_scores(hyps, test_srcs, test_refs))
-            rows.append(row)
-            save_decodes(f"{mode}_{batching}", hyps)
+    for run_cfg in run_cfgs:
+        tuned, _ = mrt.finetune(baseline, ft_train, run_cfg)
+        hyps = decode_corpus(tuned, ft_test, cfg["eval_beam"], cfg["max_len"])
+        row = {"mode": run_cfg.mode, "batching": run_cfg.batching, "cost_kind": cfg["cost_kind"]}
+        row.update(_doc_scores(hyps, test_srcs, test_refs))
+        rows.append(row)
+        save_decodes(f"{run_cfg.mode}_{run_cfg.batching}", hyps)
 
     return ExperimentReport(
         config=cfg,
@@ -499,23 +487,19 @@ def score_corpus(
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "gleu" and src_path is None:
         raise ValueError("GLEU scoring requires a source file")
-    paths = [hyp_path, ref_path] + ([src_path] if src_path else [])
-    lines: list[str] = []
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            lines.extend(fh)
+    hyp_lines, ref_lines = textcore.read_lines(hyp_path), textcore.read_lines(ref_path)
+    src_lines = textcore.read_lines(src_path) if src_path is not None else []
+    lines = hyp_lines + ref_lines + src_lines
     distinct = len({tok for line in lines for tok in line.split()})
     vocab = textcore.build_vocab(lines, max_size=distinct + 4)
     if docid_path is None and pseudo_doc_size is None:
         # no document structure given: one block over every line is one document
         pseudo_doc_size = max(len(lines), 1)
-    hyp_corpus = textcore.read_document_corpus(
-        hyp_path, ref_path, vocab, docid_path, pseudo_doc_size
+    id_lines = textcore.read_lines(docid_path) if docid_path is not None else None
+    hyp_corpus = textcore.encode_document_corpus(
+        hyp_lines, ref_lines, vocab, id_lines, pseudo_doc_size
     )
-    srcs = None
-    if src_path is not None:
-        with open(src_path, encoding="utf-8") as fh:
-            srcs = [textcore.encode(line, vocab) for line in fh]
+    srcs = [textcore.encode(line, vocab) for line in src_lines] if src_path is not None else None
     hyps = [e[0] for e in hyp_corpus.entries]
     refs = [e[1] for e in hyp_corpus.entries]
     stats = metrics.line_stats(metric, hyps, refs, srcs)  # one row per line

@@ -44,6 +44,11 @@ class CostKind(Enum):
     ONE_MINUS_SENT_GLEU = "one_minus_sent_gleu"
     ONE_MINUS_DOC_GLEU = "one_minus_doc_gleu"
 
+    @classmethod
+    def _missing_(cls, value):
+        allowed = ", ".join(kind.value for kind in cls)
+        raise ValueError(f"unknown cost kind {value!r} (expected one of {allowed})")
+
     @property
     def metric(self) -> str:
         """The metric the cost is built on: "bleu", "ter" or "gleu"."""

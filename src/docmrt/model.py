@@ -364,7 +364,8 @@ def mle_loss_grad(
     """Per-token negative log-likelihood of the references and its gradient."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    token_count = sum(len(ref) + 1 for ref in batch.references)
+    # a reference at the max_len cap has no EOS step (see _step_sequences)
+    token_count = sum(min(len(ref) + 1, max_len) for ref in batch.references)
     weights = np.full(len(batch), -1.0 / token_count)
     return weighted_log_prob_grad(params, batch.sources, batch.references, weights, max_len)
 

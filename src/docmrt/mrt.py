@@ -56,12 +56,10 @@ class TrainConfig:
     batching: str = "document"
 
     def validate(self) -> "TrainConfig":
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.batching not in BATCHINGS:
-            raise ValueError(f"unknown batching {self.batching!r}")
+        for name, allowed in (("mode", MODES), ("estimator", ESTIMATORS), ("batching", BATCHINGS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r} (expected one of {', '.join(allowed)})")
         if self.n_samples < 1 or self.batch_size < 1 or self.accum_steps < 1:
             raise ValueError("n_samples, batch_size and accum_steps must be >= 1")
         if self.tau <= 0 or self.alpha <= 0:

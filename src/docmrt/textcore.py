@@ -121,7 +121,7 @@ def ngrams(sentence: Sentence, n: int) -> Counter:
     return Counter(seq[i : i + n] for i in range(len(seq) - n + 1))
 
 
-def _read_lines(path: str | Path) -> list[str]:
+def read_lines(path: str | Path) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh]
 
@@ -137,14 +137,26 @@ def read_document_corpus(
 
     Without a doc-id file, pseudo_doc_size S assigns doc_id = line_index // S.
     """
-    src_lines = _read_lines(src_path)
-    ref_lines = _read_lines(ref_path)
+    id_lines = read_lines(docid_path) if docid_path is not None else None
+    return encode_document_corpus(
+        read_lines(src_path), read_lines(ref_path), vocab, id_lines, pseudo_doc_size
+    )
+
+
+def encode_document_corpus(
+    src_lines: list[str],
+    ref_lines: list[str],
+    vocab: Vocabulary,
+    id_lines: list[str] | None = None,
+    pseudo_doc_size: int | None = None,
+) -> DocumentCorpus:
+    """Encode parallel source/reference lines with doc ids from id_lines, or in
+    blocks of pseudo_doc_size lines when there are none."""
     if len(src_lines) != len(ref_lines):
         raise ValueError(
             f"line count mismatch: {len(src_lines)} sources vs {len(ref_lines)} references"
         )
-    if docid_path is not None:
-        id_lines = _read_lines(docid_path)
+    if id_lines is not None:
         if len(id_lines) != len(src_lines):
             raise ValueError(
                 f"line count mismatch: {len(src_lines)} sources vs {len(id_lines)} doc ids"
@@ -167,3 +179,13 @@ def read_document_corpus(
         for src, ref, doc_id in zip(src_lines, ref_lines, doc_ids)
     ]
     return DocumentCorpus(entries)
+
+
+def write_document_corpus(corpus: DocumentCorpus, vocab: Vocabulary, stem: str | Path) -> None:
+    """Write <stem>.src, <stem>.ref and <stem>.docid, the files read_document_corpus
+    reads back; existing files are overwritten."""
+    for suffix, column in (("src", 0), ("ref", 1)):
+        text = "".join(decode(entry[column], vocab) + "\n" for entry in corpus.entries)
+        Path(f"{stem}.{suffix}").write_text(text, encoding="utf-8")
+    text = "".join(f"{doc_id}\n" for _, _, doc_id in corpus.entries)
+    Path(f"{stem}.docid").write_text(text, encoding="utf-8")

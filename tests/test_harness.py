@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import math
 
@@ -271,6 +273,22 @@ def test_score_corpus_rejects_zero_pseudo_doc_size(tmp_path):
         score_corpus(tmp_path / "hyp.txt", tmp_path / "ref.txt", pseudo_doc_size=0)
 
 
+def test_score_corpus_reads_each_file_once(tmp_path, monkeypatch):
+    paths = [tmp_path / f"{name}.txt" for name in ("hyp", "ref", "src", "ids")]
+    for path, lines in zip(paths, (["a b", "c"], ["a x", "c"], ["s t", "u"], ["0", "1"])):
+        _write_lines(path, lines)
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    score_corpus(paths[0], paths[1], src_path=paths[2], docid_path=paths[3], metric="gleu")
+    assert sorted(opened) == sorted(str(path) for path in paths)
+
+
 # ---------------------------------------------------------------------------
 # verification commands
 # ---------------------------------------------------------------------------
@@ -376,6 +394,18 @@ def test_run_experiment_scores_reproducible_from_saved_decodes(tmp_path):
                 docid_path=decodes / "test.docid", metric=metric,
             )
             assert rescored["corpus_score"] == row[key]
+
+
+def test_run_experiment_rewrites_saved_decodes_of_another_seed(tmp_path):
+    decodes = tmp_path / "decodes"
+    run_experiment(dict(_tiny_experiment_config(), seed=2, save_decodes=str(decodes)))
+    report = run_experiment(dict(_tiny_experiment_config(), save_decodes=str(decodes)))
+    for metric in metrics.METRICS:
+        rescored = harness.score_corpus(
+            decodes / "start.hyp", decodes / "test.ref", src_path=decodes / "test.src",
+            docid_path=decodes / "test.docid", metric=metric,
+        )
+        assert rescored["corpus_score"] == report.start_scores[f"doc_{metric}"]
 
 
 def test_run_experiment_rejects_unknown_keys():
@@ -552,3 +582,114 @@ def test_cli_finetune_rejects_bad_checkpoint(tmp_path, capsys, bad):
     assert rc == 2
     assert ":6:" in capsys.readouterr().err
     assert not tuned.exists()
+
+
+# Every flag (dest and default) of every subcommand, as before the flags were
+# generated from TaskSpec, TrainConfig, grad_check and enum_check. The one
+# deliberate difference: --cost-kind defaults to the CostKind member, not its
+# string, which builds the same TrainConfig.
+PARENT_FLAGS = {
+    "gen-data": {
+        "config": None, "out": None, "out_dir": None, "vocab_size": 20, "len_min": 3,
+        "len_max": 8, "sentences_per_doc": 4, "num_documents": 200, "valid_documents": 16,
+        "test_documents": 16, "rule": 2, "style_consistency": False, "style_weight": 0.5,
+        "noise_rate": 0.0, "seed": 0,
+    },
+    "train-mle": {
+        "config": None, "out": None, "data_dir": None, "ckpt": None, "log": None,
+        "emb_dim": 16, "hidden_dim": 32, "max_len": 10, "batch_size": 32,
+        "learning_rate": 0.5, "accum_steps": 1, "max_updates": 3000, "eval_every": 100,
+        "patience": 3, "batching": "random", "seed": 0,
+    },
+    "finetune-mrt": {
+        "config": None, "out": None, "data_dir": None, "ckpt": None, "out_ckpt": None,
+        "log": None, "mode": "doc_mrt_ordered", "cost_kind": CostKind.ONE_MINUS_DOCBLEU,
+        "n_samples": 4, "batch_size": 4, "tau": 1.0, "alpha": 5e-3, "estimator": "raw",
+        "learning_rate": 0.1, "accum_steps": 8, "max_updates": 300, "max_len": 10,
+        "batching": "document", "eval_every": 50, "seed": 0,
+    },
+    "score": {
+        "config": None, "out": None, "hyp": None, "ref": None, "src": None, "docid": None,
+        "pseudo_docs": None, "metric": "bleu",
+    },
+    "grad-check": {"config": None, "out": None, "corrupt": False, "seed": 0},
+    "enum-check": {
+        "config": None, "out": None, "trials": 20, "vocab_size": 5, "emb_dim": 3,
+        "hidden_dim": 3, "max_len": 3, "seed": 0,
+    },
+}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_cli_flags_and_defaults_are_pinned(capsys):
+    subparsers = _subparsers(cli.build_parser())
+    assert set(subparsers) == set(PARENT_FLAGS)
+    for name, subparser in subparsers.items():
+        actions = [a for a in subparser._actions if a.dest != "help"]
+        assert {a.dest: a.default for a in actions} == PARENT_FLAGS[name], name
+        for action in actions:  # 0 == 0.0 == False, so compare the types too
+            assert type(action.default) is type(PARENT_FLAGS[name][action.dest]), action.dest
+            assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+        assert cli.main([name, "--help"]) == 0
+        assert f"usage: docmrt {name}" in capsys.readouterr().out
+
+
+def test_cli_config_file_sets_every_setting_type(tmp_path):
+    cfg = tmp_path / "tune.cfg"
+    cfg.write_text(
+        "cost_kind = doc_ter\nn-samples = 3\ntau = 0.5\nestimator = renormalized\n",
+        encoding="utf-8",
+    )
+    argv = ["finetune-mrt", "--data-dir", "d", "--ckpt", "c", "--out-ckpt", "o"]
+    args = cli._parse(cli.build_parser(), argv + ["--config", str(cfg), "--tau", "2"])
+    assert mrt.TrainConfig(**cli._gather(args, mrt.TrainConfig)) == mrt.TrainConfig(
+        cost_kind=CostKind.DOC_TER, n_samples=3, tau=2.0, estimator="renormalized",
+        accum_steps=8, max_updates=300,
+    )
+    cfg.write_text("style_consistency = yes\n", encoding="utf-8")
+    argv = ["gen-data", "--out-dir", "x", "--config", str(cfg)]
+    assert cli._parse(cli.build_parser(), argv).style_consistency is True
+    args = cli._parse(cli.build_parser(), argv + ["--style-consistency", "off"])
+    assert args.style_consistency is False
+
+
+@pytest.mark.parametrize(
+    "command, flag, allowed",
+    [
+        ("finetune-mrt", "--mode", "doc_mrt_ordered"),
+        ("finetune-mrt", "--cost-kind", "doc_ter"),
+        ("finetune-mrt", "--batching", "document"),
+        ("train-mle", "--batching", "document"),
+    ],
+)
+def test_cli_names_bad_setting_before_any_io(tmp_path, capsys, command, flag, allowed):
+    argv = [
+        command, "--data-dir", str(tmp_path / "missing"), "--ckpt", str(tmp_path / "c.ckpt"),
+        "--log", str(tmp_path / "log.jsonl"), flag, "bogus",
+    ]
+    if command == "finetune-mrt":
+        argv += ["--out-ckpt", str(tmp_path / "tuned.ckpt")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and allowed in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_gen_data_files_are_pinned(tmp_path, capsys):
+    out_dir = tmp_path / "data"
+    argv = [
+        "gen-data", "--out-dir", str(out_dir), "--vocab-size", "10", "--len-max", "5",
+        "--num-documents", "4", "--valid-documents", "2", "--test-documents", "2",
+        "--style-consistency", "true", "--noise-rate", "0.2", "--seed", "3",
+    ]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert len(list(out_dir.iterdir())) == 10
+    assert digest.hexdigest() == (
+        "23b3a1be68fdeece729914db8659e482ec0384a7e686a40323ebbcb26bb54c85"
+    )

@@ -288,9 +288,11 @@ def test_mle_loss_single_pair_reduction():
 
 def test_mle_loss_at_zero_theta_is_log_vocab():
     p = model.init_params(5, 2, 2, seed=0, zero=True)
-    batch = DocumentBatch([(4,), (4, 4)], [(4, 4), (4,)], [0, 0])
-    loss, _ = model.mle_loss_grad(p, batch, 4)
-    assert math.isclose(loss, math.log(5), abs_tol=1e-12)
+    # (4, 4, 4, 4) sits at the max_len cap: 4 scored steps, no EOS step
+    for refs in ([(4, 4), (4,)], [(4, 4, 4, 4), (4,)]):
+        batch = DocumentBatch([(4,), (4, 4)], refs, [0, 0])
+        loss, _ = model.mle_loss_grad(p, batch, 4)
+        assert math.isclose(loss, math.log(5), abs_tol=1e-12)
 
 
 def test_mle_loss_grad_finite_differences():

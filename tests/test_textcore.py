@@ -14,6 +14,7 @@ from docmrt.textcore import (
     encode,
     ngrams,
     read_document_corpus,
+    write_document_corpus,
 )
 
 
@@ -110,6 +111,18 @@ def test_read_document_corpus(tmp_path):
     )
     assert [len(d) for d in corpus.documents()] == [2, 1]
     assert corpus.entries[0][0] == encode("a b", vocab)
+
+
+def test_write_document_corpus_round_trips_and_overwrites(tmp_path):
+    vocab = build_vocab(["a b c"], max_size=10)
+    stem = tmp_path / "x"
+    _write(tmp_path / "x.src", ["stale", "lines", "here"])
+    corpus = DocumentCorpus([(encode("a b", vocab), (), 0), ((), encode("c", vocab), 3)])
+    write_document_corpus(corpus, vocab, stem)
+    assert (tmp_path / "x.src").read_text(encoding="utf-8") == "a b\n\n"
+    assert (tmp_path / "x.docid").read_text(encoding="utf-8") == "0\n3\n"
+    paths = (tmp_path / "x.src", tmp_path / "x.ref", vocab, tmp_path / "x.docid")
+    assert read_document_corpus(*paths) == corpus
 
 
 def test_read_document_corpus_mismatch(tmp_path):
