@@ -122,16 +122,18 @@ def _cmd_finetune_mrt(args) -> int:
     tuned, log = mrt.finetune(params, train, cfg, heldout=valid, eval_every=args.eval_every)
     model.save_checkpoint(tuned, args.out_ckpt)
     _write_log(log, args.log)
-    final = harness.evaluate_corpus(
-        tuned, valid, cfg.cost_kind.as_document_kind(), beam=4, max_len=cfg.max_len
-    )
+    final = log[-1].get("heldout_metric") if log else None
+    if final is None:  # finetune did not evaluate the tuned parameters
+        final = harness.evaluate_corpus(
+            tuned, valid, cfg.cost_kind.as_document_kind(), beam=4, max_len=cfg.max_len
+        ).value
     _emit(
         {
             "checkpoint": args.out_ckpt,
             "mode": cfg.mode,
             "updates": len(log),
             "final_risk": log[-1]["risk"] if log else None,
-            "valid_metric": {"kind": final.kind, "value": final.value},
+            "valid_metric": {"kind": cfg.cost_kind.metric.upper(), "value": final},
         },
         args.out,
     )

@@ -215,7 +215,10 @@ def train_mle_baseline(
     while done < cfg.max_updates:
         chunk = min(eval_every, cfg.max_updates - done)
         chunk_cfg = dataclasses.replace(cfg, max_updates=chunk, seed=cfg.seed + done)
-        params, chunk_log = mrt.finetune(params, train, chunk_cfg)
+        try:
+            params, chunk_log = mrt.finetune(params, train, chunk_cfg)
+        except mrt.NonFiniteTraining as exc:  # number the update across chunks
+            raise mrt.NonFiniteTraining(exc.update + done, exc.risk) from None
         for rec in chunk_log:
             rec["update"] += done
         log.extend(chunk_log)

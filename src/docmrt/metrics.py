@@ -113,65 +113,75 @@ def ngram_stats(hyp: Sentence, tables: list, ref_len: int) -> list[int]:
     return matches + totals + [len(hyp), ref_len]
 
 
-def _edit_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    """Word-level Levenshtein distance with unit insert/delete/substitute costs."""
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, tok_a in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, tok_b in enumerate(b, start=1):
-            sub = prev[j - 1] + (tok_a != tok_b)
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, sub)
-        prev = cur
-    return prev[-1]
+def _reference_index(ref: Sentence) -> tuple[dict, dict]:
+    """Match masks (bit k of masks[tok] set where ref[k] == tok) and the ascending
+    start positions of every reference block of length <= MAX_SHIFT_BLOCK."""
+    masks, starts = {}, {}
+    for k, tok in enumerate(ref):
+        masks[tok] = masks.get(tok, 0) | 1 << k
+        for length in range(1, min(MAX_SHIFT_BLOCK, len(ref) - k) + 1):
+            starts.setdefault(tuple(ref[k : k + length]), []).append(k)
+    return masks, starts
 
 
-def _best_shift(hyp: list[int], ref: Sequence[int], edits: int):
-    """Find the shift yielding the lowest remaining edit distance.
-
-    A shift removes one contiguous hypothesis block (length <= MAX_SHIFT_BLOCK)
-    and reinserts it at a position where the reference carries exactly the same
-    tokens. Returns (new_edits, shifted_hyp) or None when no shift strictly
-    reduces the edit distance. Ties keep the first candidate in scan order
-    (block start, block length, destination), making the search deterministic.
-    """
-    best = None
-    ref = list(ref)
-    for i in range(len(hyp)):
-        for length in range(1, min(MAX_SHIFT_BLOCK, len(hyp) - i) + 1):
-            block = hyp[i : i + length]
-            rest = hyp[:i] + hyp[i + length :]
-            for j in range(len(rest) + 1):
-                if j == i:
-                    continue  # reinserting in place is a no-op
-                if ref[j : j + length] != block:
-                    continue
-                candidate = rest[:j] + block + rest[j:]
-                e = _edit_distance(candidate, ref)
-                if e < edits and (best is None or e < best[0]):
-                    best = (e, candidate)
-    return best
+def _edit_distance(hyp: Sequence[int], masks: dict, ref_len: int) -> int:
+    """Word-level Levenshtein distance (unit costs) from hyp to the reference of
+    masks: Myers' (1999) bit-vector DP in Hyyrö's (2003) global form, where bit k
+    of vp/vn is the +1/-1 step from row k to k + 1 of the current column."""
+    if ref_len == 0:
+        return len(hyp)
+    top = 1 << (ref_len - 1)
+    full = (top << 1) - 1
+    vp, vn, dist = full, 0, ref_len
+    for tok in hyp:
+        eq = masks.get(tok, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = vp & d0
+        if hp & top:
+            dist += 1
+        elif hn & top:
+            dist -= 1
+        hp = hp << 1 | 1  # row 0 grows by one per hypothesis token
+        vp = (hn << 1 | ~(d0 | hp)) & full
+        vn = hp & d0
+    return dist
 
 
 def ter_stats(hyp: Sentence, ref: Sentence) -> list[int]:
     """TER stats of one line: [edits + shifts, reference length].
 
     Edits are word-level Levenshtein operations; a shift moves one contiguous
-    block to a position where it exactly matches the reference, costs 1, and is
-    accepted greedily only while it strictly reduces the remaining edit
+    block (length <= MAX_SHIFT_BLOCK) to a position where it exactly matches the
+    reference, costs 1, and the best one (ties: first by block start, length,
+    destination) is accepted while it strictly reduces the remaining edit
     distance. An empty reference gives [len(hyp), 0].
     """
+    masks, starts = _reference_index(ref)
     current = list(hyp)
-    edits = _edit_distance(current, ref)
+    edits = _edit_distance(current, masks, len(ref))
     shifts = 0
     while edits > 0:
-        found = _best_shift(current, ref, edits)
-        if found is None:
+        best = None
+        for i in range(len(current)):
+            for length in range(1, min(MAX_SHIFT_BLOCK, len(current) - i) + 1):
+                block = current[i : i + length]
+                positions = starts.get(tuple(block))
+                if positions is None:
+                    break  # no longer block from i is in the reference either
+                rest = current[:i] + current[i + length :]
+                for j in positions:
+                    if j > len(rest):
+                        break
+                    if j == i:
+                        continue  # reinserting in place is a no-op
+                    candidate = rest[:j] + block + rest[j:]
+                    e = _edit_distance(candidate, masks, len(ref))
+                    if e < edits and (best is None or e < best[0]):
+                        best = (e, candidate)
+        if best is None:
             break
-        edits, current = found
+        edits, current = best
         shifts += 1
     return [edits + shifts, len(ref)]
 

@@ -266,6 +266,15 @@ def _micro_batch_estimate(
     return doc_mrt_grad(params, batch, cfg, rng=rng)
 
 
+class NonFiniteTraining(ValueError):
+    """An update whose risk or updated parameters are not finite."""
+
+    def __init__(self, update: int, risk: float):
+        what = "updated parameters" if math.isfinite(risk) else f"risk ({risk})"
+        super().__init__(f"update {update}: non-finite {what}")
+        self.update, self.risk = update, risk
+
+
 def finetune(
     params0: model.ModelParams,
     corpus: DocumentCorpus,
@@ -279,7 +288,8 @@ def finetune(
     Every accum_steps micro-batch gradients are averaged, all evaluated at the
     pre-update parameters, then applied in one step: theta -= lr * mean(grads).
     Deterministic per cfg.seed. Returns the trained parameters and a training
-    log with one record per update.
+    log with one record per update. Raises NonFiniteTraining, naming the
+    update, when an update's risk or the updated theta is not finite.
     """
     from .harness import evaluate_corpus, make_batches  # cyclic at module level
 
@@ -308,13 +318,12 @@ def finetune(
             acc += est.grad
             risks.append(est.risk)
         params.theta -= cfg.learning_rate * acc / cfg.accum_steps
-        record = {
-            "update": update,
-            "mode": cfg.mode,
-            "risk": float(np.mean(risks)),
-            "seed": cfg.seed,
-        }
+        risk = float(np.mean(risks))
+        record = {"update": update, "mode": cfg.mode, "risk": risk, "seed": cfg.seed}
         if eval_fn is not None and eval_every and (update + 1) % eval_every == 0:
             record["heldout_metric"] = float(eval_fn(params))
+        # checked after eval_fn, so that a per-update callback sees every update
+        if not (math.isfinite(risk) and np.isfinite(params.theta).all()):
+            raise NonFiniteTraining(update, risk)
         log.append(record)
     return params, log

@@ -584,6 +584,76 @@ def test_cli_finetune_rejects_bad_checkpoint(tmp_path, capsys, bad):
     assert not tuned.exists()
 
 
+def tiny_data_and_checkpoint(tmp_path):
+    """A small gen-data directory and a random-init checkpoint for it."""
+    data = tmp_path / "data"
+    argv = [
+        "gen-data", "--out-dir", str(data), "--vocab-size", "8", "--len-min", "1",
+        "--len-max", "3", "--sentences-per-doc", "2", "--num-documents", "8",
+        "--valid-documents", "2", "--test-documents", "2", "--rule", "0", "--seed", "2",
+    ]
+    assert cli.main(argv) == 0
+    vocab, *_ = cli.load_data_dir(data)
+    ckpt = tmp_path / "base.ckpt"
+    model.save_checkpoint(model.init_params(len(vocab), 4, 6, seed=0), ckpt)
+    return data, ckpt
+
+
+@pytest.mark.parametrize("command", ["train-mle", "finetune-mrt"])
+def test_cli_non_finite_training_exits_2_without_writing(tmp_path, capsys, command):
+    data, ckpt = tiny_data_and_checkpoint(tmp_path)
+    out, log = tmp_path / "out.ckpt", tmp_path / "log.jsonl"
+    argv = [
+        command, "--data-dir", str(data), "--log", str(log), "--learning-rate", "inf",
+        "--max-updates", "2", "--batch-size", "2", "--max-len", "5",
+    ]
+    if command == "train-mle":
+        argv += ["--ckpt", str(out), "--emb-dim", "4", "--hidden-dim", "6"]
+    else:
+        argv += ["--ckpt", str(ckpt), "--out-ckpt", str(out), "--n-samples", "2"]
+    capsys.readouterr()
+    with np.errstate(invalid="ignore"):
+        assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "update 0: non-finite updated parameters" in captured.err
+    assert captured.out == ""
+    assert not out.exists() and not log.exists()
+
+
+def test_cli_finetune_reuses_the_last_heldout_evaluation(tmp_path, capsys, monkeypatch):
+    data, ckpt = tiny_data_and_checkpoint(tmp_path)
+    evaluate, calls = harness.evaluate_corpus, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_corpus", counted)
+    tuned, log = tmp_path / "tuned.ckpt", tmp_path / "log.jsonl"
+    _, _, valid, _ = cli.load_data_dir(data)
+    for eval_every, evaluations in (("2", 2), ("3", 2)):
+        calls.clear()
+        argv = [
+            "finetune-mrt", "--data-dir", str(data), "--ckpt", str(ckpt),
+            "--out-ckpt", str(tuned), "--log", str(log), "--n-samples", "2",
+            "--batch-size", "2", "--accum-steps", "1", "--max-len", "5",
+            "--max-updates", "4", "--eval-every", eval_every,
+        ]
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        # every 2: updates 2 and 4, and the report reuses update 4's value;
+        # every 3: update 3, then a final evaluation of the tuned parameters
+        assert len(calls) == evaluations
+        final = evaluate(model.load_checkpoint(tuned), valid, CostKind.ONE_MINUS_DOCBLEU, 4, 5)
+        last = json.loads(log.read_text(encoding="utf-8").splitlines()[-1])
+        report = {
+            "checkpoint": str(tuned), "mode": "doc_mrt_ordered", "updates": 4,
+            "final_risk": last["risk"],
+            "valid_metric": {"kind": final.kind, "value": final.value},
+        }
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+
 # Every flag (dest and default) of every subcommand, as before the flags were
 # generated from TaskSpec, TrainConfig, grad_check and enum_check. The one
 # deliberate difference: --cost-kind defaults to the CostKind member, not its

@@ -1,4 +1,5 @@
 import math
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from docmrt import metrics
 from docmrt.metrics import (
+    MAX_SHIFT_BLOCK,
     CostKind,
-    _best_shift,
     _edit_distance,
+    _reference_index,
     corpus_bleu,
     doc_cost,
     doc_ter,
@@ -485,12 +488,50 @@ def reference_gleu(hyps, srcs, refs, max_n, smoothed):
     return reference_pooled_ngram(stats_fn, hyps, refs, max_n, smoothed)
 
 
+def reference_edit_distance(a, b):
+    """Word-level Levenshtein distance with unit insert/delete/substitute costs."""
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, tok_a in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j, tok_b in enumerate(b, start=1):
+            sub = prev[j - 1] + (tok_a != tok_b)
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, sub)
+        prev = cur
+    return prev[-1]
+
+
+def reference_best_shift(hyp, ref, edits):
+    """The unindexed shift search, the oracle of ter_stats: every (block start,
+    block length, destination) in scan order, each candidate aligned by the
+    full DP; the first strictly-best candidate wins."""
+    best = None
+    ref = list(ref)
+    for i in range(len(hyp)):
+        for length in range(1, min(MAX_SHIFT_BLOCK, len(hyp) - i) + 1):
+            block = hyp[i : i + length]
+            rest = hyp[:i] + hyp[i + length :]
+            for j in range(len(rest) + 1):
+                if j == i:
+                    continue  # reinserting in place is a no-op
+                if ref[j : j + length] != block:
+                    continue
+                candidate = rest[:j] + block + rest[j:]
+                e = reference_edit_distance(candidate, ref)
+                if e < edits and (best is None or e < best[0]):
+                    best = (e, candidate)
+    return best
+
+
 def reference_ter_counts(hyp, ref):
     current = list(hyp)
-    edits = _edit_distance(current, ref)
+    edits = reference_edit_distance(current, ref)
     shifts = 0
     while edits > 0:
-        found = _best_shift(current, ref, edits)
+        found = reference_best_shift(current, ref, edits)
         if found is None:
             break
         edits, current = found
@@ -528,6 +569,103 @@ def test_summed_stats_equal_reference_loops_bitwise(corpus, max_n, smoothed):
     got = gleu(hyps, srcs, refs, max_n, smoothed).value
     assert got == reference_gleu(hyps, srcs, refs, max_n, smoothed)
     assert doc_ter(hyps, refs).value == reference_doc_ter(hyps, refs)
+
+
+@st.composite
+def small_vocab_pairs(draw):
+    """(hyp, ref) of lengths 0-20 over 2-6 tokens: repeated blocks and tied
+    shifts are common."""
+    line = st.lists(st.integers(0, draw(st.integers(2, 6)) - 1), max_size=20)
+    return tuple(draw(line)), tuple(draw(line))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=small_vocab_pairs())
+def test_ter_stats_equal_reference_search(pair):
+    hyp, ref = pair
+    assert tuple(ter_stats(hyp, ref)) == reference_ter_counts(hyp, ref)
+
+
+@pytest.mark.parametrize("ref_len", [1, 63, 64, 65, 130])
+def test_bit_parallel_edit_distance_equals_plain_dp(ref_len):
+    rng = random.Random(ref_len)
+    for vocab in (2, 5, 300):
+        ref = [rng.randrange(vocab) for _ in range(ref_len)]
+        masks = _reference_index(ref)[0]
+        assert _edit_distance((), masks, ref_len) == ref_len
+        for hyp_len in (1, ref_len - 1, ref_len, ref_len + 1, 2 * ref_len + 3):
+            hyp = [rng.randrange(vocab) for _ in range(hyp_len)]
+            assert _edit_distance(hyp, masks, ref_len) == reference_edit_distance(hyp, ref)
+        near = list(ref)
+        near[::7] = [vocab] * len(near[::7])  # a token the reference lacks
+        assert _edit_distance(near, masks, ref_len) == reference_edit_distance(near, ref)
+
+
+# Length-48 (hypothesis, reference, stats) triples: the reference with three
+# block moves and six substitutions. The stats were computed once with the
+# unindexed search (reference_ter_counts); plain edit distances are 16, 14, 9.
+PINNED_TER = [
+    (
+        "0 24 16 1 4 3 10 19 0 0 23 3 16 0 3 3 0 13 1 38 0 0 5 47 "
+        "37 47 0 0 3 1 0 23 0 3 4 1 1 6 9 0 48 26 26 49 35 13 37 3",
+        "0 24 16 1 4 3 10 19 0 0 23 3 16 0 3 13 1 38 31 0 0 5 37 2 "
+        "0 3 0 0 3 4 1 1 0 3 1 0 23 6 9 0 48 26 0 1 13 13 37 3",
+        [8, 48],
+    ),
+    (
+        "7 7 0 0 6 5 5 2 4 4 4 1 3 3 5 7 7 1 4 6 3 3 2 0 "
+        "0 3 2 3 7 7 4 7 0 2 2 7 5 1 7 2 1 7 5 5 7 6 6 5",
+        "7 7 0 0 6 5 5 2 4 4 4 1 3 3 5 7 7 4 3 2 0 0 3 2 "
+        "3 7 4 4 1 0 2 1 4 7 5 1 7 6 5 7 6 6 2 7 7 1 6 5",
+        [12, 48],
+    ),
+    (
+        "0 1 1 1 1 0 2 1 0 0 2 1 2 1 1 0 1 2 2 0 2 1 1 0 "
+        "2 1 2 2 2 2 1 2 1 2 2 0 2 0 2 1 0 2 1 0 1 1 0 1",
+        "0 1 1 1 1 0 0 2 0 0 2 1 2 1 1 0 1 2 1 2 2 0 2 1 "
+        "0 0 2 1 2 2 2 2 1 2 1 2 2 0 0 0 2 1 1 0 1 1 1 1",
+        [6, 48],
+    ),
+]
+
+
+@pytest.mark.parametrize("hyp, ref, expected", PINNED_TER, ids=["vocab50", "vocab8", "vocab3"])
+def test_ter_stats_pinned_on_length_48_pairs(hyp, ref, expected):
+    hyp, ref = tuple(map(int, hyp.split())), tuple(map(int, ref.split()))
+    assert ter_stats(hyp, ref) == expected
+
+
+def test_shift_search_stops_at_first_block_missing_from_reference(monkeypatch):
+    lookups = []
+
+    class CountingDict(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    def index(ref):
+        masks, starts = _reference_index(ref)
+        return masks, CountingDict(starts)
+
+    monkeypatch.setattr(metrics, "_reference_index", index)
+    hyp, ref = tuple(range(100, 148)), tuple(range(48))
+    assert ter_stats(hyp, ref) == [48, 48]
+    # no hypothesis token is in the reference: one lookup per block start
+    assert lookups == [(tok,) for tok in hyp]
+
+
+def test_shift_search_ends_when_no_shift_lowers_the_edits(monkeypatch):
+    # moving either 0 of (0, 0) next to the reference's 0 gives (0, 0) again,
+    # with as many edits: the search must stop there, not shift forever
+    distance, calls = metrics._edit_distance, []
+
+    def capped(*args):
+        calls.append(args)
+        assert len(calls) < 100, "the shift search does not end"
+        return distance(*args)
+
+    monkeypatch.setattr(metrics, "_edit_distance", capped)
+    assert ter_stats((0, 0), (0, 1)) == [1, 2]
 
 
 def test_ter_stats_of_empty_reference_count_every_hypothesis_token():

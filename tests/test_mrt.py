@@ -404,3 +404,37 @@ def test_finetune_rejects_invalid_config_and_empty_corpus():
         mrt.finetune(params, train, TrainConfig(mode="bogus", max_len=4))
     with pytest.raises(ValueError):
         mrt.finetune(params, DocumentCorpus([]), TrainConfig(max_len=4))
+
+
+@pytest.mark.parametrize("mode", ["mle", "doc_mrt_ordered"])
+def test_finetune_stops_when_the_updated_parameters_are_not_finite(mode):
+    train, _, _ = small_corpus(seed=8)
+    params = model.init_params(8, 3, 3, seed=7)
+    cfg = TrainConfig(
+        mode=mode, n_samples=2, batch_size=2, learning_rate=math.inf,
+        max_updates=3, max_len=4, batching="document",
+    )
+    seen = []
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(mrt.NonFiniteTraining, match="update 0: non-finite updated parameters"):
+            mrt.finetune(params, train, cfg, eval_every=1, eval_fn=lambda p: seen.append(p) or 0.0)
+    assert len(seen) == 1  # the per-update callback still saw the failing update
+
+
+def test_non_finite_risk_names_its_update_across_mle_chunks(monkeypatch):
+    from docmrt.harness import train_mle_baseline
+
+    train, valid, _ = small_corpus(seed=9)
+    estimate, calls = mrt._micro_batch_estimate, []
+
+    def poisoned(*args):
+        calls.append(args)
+        est = estimate(*args)
+        return est if len(calls) != 4 else mrt.RiskEstimate(math.nan, est.grad, est.n_used)
+
+    monkeypatch.setattr(mrt, "_micro_batch_estimate", poisoned)
+    cfg = TrainConfig(mode="mle", batch_size=2, accum_steps=1, max_updates=6, max_len=4)
+    # chunks of 2 updates: the fourth update is update 1 of the second chunk
+    with pytest.raises(mrt.NonFiniteTraining, match=r"update 3: non-finite risk \(nan\)") as err:
+        train_mle_baseline(train, valid, 8, 3, 3, cfg, eval_every=2)
+    assert err.value.update == 3 and len(calls) == 4
