@@ -157,9 +157,14 @@ def ter_stats(hyp: Sentence, ref: Sentence) -> list[int]:
     destination) is accepted while it strictly reduces the remaining edit
     distance. An empty reference gives [len(hyp), 0].
     """
-    masks, starts = _reference_index(ref)
+    return extractor("ter", ref)(hyp)
+
+
+def _ter_counts(hyp: Sentence, masks: dict, starts: dict, ref_len: int) -> list[int]:
+    """ter_stats of hyp against a reference of length ref_len indexed by
+    _reference_index."""
     current = list(hyp)
-    edits = _edit_distance(current, masks, len(ref))
+    edits = _edit_distance(current, masks, ref_len)
     shifts = 0
     while edits > 0:
         best = None
@@ -176,14 +181,14 @@ def ter_stats(hyp: Sentence, ref: Sentence) -> list[int]:
                     if j == i:
                         continue  # reinserting in place is a no-op
                     candidate = rest[:j] + block + rest[j:]
-                    e = _edit_distance(candidate, masks, len(ref))
+                    e = _edit_distance(candidate, masks, ref_len)
                     if e < edits and (best is None or e < best[0]):
                         best = (e, candidate)
         if best is None:
             break
         edits, current = best
         shifts += 1
-    return [edits + shifts, len(ref)]
+    return [edits + shifts, ref_len]
 
 
 def extractor(
@@ -191,7 +196,8 @@ def extractor(
 ) -> Extractor:
     """The stats extractor of metric for one reference line; GLEU needs its source."""
     if metric == "ter":
-        return lambda hyp: ter_stats(hyp, ref)
+        index = _reference_index(ref)  # once per reference, as ngram_extractor
+        return lambda hyp: _ter_counts(hyp, *index, len(ref))
     if metric == "gleu" and src is None:
         raise ValueError("GLEU requires a source sentence")
     return ngram_extractor(ref, src if metric == "gleu" else (), max_n)

@@ -14,7 +14,6 @@ sample pool by probability**alpha instead of 1/N; it is consistent but biased.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -24,8 +23,6 @@ import numpy as np
 from . import metrics, model, sampling
 from .metrics import CostKind
 from .textcore import DocumentBatch, DocumentCorpus
-
-RISK_ENUMERATION_GUARD = 10**6
 
 MODES = ("seq_mrt", "doc_mrt_ordered", "doc_mrt_random", "mle")
 ESTIMATORS = ("raw", "renormalized")
@@ -172,26 +169,29 @@ def _enumerated_risk(
 ) -> tuple[float, list[list[tuple]], list[np.ndarray]]:
     """Exact risk sum_Y D(Y) P(Y) over every output document Y, plus, per
     sentence s, each output sentence's coefficient sum_{Y: y_s = y} D(Y) P(Y).
+    Documents are the rows of sampling.product_cells; products and sums run
+    row by row in that order.
     """
     spaces = [
         model.enumerate_output_space(params, src, max_len) for src in batch.sources
     ]
-    if math.prod(len(space) for space in spaces) > RISK_ENUMERATION_GUARD:
-        raise ValueError("document space exceeds the risk enumeration guard")
-    cost_fn = metrics.document_cost_fn(cost_kind)
-    risk = 0.0
-    coeffs = [np.zeros(len(space)) for space in spaces]
-    for combo_idx in itertools.product(*(range(len(sp)) for sp in spaces)):
-        p = 1.0
-        hyps = []
-        for s, i in enumerate(combo_idx):
-            sent, prob = spaces[s][i]
-            p *= prob
-            hyps.append(sent)
-        dp = p * cost_fn(hyps, batch.references, batch.sources)
-        risk += dp
-        for s, i in enumerate(combo_idx):
-            coeffs[s][i] += dp
+    cells = sampling.product_cells([len(space) for space in spaces])
+    if isinstance(cost_kind, CostKind):
+        candidates = [[sent for sent, _ in space] for space in spaces]
+        stats = sampling.candidate_stats(batch, candidates, cost_kind.metric)
+        costs = None if cost_kind.is_document_level else [
+            np.array([metrics.cost_from_stats(cost_kind, row) for row in rows]) for rows in stats
+        ]
+        cost = sampling.document_costs(cost_kind, stats, costs, cells)
+    else:
+        docs = ([spaces[s][i][0] for s, i in enumerate(row)] for row in cells.tolist())
+        cost = [cost_kind(hyps, batch.references, batch.sources) for hyps in docs]
+    p = np.ones(len(cells))
+    for s, space in enumerate(spaces):
+        p *= np.array([prob for _, prob in space])[cells[:, s]]
+    dp = p * np.array(cost, dtype=np.float64)
+    risk = float(np.add.accumulate(dp)[-1])
+    coeffs = [np.bincount(c, weights=dp, minlength=len(sp)) for c, sp in zip(cells.T, spaces)]
     return risk, spaces, coeffs
 
 

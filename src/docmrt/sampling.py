@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,24 +19,29 @@ from . import metrics, model
 from .metrics import CostKind
 from .textcore import DocumentBatch
 
-DOCUMENT_ENUMERATION_GUARD = 10**6
-
 
 @dataclass
 class SampleSet:
     """N scored hypotheses per sentence, their sentence-level costs and the
-    metric stats of every cell (extracted here when not given)."""
+    metric stats of every cell; stats and costs not given are computed here."""
 
     batch: DocumentBatch
     grid: list[list[model.ScoredHypothesis]]  # [sentence][sample]
-    costs: np.ndarray  # shape (S, N)
+    costs: np.ndarray | None  # shape (S, N); None: costs of cost_kind's sentence kind
     cost_kind: CostKind
     ranks: list[list[int]] | None = None  # per-sentence sample order, best first
     stats: np.ndarray | None = None  # shape (S, N, K), K stats per cell
 
     def __post_init__(self):
+        if not self.grid:
+            raise ValueError("empty batch: a sample set needs at least one sentence")
         if self.stats is None:
-            self.stats = _grid_stats(self.batch, self.grid, self.cost_kind.metric)
+            rows = [[hyp.sentence for hyp in row] for row in self.grid]
+            self.stats = np.array(candidate_stats(self.batch, rows, self.cost_kind.metric))
+        if self.costs is None:
+            kind = self.cost_kind.as_sentence_kind()
+            costs = [[metrics.cost_from_stats(kind, c) for c in row] for row in self.stats]
+            self.costs = np.array(costs)
 
     @property
     def n_sentences(self) -> int:
@@ -43,7 +49,7 @@ class SampleSet:
 
     @property
     def n_samples(self) -> int:
-        return len(self.grid[0]) if self.grid else 0
+        return len(self.grid[0])
 
 
 @dataclass
@@ -57,13 +63,36 @@ class SampledDocument:
     weight: float | None = None  # set by enumerate_documents
 
 
-def _grid_stats(batch: DocumentBatch, grid, metric: str) -> np.ndarray:
-    """Stats of every cell; each reference's n-grams are counted once."""
+def candidate_stats(batch: DocumentBatch, candidates, metric: str) -> list[np.ndarray]:
+    """Stats of candidates[s][i], the i-th candidate of sentence s, as one
+    (candidates, K) array per sentence; each reference is read once."""
     stats = []
-    for src, ref, row in zip(batch.sources, batch.references, grid):
+    for src, ref, row in zip(batch.sources, batch.references, candidates):
         extract = metrics.extractor(metric, ref, src)
-        stats.append([extract(hyp.sentence) for hyp in row])
-    return np.array(stats, dtype=np.int64)
+        stats.append(np.array([extract(hyp) for hyp in row], dtype=np.int64))
+    return stats
+
+
+def product_cells(sizes: list[int]) -> np.ndarray:
+    """Every choice of one candidate per sentence, shape (prod(sizes), S), in
+    itertools.product order; the product is guarded by model.ENUMERATION_GUARD."""
+    if math.prod(sizes) > model.ENUMERATION_GUARD:
+        raise ValueError("document space exceeds the enumeration guard")
+    return np.array(list(itertools.product(*map(range, sizes))), dtype=np.intp)
+
+
+def document_costs(kind: CostKind, stats, costs, cells: np.ndarray) -> list[float]:
+    """The cost of every row of a (documents, S) array of candidate indices:
+    document-level kinds score each distinct sum of the gathered stats[s] once,
+    sentence-level kinds sum the gathered costs[s] in sentence order."""
+    if cells.shape[1] == 0:
+        raise ValueError("empty batch: a document needs at least one sentence")
+    sentences = range(cells.shape[1])
+    if not kind.is_document_level:
+        return sum(costs[s][cells[:, s]] for s in sentences).tolist()
+    rows = list(map(tuple, sum(stats[s][cells[:, s]] for s in sentences).tolist()))
+    memo = {row: metrics.cost_from_stats(kind, row) for row in dict.fromkeys(rows)}
+    return [memo[row] for row in rows]
 
 
 def draw_sample_set(
@@ -89,10 +118,7 @@ def draw_sample_set(
     for src in batch.sources:
         decoder = model.Decoder(params, src, max_len)
         grid.append([decoder.sample(tau, rng) for _ in range(n_samples)])
-    stats = _grid_stats(batch, grid, cost_kind.metric)
-    seq_kind = cost_kind.as_sentence_kind()
-    costs = np.array([[metrics.cost_from_stats(seq_kind, c) for c in row] for row in stats])
-    return SampleSet(batch=batch, grid=grid, costs=costs, cost_kind=cost_kind, stats=stats)
+    return SampleSet(batch=batch, grid=grid, costs=None, cost_kind=cost_kind)
 
 
 def order_samples(sample_set: SampleSet) -> SampleSet:
@@ -111,15 +137,8 @@ def order_samples(sample_set: SampleSet) -> SampleSet:
 
 
 def _build(sample_set: SampleSet, cells: np.ndarray) -> list[SampledDocument]:
-    """Documents from a (documents, S) array of sample indices, each costed by
-    gathering and summing its cells: stats for document-level kinds, sentence
-    costs for additive ones."""
-    kind, sentences = sample_set.cost_kind, range(sample_set.n_sentences)
-    if kind.is_document_level:
-        summed = sum(sample_set.stats[s, cells[:, s]] for s in sentences)
-        costs = [metrics.cost_from_stats(kind, row) for row in summed]
-    else:
-        costs = sum(sample_set.costs[s, cells[:, s]] for s in sentences).tolist()
+    """Documents from a (documents, S) array of sample indices."""
+    costs = document_costs(sample_set.cost_kind, sample_set.stats, sample_set.costs, cells)
     docs = []
     for assignment, cost in zip(cells.tolist(), costs):
         hyps = [sample_set.grid[s][n] for s, n in enumerate(assignment)]
@@ -152,12 +171,7 @@ def build_documents_random(
 
 def enumerate_documents(sample_set: SampleSet) -> list[SampledDocument]:
     """All N^S assignments, each carrying the uniform weight 1 / N^S."""
-    n, s = sample_set.n_samples, sample_set.n_sentences
-    total = n**s
-    if total > DOCUMENT_ENUMERATION_GUARD:
-        raise ValueError("document space exceeds the enumeration guard")
-    docs = _build(sample_set, np.array(list(itertools.product(range(n), repeat=s))))
-    weight = 1.0 / total
+    docs = _build(sample_set, product_cells([sample_set.n_samples] * sample_set.n_sentences))
     for doc in docs:
-        doc.weight = weight
+        doc.weight = 1.0 / len(docs)
     return docs

@@ -635,6 +635,17 @@ def test_ter_stats_pinned_on_length_48_pairs(hyp, ref, expected):
     assert ter_stats(hyp, ref) == expected
 
 
+def test_ter_extractor_indexes_its_reference_once(monkeypatch):
+    ref, hyps = (4, 5, 6, 4), [(4, 5, 6, 4), (6, 5, 4), (), (4, 4, 5, 6)]
+    expected = [ter_stats(hyp, ref) for hyp in hyps]
+    indexed = []
+    index = metrics._reference_index
+    monkeypatch.setattr(metrics, "_reference_index", lambda r: indexed.append(r) or index(r))
+    extract = metrics.extractor("ter", ref)
+    assert [extract(hyp) for hyp in hyps] == expected
+    assert indexed == [ref]
+
+
 def test_shift_search_stops_at_first_block_missing_from_reference(monkeypatch):
     lookups = []
 

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from docmrt import model, mrt, sampling
+from docmrt import metrics, model, mrt, sampling
 from docmrt.metrics import CostKind, seq_cost
 from docmrt.mrt import TrainConfig, doc_mrt_grad, exact_risk, exact_risk_grad, fd_gradient_check, seq_mrt_grad
 from docmrt.textcore import DocumentBatch
@@ -283,6 +286,76 @@ def test_exact_risk_guard():
     batch = DocumentBatch(sources=[(4,)] * 2, references=[(4,)] * 2, doc_ids=[0, 0])
     with pytest.raises(ValueError, match="guard"):
         exact_risk(params, batch, CostKind.DOC_TER, 4)
+
+
+def test_empty_batch_is_rejected_by_sample_sets_costers_and_exact_risk():
+    params = model.init_params(5, 3, 3, seed=0)
+    empty = DocumentBatch(sources=[], references=[], doc_ids=[])
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="empty batch"):
+        sampling.draw_sample_set(params, empty, 2, 1.0, rng, 2, CostKind.ONE_MINUS_DOCBLEU)
+    with pytest.raises(ValueError, match="empty batch"):
+        sampling.SampleSet(batch=empty, grid=[], costs=np.zeros((0, 2)), cost_kind=CostKind.SENT_TER)
+    for kind in CostKind:
+        with pytest.raises(ValueError, match="empty batch"):
+            sampling.document_costs(kind, [], [], np.zeros((3, 0), dtype=np.intp))
+        with pytest.raises(ValueError, match="empty"):
+            exact_risk(params, empty, kind, 2)
+
+
+def reference_enumerated_risk(params, batch, cost_kind, max_len):
+    """The per-document enumeration loop, the oracle of mrt._enumerated_risk:
+    every document is costed from its sentences by metrics.document_cost_fn."""
+    spaces = [model.enumerate_output_space(params, src, max_len) for src in batch.sources]
+    cost_fn = metrics.document_cost_fn(cost_kind)
+    risk = 0.0
+    coeffs = [np.zeros(len(space)) for space in spaces]
+    for combo_idx in itertools.product(*(range(len(sp)) for sp in spaces)):
+        p = 1.0
+        hyps = []
+        for s, i in enumerate(combo_idx):
+            sent, prob = spaces[s][i]
+            p *= prob
+            hyps.append(sent)
+        dp = p * cost_fn(hyps, batch.references, batch.sources)
+        risk += dp
+        for s, i in enumerate(combo_idx):
+            coeffs[s][i] += dp
+    return risk, spaces, coeffs
+
+
+def first_sentence_share(hyps, refs, srcs=None):
+    return (len(hyps[0]) + 0.5) / (sum(len(h) for h in hyps) + 1.5)
+
+
+@st.composite
+def risk_cases(draw):
+    """(params, batch, max_len, cost): S 1-3, V 5-6, max_len 1-2; sources may
+    be empty, references are not (sentence TER rejects them)."""
+    v, s = draw(st.integers(5, 6)), draw(st.integers(1, 3))
+    tokens = st.integers(3, v - 1)
+    line = lambda min_size: tuple(draw(st.lists(tokens, min_size=min_size, max_size=3)))
+    batch = DocumentBatch(
+        sources=[line(0) for _ in range(s)], references=[line(1) for _ in range(s)], doc_ids=[0] * s
+    )
+    params = model.init_params(v, 3, 3, seed=draw(st.integers(0, 1000)))
+    cost = draw(st.sampled_from([*CostKind, first_sentence_share]))
+    return params, batch, draw(st.integers(1, 2)), cost
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=risk_cases())
+def test_enumerated_risk_equals_reference_loop_bitwise(case):
+    params, batch, max_len, cost = case
+    risk, spaces, coeffs = mrt._enumerated_risk(params, batch, cost, max_len)
+    ref_risk, ref_spaces, ref_coeffs = reference_enumerated_risk(params, batch, cost, max_len)
+    assert risk == ref_risk and spaces == ref_spaces
+    assert all(np.array_equal(c, r) for c, r in zip(coeffs, ref_coeffs, strict=True))
+    srcs = [src for src, space in zip(batch.sources, spaces) for _ in space]
+    tgts = [sent for space in spaces for sent, _ in space]
+    weights = [c for coeff in ref_coeffs for c in coeff]
+    expected = model.weighted_log_prob_grad(params, srcs, tgts, weights, max_len)[1]
+    assert np.array_equal(exact_risk_grad(params, batch, cost, max_len), expected)
 
 
 # ---------------------------------------------------------------------------
