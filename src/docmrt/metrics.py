@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .textcore import Sentence, ngrams
+from .textcore import Sentence
 
 DEFAULT_MAX_N = 4
 
@@ -52,33 +52,33 @@ class CostKind(Enum):
     @property
     def metric(self) -> str:
         """The metric the cost is built on: "bleu", "ter" or "gleu"."""
-        return next(m for m in METRICS if self.value.endswith(m))
+        return _METRIC[self]
 
     @property
     def is_sentence_level(self) -> bool:
-        return self.as_sentence_kind() is self
+        return _SENTENCE_KIND[self] is self
 
     @property
     def is_document_level(self) -> bool:
-        return not self.is_sentence_level
-
-    @property
-    def needs_source(self) -> bool:
-        return self.metric == "gleu"
+        return _SENTENCE_KIND[self] is not self
 
     def as_sentence_kind(self) -> "CostKind":
-        return {
-            CostKind.ONE_MINUS_DOCBLEU: CostKind.ONE_MINUS_SBLEU,
-            CostKind.DOC_TER: CostKind.SENT_TER,
-            CostKind.ONE_MINUS_DOC_GLEU: CostKind.ONE_MINUS_SENT_GLEU,
-        }.get(self, self)
+        return _SENTENCE_KIND[self]
 
     def as_document_kind(self) -> "CostKind":
-        return {
-            CostKind.ONE_MINUS_SBLEU: CostKind.ONE_MINUS_DOCBLEU,
-            CostKind.SENT_TER: CostKind.DOC_TER,
-            CostKind.ONE_MINUS_SENT_GLEU: CostKind.ONE_MINUS_DOC_GLEU,
-        }.get(self, self)
+        return _DOCUMENT_KIND[self]
+
+
+# (sentence kind, document kind) of each metric; the lookups above read these
+# maps, built once, because costs ask for them once per scored row
+_LEVELS = [
+    (CostKind.ONE_MINUS_SBLEU, CostKind.ONE_MINUS_DOCBLEU),
+    (CostKind.SENT_TER, CostKind.DOC_TER),
+    (CostKind.ONE_MINUS_SENT_GLEU, CostKind.ONE_MINUS_DOC_GLEU),
+]
+_SENTENCE_KIND = {kind: sent for sent, doc in _LEVELS for kind in (sent, doc)}
+_DOCUMENT_KIND = {kind: doc for sent, doc in _LEVELS for kind in (sent, doc)}
+_METRIC = {kind: next(m for m in METRICS if kind.value.endswith(m)) for kind in CostKind}
 
 
 def ngram_extractor(ref: Sentence, src: Sentence = (), max_n: int = DEFAULT_MAX_N) -> Extractor:
@@ -89,28 +89,53 @@ def ngram_extractor(ref: Sentence, src: Sentence = (), max_n: int = DEFAULT_MAX_
     minus the hypothesis n-grams that appear in the source but not the
     reference (the GLEU penalty), floored at 0 per order. An empty source
     gives no penalty, so the matches are BLEU's. The reference and source
-    n-grams are counted once, here.
+    n-grams are counted once, here, in one dict each over every order.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    tables = []
-    for n in range(1, max_n + 1):
-        ref_grams = ngrams(ref, n)
-        src_only = {g: c for g, c in ngrams(src, n).items() if g not in ref_grams}
-        tables.append((ref_grams, src_only))
-    return lambda hyp: ngram_stats(hyp, tables, len(ref))
+    ref_counts = _ngram_counts(ref, max_n)
+    src_only = {g: c for g, c in _ngram_counts(src, max_n).items() if g not in ref_counts}
+    return lambda hyp: ngram_stats(hyp, ref_counts, src_only, max_n, len(ref))
 
 
-def ngram_stats(hyp: Sentence, tables: list, ref_len: int) -> list[int]:
-    """One hypothesis's row against the per-order tables of ngram_extractor."""
-    matches = []
-    for n, (ref_grams, src_only) in enumerate(tables, start=1):
-        hyp_grams = ngrams(hyp, n)
-        m = sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
-        m -= sum(min(c, src_only[g]) for g, c in hyp_grams.items() if g in src_only)
-        matches.append(max(m, 0))
-    totals = [max(len(hyp) - n + 1, 0) for n in range(1, len(tables) + 1)]
-    return matches + totals + [len(hyp), ref_len]
+def _ngram_counts(sentence: Sentence, max_n: int) -> dict:
+    """Count of every n-gram of orders 1..max_n, keyed by the n-gram tuple."""
+    seq = tuple(sentence)
+    counts: dict = {}
+    for i in range(len(seq)):
+        for n in range(1, min(max_n, len(seq) - i) + 1):
+            gram = seq[i : i + n]
+            counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
+def ngram_stats(
+    hyp: Sentence, ref_counts: dict, src_only: dict, max_n: int, ref_len: int
+) -> list[int]:
+    """One hypothesis's row against the n-gram counts of ngram_extractor.
+
+    The hypothesis is scanned once. The k-th occurrence of an n-gram is a
+    match if k <= its reference count, and a penalty if the n-gram is
+    source-only and k <= its source count; per order, this sums to
+    min(count, reference count) minus min(count, source-only count).
+    """
+    seq = tuple(hyp)
+    seen: dict = {}
+    matches = [0] * max_n
+    for i in range(len(seq)):
+        for n in range(1, min(max_n, len(seq) - i) + 1):
+            gram = seq[i : i + n]
+            limit = ref_counts.get(gram)
+            step = 1
+            if limit is None:
+                limit, step = src_only.get(gram), -1
+                if limit is None:
+                    break  # no longer n-gram from i is in the reference or source
+            k = seen[gram] = seen.get(gram, 0) + 1
+            if k <= limit:
+                matches[n - 1] += step
+    totals = [max(len(seq) - n + 1, 0) for n in range(1, max_n + 1)]
+    return [max(m, 0) for m in matches] + totals + [len(seq), ref_len]
 
 
 def _reference_index(ref: Sentence) -> tuple[dict, dict]:

@@ -10,6 +10,7 @@ recorded log-probabilities always use tau = 1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,17 +153,21 @@ class Decoder:
             - zmax
             - np.log(np.exp(self.logits - zmax).sum(axis=1, keepdims=True))
         )
-        self._cum_cache: dict[float, np.ndarray] = {}
+        self._rows: dict[float, tuple[list, list]] = {}
 
-    def _tempered_cumulative(self, tau: float) -> np.ndarray:
+    def _sampling_rows(self, tau: float) -> tuple[list, list]:
+        """The tau-tempered cumulative table and the log-probabilities as nested
+        lists, built once per decoder and tau; a non-finite table raises."""
         key = float(tau)
-        if key not in self._cum_cache:
+        if key not in self._rows:
             z = self.logits / tau
+            if not np.isfinite(z).all():  # a finite z gives a finite table
+                raise ValueError(f"non-finite decoding table at temperature {tau}")
             z -= z.max(axis=1, keepdims=True)
             p = np.exp(z)
             p /= p.sum(axis=1, keepdims=True)
-            self._cum_cache[key] = np.cumsum(p, axis=1)
-        return self._cum_cache[key]
+            self._rows[key] = np.cumsum(p, axis=1).tolist(), self.logprobs.tolist()
+        return self._rows[key]
 
     def score(self, tgt: Sentence) -> float:
         prevs, targets = _step_sequences(tgt, self.max_len)
@@ -181,19 +186,23 @@ class Decoder:
                     break
                 tokens.append(tok)
                 prev = tok
-        else:
-            if tau <= 0:
-                raise ValueError("temperature must be positive")
-            cum = self._tempered_cumulative(tau)
-            last = self.params.vocab_size - 1
-            for _ in range(self.max_len):
-                tok = min(int(np.searchsorted(cum[prev], rng.random(), side="right")), last)
-                if tok == EOS_ID:
-                    break
-                tokens.append(tok)
-                prev = tok
-        sentence = tuple(tokens)
-        return ScoredHypothesis(sentence, self.score(sentence))
+            sentence = tuple(tokens)
+            return ScoredHypothesis(sentence, self.score(sentence))
+        if tau <= 0:
+            raise ValueError("temperature must be positive")
+        cum, logprobs = self._sampling_rows(tau)
+        last = self.params.vocab_size - 1
+        # one uniform per token; bisect_right is searchsorted(side="right"), and
+        # the log-prob adds up in score's order, EOS step included below the cap
+        total = 0.0
+        for _ in range(self.max_len):
+            tok = min(bisect_right(cum[prev], rng.random()), last)
+            total += logprobs[prev][tok]
+            if tok == EOS_ID:
+                break
+            tokens.append(tok)
+            prev = tok
+        return ScoredHypothesis(tuple(tokens), total)
 
     def beam(self, beam_size: int) -> list[ScoredHypothesis]:
         if beam_size < 1:

@@ -9,7 +9,6 @@ Both schemes use each grid cell exactly once across the N documents.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,9 +38,10 @@ class SampleSet:
             rows = [[hyp.sentence for hyp in row] for row in self.grid]
             self.stats = np.array(candidate_stats(self.batch, rows, self.cost_kind.metric))
         if self.costs is None:
-            kind = self.cost_kind.as_sentence_kind()
-            costs = [[metrics.cost_from_stats(kind, c) for c in row] for row in self.stats]
-            self.costs = np.array(costs)
+            kind, memo = self.cost_kind.as_sentence_kind(), {}
+            self.costs = np.array(
+                [_row_costs(kind, list(map(tuple, row)), memo) for row in self.stats.tolist()]
+            )
 
     @property
     def n_sentences(self) -> int:
@@ -65,20 +65,28 @@ class SampledDocument:
 
 def candidate_stats(batch: DocumentBatch, candidates, metric: str) -> list[np.ndarray]:
     """Stats of candidates[s][i], the i-th candidate of sentence s, as one
-    (candidates, K) array per sentence; each reference is read once."""
+    (candidates, K) array per sentence; each reference is read once and each
+    distinct candidate of a row is extracted once."""
     stats = []
     for src, ref, row in zip(batch.sources, batch.references, candidates):
         extract = metrics.extractor(metric, ref, src)
-        stats.append(np.array([extract(hyp) for hyp in row], dtype=np.int64))
+        memo = {hyp: extract(hyp) for hyp in dict.fromkeys(row)}
+        stats.append(np.array([memo[hyp] for hyp in row], dtype=np.int64))
     return stats
 
 
 def product_cells(sizes: list[int]) -> np.ndarray:
     """Every choice of one candidate per sentence, shape (prod(sizes), S), in
     itertools.product order; the product is guarded by model.ENUMERATION_GUARD."""
-    if math.prod(sizes) > model.ENUMERATION_GUARD:
+    total = math.prod(sizes)
+    if total > model.ENUMERATION_GUARD:
         raise ValueError("document space exceeds the enumeration guard")
-    return np.array(list(itertools.product(*map(range, sizes))), dtype=np.intp)
+    return np.indices(sizes, dtype=np.intp).reshape(len(sizes), total).T
+
+
+# Rows of cells summed and memoised at a time by document_costs, which bounds
+# its Python row tuples whatever the number of documents.
+COST_CHUNK = 1 << 14
 
 
 def document_costs(kind: CostKind, stats, costs, cells: np.ndarray) -> list[float]:
@@ -90,8 +98,21 @@ def document_costs(kind: CostKind, stats, costs, cells: np.ndarray) -> list[floa
     sentences = range(cells.shape[1])
     if not kind.is_document_level:
         return sum(costs[s][cells[:, s]] for s in sentences).tolist()
-    rows = list(map(tuple, sum(stats[s][cells[:, s]] for s in sentences).tolist()))
-    memo = {row: metrics.cost_from_stats(kind, row) for row in dict.fromkeys(rows)}
+    memo: dict = {}
+    out: list[float] = []
+    for start in range(0, len(cells), COST_CHUNK):
+        chunk = cells[start : start + COST_CHUNK]
+        rows = list(map(tuple, sum(stats[s][chunk[:, s]] for s in sentences).tolist()))
+        out += _row_costs(kind, rows, memo)
+    return out
+
+
+def _row_costs(kind: CostKind, rows: list[tuple], memo: dict) -> list[float]:
+    """cost_from_stats of every stats tuple in rows, scoring each tuple that
+    memo does not hold yet once and adding it to memo."""
+    for row in rows:
+        if row not in memo:
+            memo[row] = metrics.cost_from_stats(kind, row)
     return [memo[row] for row in rows]
 
 

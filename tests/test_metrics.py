@@ -571,6 +571,20 @@ def test_summed_stats_equal_reference_loops_bitwise(corpus, max_n, smoothed):
     assert doc_ter(hyps, refs).value == reference_doc_ter(hyps, refs)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hyp=sentences, src=sentences, ref=sentences, max_n=st.integers(1, 5))
+def test_ngram_rows_equal_per_order_counters(hyp, src, ref, max_n):
+    orders = range(1, max_n + 1)
+    for metric, per_order in (
+        ("bleu", [reference_clipped_matches(hyp, ref, n) for n in orders]),
+        ("gleu", [reference_gleu_sentence_stats(hyp, src, ref, n) for n in orders]),
+    ):
+        row = metrics.extractor(metric, ref, src, max_n)(hyp)
+        matches = [m for m, _ in per_order]
+        totals = [max(len(hyp) - n + 1, 0) for n in orders]
+        assert row == matches + totals + [len(hyp), len(ref)]
+
+
 @st.composite
 def small_vocab_pairs(draw):
     """(hyp, ref) of lengths 0-20 over 2-6 tokens: repeated blocks and tied

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from docmrt import model
@@ -225,6 +227,83 @@ def test_sample_scoring_consistency_exact():
         hyp = model.sample(p, (4, 5), 0.7, rng, 5)
         assert hyp.log_prob == model.log_prob(p, (4, 5), hyp.sentence, 5)
         assert hyp.log_prob <= 0.0
+
+
+def reference_sample(decoder, tau, rng):
+    """The per-token searchsorted loop over the tempered cumulative table that
+    Decoder.sample replaced: one rng.random() per token, then rescoring."""
+    z = decoder.logits / tau
+    z -= z.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=1, keepdims=True)
+    cum = np.cumsum(p, axis=1)
+    last = decoder.params.vocab_size - 1
+    tokens = []
+    prev = BOS_ID
+    for _ in range(decoder.max_len):
+        tok = min(int(np.searchsorted(cum[prev], rng.random(), side="right")), last)
+        if tok == EOS_ID:
+            break
+        tokens.append(tok)
+        prev = tok
+    sentence = tuple(tokens)
+    return model.ScoredHypothesis(sentence, decoder.score(sentence))
+
+
+@st.composite
+def sampling_cases(draw):
+    """(params, src, tau, max_len, seed): V 5-9, theta of scale 0.1 to 30 (peaked
+    tables), max_len 1-6 so that the length cap is often hit."""
+    v, d, h = draw(st.integers(5, 9)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0]))
+    theta = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        0.0, scale, model.param_count(v, d, h)
+    )
+    src = tuple(draw(st.lists(st.integers(3, v - 1), max_size=4)))
+    tau = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return model.ModelParams(v, d, h, theta), src, tau, draw(st.integers(1, 6)), draw(
+        st.integers(0, 2**32 - 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "make_rng",
+    [np.random.default_rng, lambda seed: np.random.Generator(np.random.MT19937(seed))],
+    ids=["PCG64", "MT19937"],
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=sampling_cases())
+def test_sample_equals_searchsorted_reference_on_the_same_stream(make_rng, case):
+    params, src, tau, max_len, seed = case
+    decoder = model.Decoder(params, src, max_len)
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    for _ in range(6):
+        hyp = decoder.sample(tau, rng)
+        expected = reference_sample(decoder, tau, ref_rng)
+        assert hyp.sentence == expected.sentence
+        assert hyp.log_prob == expected.log_prob == decoder.score(hyp.sentence)
+    assert rng.random() == ref_rng.random()
+
+
+class ReplayRng:
+    """Stand-in generator whose random() returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_sample_draw_equal_to_a_table_entry_goes_right():
+    # zero theta: every row of the cumulative table is 0.2, 0.4, ..., 1.0
+    decoder = model.Decoder(model.init_params(5, 2, 2, seed=0, zero=True), (4,), 3)
+    row = np.cumsum(np.full(5, 0.2)).tolist()
+    for k, u in enumerate(row):
+        hyp = decoder.sample(1.0, ReplayRng([u] * 3))
+        assert hyp == reference_sample(decoder, 1.0, ReplayRng([u] * 3))
+        first = hyp.sentence[0] if hyp.sentence else EOS_ID
+        assert first == min(k + 1, 4)  # searchsorted(side="right"), clipped
 
 
 def test_sample_uniform_token_frequencies_at_zero_theta():

@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from docmrt import model
+from docmrt import metrics, model, sampling
 from docmrt.metrics import CostKind, doc_cost, document_cost_fn, seq_cost
 from docmrt.model import ScoredHypothesis
 from docmrt.sampling import (
     SampleSet,
     build_documents_ordered,
     build_documents_random,
+    document_costs,
     draw_sample_set,
     enumerate_documents,
     order_samples,
+    product_cells,
 )
 from docmrt.textcore import DocumentBatch
 
@@ -312,3 +314,73 @@ def test_draw_sample_set_rejects_custom_cost_callable():
         draw_sample_set(
             params, small_batch(), 2, 1.0, np.random.default_rng(0), 4, lambda h, r, s=None: 0.0
         )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the decoder's own table
+def test_sampling_from_a_non_finite_model_raises():
+    for bad in (math.nan, math.inf, -math.inf):
+        params = model.init_params(6, 3, 3, seed=1)
+        params.b_out[4] = bad
+        with pytest.raises(ValueError, match="non-finite decoding table"):
+            model.sample(params, (4,), 1.0, np.random.default_rng(0), 4)
+        with pytest.raises(ValueError, match="non-finite decoding table"):
+            draw_sample_set(
+                params, small_batch(), 2, 1.0, np.random.default_rng(0), 4, CostKind.ONE_MINUS_DOCBLEU
+            )
+
+
+def test_duplicate_heavy_grid_equals_per_cell_extraction(monkeypatch):
+    # zero theta, V=5, max_len 1: each cell is one of five sentences
+    params = model.init_params(5, 2, 2, seed=0, zero=True)
+    batch = DocumentBatch(sources=[(3, 4), (), (4,)], references=[(3,), (4, 3), (4,)], doc_ids=[0] * 3)
+    extracted = []
+    extractor = metrics.extractor
+
+    def counting_extractor(metric, ref, src=None, max_n=metrics.DEFAULT_MAX_N):
+        extract = extractor(metric, ref, src, max_n)
+        return lambda hyp: extracted.append(hyp) or extract(hyp)
+
+    for kind in CostKind:
+        extracted.clear()
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "extractor", counting_extractor)
+            ss = draw_sample_set(params, batch, 8, 1.0, np.random.default_rng(3), 1, kind)
+        rows = [[hyp.sentence for hyp in row] for row in ss.grid]
+        distinct = sum(len(set(row)) for row in rows)
+        assert len(extracted) == distinct <= 15  # at most five per row of 8
+        stats = [
+            [metrics.extractor(kind.metric, ref, src)(hyp) for hyp in row]
+            for src, ref, row in zip(batch.sources, batch.references, rows)
+        ]
+        sentence_kind = kind.as_sentence_kind()
+        costs = [[metrics.cost_from_stats(sentence_kind, c) for c in row] for row in stats]
+        assert np.array_equal(ss.stats, np.array(stats, dtype=np.int64))
+        assert np.array_equal(ss.costs, np.array(costs))
+
+
+@pytest.mark.parametrize("sizes", [[], [3], [2, 3], [3, 1, 2], [4, 2, 3, 2], [2, 0, 3]])
+def test_product_cells_in_itertools_product_order(sizes):
+    expected = list(itertools.product(*map(range, sizes)))
+    cells = product_cells(sizes)
+    assert cells.shape == (len(expected), len(sizes))
+    assert list(map(tuple, cells.tolist())) == expected
+
+
+def test_document_costs_memo_is_shared_across_chunks(monkeypatch):
+    # four candidates per sentence, two distinct stats rows each: 8 distinct
+    # sums over 64 documents, repeated across chunks of 5
+    rng = np.random.default_rng(4)
+    stats = [rng.integers(1, 4, size=(2, 10))[[0, 1, 1, 0]] for _ in range(3)]
+    cells = product_cells([4, 4, 4])
+    expected = [
+        metrics.cost_from_stats(CostKind.ONE_MINUS_DOCBLEU, sum(stats[s][i] for s, i in enumerate(row)))
+        for row in cells.tolist()
+    ]
+    scored = []
+    cost_from_stats = metrics.cost_from_stats
+    monkeypatch.setattr(sampling, "COST_CHUNK", 5)
+    monkeypatch.setattr(
+        metrics, "cost_from_stats", lambda kind, row: scored.append(row) or cost_from_stats(kind, row)
+    )
+    assert document_costs(CostKind.ONE_MINUS_DOCBLEU, stats, None, cells) == expected
+    assert len(scored) == len(set(scored)) <= 8
