@@ -206,6 +206,8 @@ def train_mle_baseline(
     checkpoint seen.
     """
     cfg = dataclasses.replace(cfg, mode="mle").validate()
+    if cfg.max_updates < 1:
+        raise ValueError("max_updates must be >= 1 to train a baseline")
     params = model.init_params(vocab_size, emb_dim, hidden_dim, cfg.seed)
     best_params = params.copy()
     best_score = -1.0
@@ -602,6 +604,8 @@ def enum_check(
     tolerance: float = 1e-10,
 ) -> dict:
     """Output-space normalization check over random parameter draws."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):

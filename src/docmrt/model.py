@@ -176,20 +176,11 @@ class Decoder:
             total += float(self.logprobs[prev, tok])
         return total
 
-    def sample(self, tau: float, rng: np.random.Generator, greedy: bool = False) -> ScoredHypothesis:
-        tokens: list[int] = []
-        prev = BOS_ID
-        if greedy:
-            for _ in range(self.max_len):
-                tok = int(np.argmax(self.logits[prev]))
-                if tok == EOS_ID:
-                    break
-                tokens.append(tok)
-                prev = tok
-            sentence = tuple(tokens)
-            return ScoredHypothesis(sentence, self.score(sentence))
+    def sample(self, tau: float, rng: np.random.Generator) -> ScoredHypothesis:
         if tau <= 0:
             raise ValueError("temperature must be positive")
+        tokens: list[int] = []
+        prev = BOS_ID
         cum, logprobs = self._sampling_rows(tau)
         last = self.params.vocab_size - 1
         # one uniform per token; bisect_right is searchsorted(side="right"), and
@@ -339,14 +330,13 @@ def sample(
     tau: float,
     rng: np.random.Generator,
     max_len: int,
-    greedy: bool = False,
 ) -> ScoredHypothesis:
     """Left-to-right ancestral sample from the tau-tempered distribution.
 
     The recorded log_prob is the true model log-probability (tau = 1) of the
-    sampled sentence. greedy=True takes the per-step argmax instead.
+    sampled sentence.
     """
-    return Decoder(params, src, max_len).sample(tau, rng, greedy=greedy)
+    return Decoder(params, src, max_len).sample(tau, rng)
 
 
 def beam_decode(

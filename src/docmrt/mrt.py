@@ -57,6 +57,9 @@ class TrainConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"unknown {name} {value!r} (expected one of {', '.join(allowed)})")
+        if not isinstance(self.cost_kind, CostKind):
+            kinds = ", ".join(kind.value for kind in CostKind)
+            raise ValueError(f"unknown cost_kind {self.cost_kind!r} (expected one of {kinds})")
         if self.n_samples < 1 or self.batch_size < 1 or self.accum_steps < 1:
             raise ValueError("n_samples, batch_size and accum_steps must be >= 1")
         if self.tau <= 0 or self.alpha <= 0:
@@ -68,10 +71,42 @@ class TrainConfig:
         return self
 
 
-def _grid_pairs(sample_set: sampling.SampleSet) -> tuple[list, list]:
-    """Sources and sampled targets of the grid, flattened in [sentence][sample] order."""
-    rows = list(zip(sample_set.batch.sources, sample_set.grid))
-    return [src for src, row in rows for _ in row], [h.sentence for _, row in rows for h in row]
+def _sample_set(params, batch, cfg, rng, sample_set) -> sampling.SampleSet:
+    """The given sample set, or N fresh samples per sentence drawn with rng."""
+    if sample_set is not None:
+        return sample_set
+    if rng is None:
+        raise ValueError("need an rng to draw samples")
+    return sampling.draw_sample_set(
+        params, batch, cfg.n_samples, cfg.tau, rng, cfg.max_len, cfg.cost_kind
+    )
+
+
+def _weigh(cfg: TrainConfig, costs: np.ndarray, logps: np.ndarray) -> tuple[np.ndarray, float]:
+    """Weights and risk of rows of N documents, costs and logps of shape (rows, N):
+    raw cost / N, or cost times the row's softmax of alpha * log-prob."""
+    n = costs.shape[1]
+    if cfg.estimator == "raw":
+        return costs / n, float(costs.sum()) / n
+    q = np.exp(cfg.alpha * (logps - logps.max(axis=1, keepdims=True)))
+    q /= q.sum(axis=1, keepdims=True)
+    weights = q * costs
+    return weights, float(weights.sum())
+
+
+def _scatter(cells: np.ndarray, weights: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """Per sentence s, each candidate's sum of the weights of the rows of the
+    (documents, S) cells array that choose it."""
+    return [np.bincount(cells[:, s], weights=weights, minlength=n) for s, n in enumerate(sizes)]
+
+
+def _weighted_grad(params, sources, candidates, weights, max_len: int) -> np.ndarray:
+    """Gradient of sum_s sum_i weights[s][i] * log P(candidates[s][i] | sources[s]),
+    in one weighted pass."""
+    srcs = [src for src, row in zip(sources, candidates) for _ in row]
+    tgts = [tgt for row in candidates for tgt in row]
+    flat = [w for row in weights for w in row]
+    return model.weighted_log_prob_grad(params, srcs, tgts, flat, max_len)[1]
 
 
 def seq_mrt_grad(
@@ -81,28 +116,14 @@ def seq_mrt_grad(
     rng: np.random.Generator | None = None,
     sample_set: sampling.SampleSet | None = None,
 ) -> RiskEstimate:
-    """Sequence-level risk gradient over N samples per sentence."""
-    if sample_set is None:
-        if rng is None:
-            raise ValueError("need an rng to draw samples")
-        sample_set = sampling.draw_sample_set(
-            params, batch, cfg.n_samples, cfg.tau, rng, cfg.max_len,
-            cfg.cost_kind.as_sentence_kind(),
-        )
-    n = sample_set.n_samples
-    if cfg.estimator == "raw":
-        weights = sample_set.costs / n
-        risk = float(sample_set.costs.sum()) / n
-    else:
-        logps = np.array([[h.log_prob for h in row] for row in sample_set.grid])
-        q = np.exp(cfg.alpha * (logps - logps.max(axis=1, keepdims=True)))
-        q /= q.sum(axis=1, keepdims=True)  # one distribution per sentence
-        weights = q * sample_set.costs
-        risk = float(weights.sum())
-    _, grad = model.weighted_log_prob_grad(
-        params, *_grid_pairs(sample_set), weights.ravel(), cfg.max_len
-    )
-    return RiskEstimate(risk=risk, grad=grad, n_used=n * sample_set.n_sentences)
+    """Sequence-level risk gradient over N samples per sentence: each sentence
+    is a row of N one-sample documents."""
+    sample_set = _sample_set(params, batch, cfg, rng, sample_set)
+    logps = np.array([[h.log_prob for h in row] for row in sample_set.grid])
+    weights, risk = _weigh(cfg, sample_set.costs, logps)
+    sentences = [[h.sentence for h in row] for row in sample_set.grid]
+    grad = _weighted_grad(params, sample_set.batch.sources, sentences, weights, cfg.max_len)
+    return RiskEstimate(risk=risk, grad=grad, n_used=weights.size)
 
 
 def doc_mrt_grad(
@@ -113,48 +134,28 @@ def doc_mrt_grad(
     rng: np.random.Generator | None = None,
     sample_set: sampling.SampleSet | None = None,
 ) -> RiskEstimate:
-    """Document-level risk gradient over N assembled sample documents.
-
-    Each sample's log-probability is weighted by the aggregated cost of the
-    one document containing it; one weighted pass over the grid gives the
-    gradient.
-    """
+    """Document-level risk gradient over N assembled sample documents: one row
+    of N documents, each sample weighted by the document containing it."""
     if scheme is None:
         scheme = {"doc_mrt_ordered": "ordered", "doc_mrt_random": "random"}.get(cfg.mode)
         if scheme is None:
             raise ValueError(f"cannot infer document scheme from mode {cfg.mode!r}")
     if scheme not in ("ordered", "random"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if sample_set is None:
-        if rng is None:
-            raise ValueError("need an rng to draw samples")
-        sample_set = sampling.draw_sample_set(
-            params, batch, cfg.n_samples, cfg.tau, rng, cfg.max_len, cfg.cost_kind
-        )
+    sample_set = _sample_set(params, batch, cfg, rng, sample_set)
     if scheme == "ordered":
         docs = sampling.build_documents_ordered(sampling.order_samples(sample_set))
+    elif rng is None:
+        raise ValueError("the random scheme needs an rng")
     else:
-        if rng is None:
-            raise ValueError("the random scheme needs an rng")
         docs = sampling.build_documents_random(sample_set, rng)
-    n = sample_set.n_samples
-    costs = np.array([doc.cost for doc in docs])
-    if cfg.estimator == "raw":
-        doc_weights = costs / n
-        risk = sum(doc.cost for doc in docs) / n
-    else:
-        logps = np.array([doc.log_prob for doc in docs])
-        q = np.exp(cfg.alpha * (logps - logps.max()))
-        q /= q.sum()
-        doc_weights = q * costs
-        risk = float(np.dot(q, costs))
-    weights = np.zeros((sample_set.n_sentences, n))
-    for doc, w in zip(docs, doc_weights):
-        for s, idx in enumerate(doc.assignment):
-            weights[s, idx] = w
-    _, grad = model.weighted_log_prob_grad(
-        params, *_grid_pairs(sample_set), weights.ravel(), cfg.max_len
+    weights, risk = _weigh(
+        cfg, np.array([[doc.cost for doc in docs]]), np.array([[doc.log_prob for doc in docs]])
     )
+    cells = np.array([doc.assignment for doc in docs])
+    per_sample = _scatter(cells, weights[0], [sample_set.n_samples] * sample_set.n_sentences)
+    sentences = [[h.sentence for h in row] for row in sample_set.grid]
+    grad = _weighted_grad(params, sample_set.batch.sources, sentences, per_sample, cfg.max_len)
     return RiskEstimate(risk=risk, grad=grad, n_used=len(docs))
 
 
@@ -179,9 +180,7 @@ def _enumerated_risk(
     if isinstance(cost_kind, CostKind):
         candidates = [[sent for sent, _ in space] for space in spaces]
         stats = sampling.candidate_stats(batch, candidates, cost_kind.metric)
-        costs = None if cost_kind.is_document_level else [
-            np.array([metrics.cost_from_stats(cost_kind, row) for row in rows]) for rows in stats
-        ]
+        costs = None if cost_kind.is_document_level else sampling.sentence_costs(cost_kind, stats)
         cost = sampling.document_costs(cost_kind, stats, costs, cells)
     else:
         docs = ([spaces[s][i][0] for s, i in enumerate(row)] for row in cells.tolist())
@@ -191,8 +190,7 @@ def _enumerated_risk(
         p *= np.array([prob for _, prob in space])[cells[:, s]]
     dp = p * np.array(cost, dtype=np.float64)
     risk = float(np.add.accumulate(dp)[-1])
-    coeffs = [np.bincount(c, weights=dp, minlength=len(sp)) for c, sp in zip(cells.T, spaces)]
-    return risk, spaces, coeffs
+    return risk, spaces, _scatter(cells, dp, [len(space) for space in spaces])
 
 
 def exact_risk(
@@ -217,10 +215,8 @@ def exact_risk_grad(
     their coefficient times dlog P(y_s): one weighted pass, each sentence once.
     """
     _, spaces, coeffs = _enumerated_risk(params, batch, cost_kind, max_len)
-    srcs = [src for src, space in zip(batch.sources, spaces) for _ in space]
-    tgts = [sent for space in spaces for sent, _ in space]
-    weights = [c for coeff in coeffs for c in coeff]
-    return model.weighted_log_prob_grad(params, srcs, tgts, weights, max_len)[1]
+    candidates = [[sent for sent, _ in space] for space in spaces]
+    return _weighted_grad(params, batch.sources, candidates, coeffs, max_len)
 
 
 def fd_gradient_check(

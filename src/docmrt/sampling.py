@@ -38,10 +38,7 @@ class SampleSet:
             rows = [[hyp.sentence for hyp in row] for row in self.grid]
             self.stats = np.array(candidate_stats(self.batch, rows, self.cost_kind.metric))
         if self.costs is None:
-            kind, memo = self.cost_kind.as_sentence_kind(), {}
-            self.costs = np.array(
-                [_row_costs(kind, list(map(tuple, row)), memo) for row in self.stats.tolist()]
-            )
+            self.costs = np.array(sentence_costs(self.cost_kind, self.stats))
 
     @property
     def n_sentences(self) -> int:
@@ -73,6 +70,13 @@ def candidate_stats(batch: DocumentBatch, candidates, metric: str) -> list[np.nd
         memo = {hyp: extract(hyp) for hyp in dict.fromkeys(row)}
         stats.append(np.array([memo[hyp] for hyp in row], dtype=np.int64))
     return stats
+
+
+def sentence_costs(kind: CostKind, stats) -> list[np.ndarray]:
+    """The sentence-level cost of kind for every row of stats[s], one array per
+    sentence, scoring each distinct row once."""
+    kind, memo = kind.as_sentence_kind(), {}
+    return [np.array(_row_costs(kind, list(map(tuple, rows.tolist())), memo)) for rows in stats]
 
 
 def product_cells(sizes: list[int]) -> np.ndarray:

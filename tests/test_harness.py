@@ -364,6 +364,24 @@ def test_train_mle_baseline_learns_and_early_stops():
     assert max(scores) > start + 0.2  # copying task is learnable
 
 
+def test_train_mle_baseline_rejects_no_updates_before_training(monkeypatch):
+    train, valid, _ = generate_synthetic_corpus(TaskSpec(vocab_size=8, num_documents=4, seed=1))
+    monkeypatch.setattr(mrt, "finetune", lambda *args, **kwargs: pytest.fail("trained"))
+    cfg = mrt.TrainConfig(mode="mle", max_updates=0, max_len=5)
+    with pytest.raises(ValueError, match="max_updates"):
+        train_mle_baseline(train, valid, 8, 6, 8, cfg)
+    with pytest.raises(ValueError, match="max_updates"):
+        run_experiment({**_tiny_experiment_config(), "mle_max_updates": 0})
+
+
+def test_run_experiment_leaves_mle_max_updates_unused_with_a_baseline_checkpoint(tmp_path):
+    config = _tiny_experiment_config()
+    ckpt = tmp_path / "base.ckpt"
+    model.save_checkpoint(model.init_params(8, 6, 8, seed=0), ckpt)
+    report = run_experiment({**config, "baseline_checkpoint": str(ckpt), "mle_max_updates": 0})
+    assert {row["mode"] for row in report.rows} == {"doc_mrt_ordered", "mle"}
+
+
 def test_run_experiment_report_schema_and_rows():
     report = run_experiment(_tiny_experiment_config())
     assert {row["mode"] for row in report.rows} == {"doc_mrt_ordered", "mle"}
@@ -459,6 +477,15 @@ def test_cli_enum_check(capsys):
     assert cli.main(["enum-check", "--trials", "5"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"]
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_enum_check_rejects_fewer_than_one_trial(capsys, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        enum_check(trials=trials)
+    assert cli.main(["enum-check", "--trials", str(trials)]) == 2
+    captured = capsys.readouterr()
+    assert "trials" in captured.err and captured.out == ""
 
 
 def test_cli_validation_failure_exit_code(tmp_path, capsys):
@@ -617,6 +644,20 @@ def test_cli_non_finite_training_exits_2_without_writing(tmp_path, capsys, comma
     captured = capsys.readouterr()
     assert "update 0: non-finite updated parameters" in captured.err
     assert captured.out == ""
+    assert not out.exists() and not log.exists()
+
+
+def test_cli_train_mle_without_updates_exits_2_without_writing(tmp_path, capsys):
+    data, _ = tiny_data_and_checkpoint(tmp_path)
+    out, log = tmp_path / "out.ckpt", tmp_path / "log.jsonl"
+    argv = [
+        "train-mle", "--data-dir", str(data), "--ckpt", str(out), "--log", str(log),
+        "--max-updates", "0", "--emb-dim", "4", "--hidden-dim", "6",
+    ]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "max_updates" in captured.err and captured.out == ""
     assert not out.exists() and not log.exists()
 
 

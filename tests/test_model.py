@@ -207,11 +207,23 @@ def test_sample_deterministic_per_seed():
     assert a == b
 
 
+def greedy_walk(p, src, max_len):
+    """The per-step argmax walk, the oracle of beam size 1."""
+    decoder = model.Decoder(p, src, max_len)
+    tokens, prev = [], model.BOS_ID
+    for _ in range(max_len):
+        tok = int(np.argmax(decoder.logits[prev]))
+        if tok == model.EOS_ID:
+            break
+        tokens.append(tok)
+        prev = tok
+    return model.ScoredHypothesis(tuple(tokens), decoder.score(tuple(tokens)))
+
+
 def test_sample_greedy_matches_beam_one():
     for seed in range(5):
         p = model.init_params(6, 3, 3, seed=seed)
-        greedy = model.sample(p, (4,), 1.0, np.random.default_rng(0), 4, greedy=True)
-        assert greedy == model.beam_decode(p, (4,), 1, 4)[0]
+        assert greedy_walk(p, (4,), 4) == model.beam_decode(p, (4,), 1, 4)[0]
 
 
 def test_sample_rejects_nonpositive_temperature():
@@ -425,8 +437,7 @@ def test_enumerate_argmax_matches_greedy_on_peaked_model():
     p.b_out[4] = 4.0
     space = model.enumerate_output_space(p, (4, 4), 3)
     best = max(space, key=lambda sp: sp[1])[0]
-    greedy = model.sample(p, (4, 4), 1.0, np.random.default_rng(0), 3, greedy=True)
-    assert greedy.sentence == best
+    assert model.beam_decode(p, (4, 4), 1, 3)[0].sentence == best
 
 
 def test_enumerate_guard():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,6 +304,20 @@ def test_empty_batch_is_rejected_by_sample_sets_costers_and_exact_risk():
             exact_risk(params, empty, kind, 2)
 
 
+def test_exact_risk_scores_each_distinct_sentence_stats_row_once(monkeypatch):
+    params = model.init_params(5, 3, 3, seed=3)
+    batch = tiny_batch()
+    spaces = [model.enumerate_output_space(params, src, 2) for src in batch.sources]
+    stats = sampling.candidate_stats(batch, [[sent for sent, _ in sp] for sp in spaces], "ter")
+    distinct = {tuple(row) for rows in stats for row in rows.tolist()}
+    cost_from_stats, calls = metrics.cost_from_stats, []
+    monkeypatch.setattr(
+        metrics, "cost_from_stats", lambda kind, row: calls.append(row) or cost_from_stats(kind, row)
+    )
+    exact_risk(params, batch, CostKind.SENT_TER, 2)
+    assert sorted(calls) == sorted(distinct) and len(distinct) < sum(map(len, stats))
+
+
 def reference_enumerated_risk(params, batch, cost_kind, max_len):
     """The per-document enumeration loop, the oracle of mrt._enumerated_risk:
     every document is costed from its sentences by metrics.document_cost_fn."""
@@ -511,3 +526,115 @@ def test_non_finite_risk_names_its_update_across_mle_chunks(monkeypatch):
     with pytest.raises(mrt.NonFiniteTraining, match=r"update 3: non-finite risk \(nan\)") as err:
         train_mle_baseline(train, valid, 8, 3, 3, cfg, eval_every=2)
     assert err.value.update == 3 and len(calls) == 4
+
+
+@pytest.mark.parametrize("mode", ["seq_mrt", "doc_mrt_ordered", "doc_mrt_random", "mle"])
+def test_finetune_rejects_a_cost_kind_that_is_not_a_cost_kind(mode):
+    train, valid, _ = small_corpus(seed=10)
+    params = model.init_params(8, 3, 3, seed=8)
+    cfg = TrainConfig(mode=mode, cost_kind="one_minus_docbleu", max_updates=1, max_len=4)
+    kinds = ", ".join(kind.value for kind in CostKind)
+    message = f"unknown cost_kind 'one_minus_docbleu' (expected one of {kinds})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mrt.finetune(params, train, cfg, heldout=valid, eval_every=1)
+
+
+# ---------------------------------------------------------------------------
+# estimators against their per-document loops
+# ---------------------------------------------------------------------------
+
+
+def _grid_rows(sample_set):
+    rows = list(zip(sample_set.batch.sources, sample_set.grid))
+    return [src for src, row in rows for _ in row], [h.sentence for _, row in rows for h in row]
+
+
+def reference_seq_mrt_grad(params, batch, cfg, rng):
+    """Sequence MRT with its own raw/renormalized branch, the oracle of seq_mrt_grad."""
+    sample_set = sampling.draw_sample_set(
+        params, batch, cfg.n_samples, cfg.tau, rng, cfg.max_len, cfg.cost_kind.as_sentence_kind()
+    )
+    n = sample_set.n_samples
+    if cfg.estimator == "raw":
+        weights = sample_set.costs / n
+        risk = float(sample_set.costs.sum()) / n
+    else:
+        logps = np.array([[h.log_prob for h in row] for row in sample_set.grid])
+        q = np.exp(cfg.alpha * (logps - logps.max(axis=1, keepdims=True)))
+        q /= q.sum(axis=1, keepdims=True)
+        weights = q * sample_set.costs
+        risk = float(weights.sum())
+    _, grad = model.weighted_log_prob_grad(
+        params, *_grid_rows(sample_set), weights.ravel(), cfg.max_len
+    )
+    return mrt.RiskEstimate(risk=risk, grad=grad, n_used=n * sample_set.n_sentences)
+
+
+def reference_doc_mrt_grad(params, batch, cfg, scheme, rng):
+    """Document MRT filling its weight grid document by document, the oracle of doc_mrt_grad."""
+    sample_set = sampling.draw_sample_set(
+        params, batch, cfg.n_samples, cfg.tau, rng, cfg.max_len, cfg.cost_kind
+    )
+    if scheme == "ordered":
+        docs = sampling.build_documents_ordered(sampling.order_samples(sample_set))
+    else:
+        docs = sampling.build_documents_random(sample_set, rng)
+    n = sample_set.n_samples
+    costs = np.array([doc.cost for doc in docs])
+    if cfg.estimator == "raw":
+        doc_weights = costs / n
+        risk = sum(doc.cost for doc in docs) / n
+    else:
+        logps = np.array([doc.log_prob for doc in docs])
+        q = np.exp(cfg.alpha * (logps - logps.max()))
+        q /= q.sum()
+        doc_weights = q * costs
+        risk = float(np.dot(q, costs))
+    weights = np.zeros((sample_set.n_sentences, n))
+    for doc, w in zip(docs, doc_weights):
+        for s, idx in enumerate(doc.assignment):
+            weights[s, idx] = w
+    _, grad = model.weighted_log_prob_grad(
+        params, *_grid_rows(sample_set), weights.ravel(), cfg.max_len
+    )
+    return mrt.RiskEstimate(risk=risk, grad=grad, n_used=len(docs))
+
+
+@st.composite
+def estimator_cases(draw):
+    """(params, batch, cfg, scheme, seed): S 1-3, N 1-9 (8 and up reach numpy's
+    unrolled summation), every cost kind, raw and renormalized estimators."""
+    v, s = draw(st.integers(5, 7)), draw(st.integers(1, 3))
+    tokens = st.integers(3, v - 1)
+    line = lambda min_size: tuple(draw(st.lists(tokens, min_size=min_size, max_size=3)))
+    batch = DocumentBatch(
+        sources=[line(0) for _ in range(s)], references=[line(1) for _ in range(s)], doc_ids=[0] * s
+    )
+    params = model.init_params(v, 3, 3, seed=draw(st.integers(0, 1000)))
+    renormalized = [("renormalized", alpha) for alpha in (5e-3, 0.5, 2.0)]
+    estimator, alpha = draw(st.sampled_from([("raw", 5e-3), *renormalized]))
+    cfg = cfg_for(
+        "seq_mrt", draw(st.sampled_from(list(CostKind))), n=draw(st.integers(1, 9)),
+        max_len=draw(st.integers(1, 3)), estimator=estimator, alpha=alpha,
+    )
+    scheme = draw(st.sampled_from([None, "ordered", "random"]))  # None: sequence MRT
+    return params, batch, cfg, scheme, draw(st.integers(0, 2**16))
+
+
+def _ulps(a, b):
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=estimator_cases())
+def test_estimators_equal_their_reference_loops(case):
+    params, batch, cfg, scheme, seed = case
+    if scheme is None:
+        est = seq_mrt_grad(params, batch, cfg, rng=np.random.default_rng(seed))
+        ref = reference_seq_mrt_grad(params, batch, cfg, np.random.default_rng(seed))
+        assert est.risk == ref.risk
+    else:
+        est = doc_mrt_grad(params, batch, cfg, scheme=scheme, rng=np.random.default_rng(seed))
+        ref = reference_doc_mrt_grad(params, batch, cfg, scheme, np.random.default_rng(seed))
+        assert _ulps(est.risk, ref.risk) <= 4
+    assert np.array_equal(est.grad, ref.grad) and est.n_used == ref.n_used
