@@ -117,8 +117,8 @@ def _cmd_train_mle(args) -> int:
 
 def _cmd_finetune_mrt(args) -> int:
     cfg = mrt.TrainConfig(**_gather(args, mrt.TrainConfig)).validate()
-    _, train, valid, _ = load_data_dir(args.data_dir)
-    params = model.load_checkpoint(args.ckpt)
+    vocab, train, valid, _ = load_data_dir(args.data_dir)
+    params = harness.load_baseline(args.ckpt, len(vocab))
     tuned, log = mrt.finetune(params, train, cfg, heldout=valid, eval_every=args.eval_every)
     model.save_checkpoint(tuned, args.out_ckpt)
     _write_log(log, args.log)
@@ -211,10 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("grad-check", _cmd_check(harness.grad_check), "finite-difference gradient checks")
     p.add_argument("--corrupt", action="store_true", help="inject a gradient fault")
-    _add_flags(p, _settings(harness.grad_check, skip=("corrupt", "n_coords")))
+    _add_flags(p, _settings(harness.grad_check, skip=("corrupt",)))
 
     p = add("enum-check", _cmd_check(harness.enum_check), "output-space normalization check")
-    _add_flags(p, _settings(harness.enum_check, skip=("tolerance",)))
+    _add_flags(p, _settings(harness.enum_check))
 
     return parser
 

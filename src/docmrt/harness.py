@@ -17,6 +17,7 @@ from .textcore import DocumentBatch, DocumentCorpus, Sentence, Vocabulary
 RULE_COPY = 0
 RULE_REVERSE = 1
 RULE_CIPHER = 2
+BASELINE_EVAL_DOCUMENTS = 16  # the validation documents that score a baseline
 
 
 def surface_token(token_id: int) -> str:
@@ -188,6 +189,21 @@ def evaluate_corpus(
     return metrics.pooled(kind.metric, hyps, refs, srcs)
 
 
+def baseline_bleu(params: model.ModelParams, valid: DocumentCorpus, max_len: int) -> float:
+    """Doc-BLEU of a trained or loaded baseline: beam 4, first BASELINE_EVAL_DOCUMENTS."""
+    return evaluate_corpus(
+        params, valid, CostKind.ONE_MINUS_DOCBLEU, 4, max_len, BASELINE_EVAL_DOCUMENTS
+    ).value
+
+
+def load_baseline(path: str | Path, vocab_size: int) -> model.ModelParams:
+    """load_checkpoint, rejecting a model whose vocabulary is not the data's size."""
+    params = model.load_checkpoint(path)
+    if params.vocab_size != vocab_size:
+        raise ValueError(f"checkpoint vocabulary size {params.vocab_size} != data's {vocab_size}")
+    return params
+
+
 def train_mle_baseline(
     train: DocumentCorpus,
     valid: DocumentCorpus,
@@ -197,7 +213,6 @@ def train_mle_baseline(
     cfg: mrt.TrainConfig,
     eval_every: int = 100,
     patience: int = 3,
-    eval_doc_limit: int | None = 16,
 ) -> tuple[model.ModelParams, list[dict]]:
     """Train an MLE model from random init until validation doc-BLEU stalls.
 
@@ -225,10 +240,7 @@ def train_mle_baseline(
             rec["update"] += done
         log.extend(chunk_log)
         done += chunk
-        score = evaluate_corpus(
-            params, valid, CostKind.ONE_MINUS_DOCBLEU,
-            beam=4, max_len=cfg.max_len, limit_docs=eval_doc_limit,
-        ).value
+        score = baseline_bleu(params, valid, cfg.max_len)
         log[-1]["heldout_metric"] = score
         if score > best_score + 1e-9:
             best_score = score
@@ -408,11 +420,7 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
     ft_train, _, ft_test = generate_synthetic_corpus(ft_task)
 
     if cfg["baseline_checkpoint"]:
-        baseline = model.load_checkpoint(cfg["baseline_checkpoint"])
-        baseline_valid = evaluate_corpus(
-            baseline, valid, CostKind.ONE_MINUS_DOCBLEU,
-            beam=cfg["eval_beam"], max_len=cfg["max_len"], limit_docs=16,
-        ).value
+        baseline = load_baseline(cfg["baseline_checkpoint"], cfg["vocab_size"])
     else:
         mle_cfg = mrt.TrainConfig(
             mode="mle",
@@ -424,13 +432,11 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
             max_len=cfg["max_len"],
             batching="random",
         )
-        baseline, baseline_log = train_mle_baseline(
+        baseline, _ = train_mle_baseline(
             train, valid, cfg["vocab_size"], cfg["emb_dim"], cfg["hidden_dim"],
             mle_cfg, eval_every=cfg["mle_eval_every"], patience=cfg["mle_patience"],
         )
-        baseline_valid = max(
-            rec.get("heldout_metric", -1.0) for rec in baseline_log
-        )
+    baseline_valid = baseline_bleu(baseline, valid, cfg["max_len"])
     if cfg["save_baseline"]:
         model.save_checkpoint(baseline, cfg["save_baseline"])
 
@@ -501,6 +507,10 @@ def score_corpus(
         # no document structure given: one block over every line is one document
         pseudo_doc_size = max(len(lines), 1)
     id_lines = textcore.read_lines(docid_path) if docid_path is not None else None
+    for name, other in (("references", ref_lines), ("doc ids", id_lines)):
+        if other is not None and len(other) != len(hyp_lines):
+            n, m = len(hyp_lines), len(other)
+            raise ValueError(f"line count mismatch: {n} hypotheses vs {m} {name}")
     hyp_corpus = textcore.encode_document_corpus(
         hyp_lines, ref_lines, vocab, id_lines, pseudo_doc_size
     )
@@ -527,9 +537,11 @@ def score_corpus(
 
 
 GRAD_CHECK_THRESHOLDS = {"log_prob": 1e-5, "mle_loss": 1e-5, "exact_risk": 1e-4}
+GRAD_CHECK_COORDS = 50
+ENUM_CHECK_TOLERANCE = 1e-10
 
 
-def grad_check(corrupt: bool = False, seed: int = 0, n_coords: int = 50) -> dict:
+def grad_check(corrupt: bool = False, seed: int = 0) -> dict:
     """Finite-difference checks on log_prob, mle_loss, and exact_risk.
 
     corrupt=True perturbs one analytic-gradient coordinate by 1e-3 and must
@@ -539,7 +551,7 @@ def grad_check(corrupt: bool = False, seed: int = 0, n_coords: int = 50) -> dict
     checks = []
 
     def run(name, fn, grad, theta):
-        coords = rng.choice(theta.size, size=min(n_coords, theta.size), replace=False)
+        coords = rng.choice(theta.size, size=min(GRAD_CHECK_COORDS, theta.size), replace=False)
         if corrupt:
             grad = grad.copy()
             checked = [i for i in coords if abs(grad[i]) > 1e-8]
@@ -601,7 +613,6 @@ def enum_check(
     hidden_dim: int = 3,
     max_len: int = 3,
     seed: int = 0,
-    tolerance: float = 1e-10,
 ) -> dict:
     """Output-space normalization check over random parameter draws."""
     if trials < 1:
@@ -616,6 +627,6 @@ def enum_check(
     return {
         "trials": trials,
         "max_deviation": worst,
-        "tolerance": tolerance,
-        "passed": bool(worst <= tolerance),
+        "tolerance": ENUM_CHECK_TOLERANCE,
+        "passed": bool(worst <= ENUM_CHECK_TOLERANCE),
     }

@@ -107,12 +107,6 @@ def init_params(
     return ModelParams(vocab_size, emb_dim, hidden_dim, theta)
 
 
-def _source_context(params: ModelParams, src: Sentence) -> np.ndarray:
-    if len(src) == 0:
-        return np.zeros(params.emb_dim)
-    return params.src_emb[list(src)].mean(axis=0)
-
-
 def _step_sequences(tgt: Sentence, max_len: int) -> tuple[list[int], list[int]]:
     """Previous-token and target-token sequences for scoring tgt.
 
@@ -132,18 +126,18 @@ class Decoder:
     """Per-(params, source) decoding table.
 
     The hidden state depends only on the previous target token, so next-token
-    logits for every possible previous token form a (V, V) table computed once
-    and reused by sampling, beam search, and enumeration.
+    logits for every possible previous token form a (V, V) table computed once.
+    Scoring, sampling and beam search add up the same floats from its one list
+    of log-probability rows, so their log-probabilities are bitwise equal.
     """
 
     def __init__(self, params: ModelParams, src: Sentence, max_len: int):
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
         self.params = params
-        self.src = tuple(src)
         self.max_len = max_len
         v = params.vocab_size
-        ctx = _source_context(params, src)
+        ctx = params.src_emb[list(src)].mean(axis=0) if len(src) else np.zeros(params.emb_dim)
         inputs = np.concatenate([np.tile(ctx, (v, 1)), params.tgt_emb], axis=1)
         hidden = np.tanh(inputs @ params.w_hidden + params.b_hidden)
         self.logits = hidden @ params.w_out + params.b_out
@@ -153,27 +147,28 @@ class Decoder:
             - zmax
             - np.log(np.exp(self.logits - zmax).sum(axis=1, keepdims=True))
         )
-        self._rows: dict[float, tuple[list, list]] = {}
+        self.rows: list[list[float]] = self.logprobs.tolist()
+        self.words = [w for w in range(v) if w != EOS_ID]  # a prefix's extensions
+        self._cumulative: dict[float, list[list[float]]] = {}
 
-    def _sampling_rows(self, tau: float) -> tuple[list, list]:
-        """The tau-tempered cumulative table and the log-probabilities as nested
-        lists, built once per decoder and tau; a non-finite table raises."""
+    def _sampling_rows(self, tau: float) -> list[list[float]]:
+        """The tau-tempered cumulative table as nested lists, cached per tau."""
         key = float(tau)
-        if key not in self._rows:
+        if key not in self._cumulative:
             z = self.logits / tau
             if not np.isfinite(z).all():  # a finite z gives a finite table
                 raise ValueError(f"non-finite decoding table at temperature {tau}")
             z -= z.max(axis=1, keepdims=True)
             p = np.exp(z)
             p /= p.sum(axis=1, keepdims=True)
-            self._rows[key] = np.cumsum(p, axis=1).tolist(), self.logprobs.tolist()
-        return self._rows[key]
+            self._cumulative[key] = np.cumsum(p, axis=1).tolist()
+        return self._cumulative[key]
 
     def score(self, tgt: Sentence) -> float:
         prevs, targets = _step_sequences(tgt, self.max_len)
         total = 0.0
         for prev, tok in zip(prevs, targets):
-            total += float(self.logprobs[prev, tok])
+            total += self.rows[prev][tok]
         return total
 
     def sample(self, tau: float, rng: np.random.Generator) -> ScoredHypothesis:
@@ -181,14 +176,14 @@ class Decoder:
             raise ValueError("temperature must be positive")
         tokens: list[int] = []
         prev = BOS_ID
-        cum, logprobs = self._sampling_rows(tau)
+        cum, rows = self._sampling_rows(tau), self.rows
         last = self.params.vocab_size - 1
         # one uniform per token; bisect_right is searchsorted(side="right"), and
         # the log-prob adds up in score's order, EOS step included below the cap
         total = 0.0
         for _ in range(self.max_len):
             tok = min(bisect_right(cum[prev], rng.random()), last)
-            total += logprobs[prev][tok]
+            total += rows[prev][tok]
             if tok == EOS_ID:
                 break
             tokens.append(tok)
@@ -198,47 +193,41 @@ class Decoder:
     def beam(self, beam_size: int) -> list[ScoredHypothesis]:
         if beam_size < 1:
             raise ValueError("beam size must be >= 1")
-        v = self.params.vocab_size
-        # (logp, tokens, prev, done); EOS competes for beam slots like any
-        # other extension, so beam_size 1 reproduces greedy decoding.
-        beams: list[tuple[float, Sentence, int, bool]] = [(0.0, (), BOS_ID, False)]
+        # (logp, tokens, done), ranked by (-logp, tokens); EOS competes for beam
+        # slots like any other extension, so beam_size 1 is greedy decoding.
+        beams: list[tuple[float, Sentence, bool]] = [(0.0, (), False)]
         for _ in range(self.max_len):
-            if all(done for _, _, _, done in beams):
+            if all(done for _, _, done in beams):
                 break
-            candidates: list[tuple[float, Sentence, int, bool]] = []
-            for logp, toks, prev, done in beams:
+            candidates = []
+            for logp, toks, done in beams:
                 if done:
-                    candidates.append((logp, toks, prev, True))
+                    candidates.append((logp, toks, True))
                     continue
-                row = self.logprobs[prev]
-                candidates.append((logp + float(row[EOS_ID]), toks, prev, True))
-                for w in range(v):
-                    if w == EOS_ID:
-                        continue
-                    candidates.append((logp + float(row[w]), toks + (w,), w, False))
+                sums = [logp + x for x in self.rows[toks[-1] if toks else BOS_ID]]
+                candidates.append((sums[EOS_ID], toks, True))
+                # only its beam_size best extensions by that key can enter, ranked by
+                # the sum (adding logp can tie two row values), ties in token order
+                for w in sorted(self.words, key=sums.__getitem__, reverse=True)[:beam_size]:
+                    candidates.append((sums[w], toks + (w,), False))
             candidates.sort(key=lambda c: (-c[0], c[1]))
             beams = candidates[:beam_size]
-        # hypotheses still alive at the cap terminate with forced EOS (no term)
-        out = [ScoredHypothesis(toks, self.score(toks)) for _, toks, _, _ in beams]
-        out.sort(key=lambda hyp: (-hyp.log_prob, hyp.sentence))
-        return out
+        # alive at the cap: forced EOS, no term; logp is score's sum, bitwise
+        return [ScoredHypothesis(toks, logp) for logp, toks, _ in beams]
 
     def enumerate(self) -> list[tuple[Sentence, float]]:
-        v = self.params.vocab_size
-        if v**self.max_len > ENUMERATION_GUARD:
+        if self.params.vocab_size**self.max_len > ENUMERATION_GUARD:
             raise ValueError("output space exceeds the enumeration guard")
-        probs = np.exp(self.logprobs)
+        probs = np.exp(self.logprobs).tolist()
         out: list[tuple[Sentence, float]] = []
 
         def walk(prefix: Sentence, prev: int, p: float):
             if len(prefix) == self.max_len:
                 out.append((prefix, p))
                 return
-            out.append((prefix, p * float(probs[prev, EOS_ID])))
-            for w in range(v):
-                if w == EOS_ID:
-                    continue
-                walk(prefix + (w,), w, p * float(probs[prev, w]))
+            out.append((prefix, p * probs[prev][EOS_ID]))
+            for w in self.words:
+                walk(prefix + (w,), w, p * probs[prev][w])
 
         walk((), BOS_ID, 1.0)
         return out

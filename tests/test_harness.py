@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import json
 import math
 
@@ -257,6 +258,20 @@ def test_score_corpus_misaligned_files(tmp_path):
         score_corpus(tmp_path / "hyp.txt", tmp_path / "ref.txt", metric="bleu")
 
 
+def test_score_corpus_misalignment_names_hypotheses(tmp_path):
+    _write_lines(tmp_path / "hyp.txt", ["a", "b", "c"])
+    _write_lines(tmp_path / "ref.txt", ["a", "b"])
+    _write_lines(tmp_path / "ids.txt", ["0", "0", "1", "1"])
+    with pytest.raises(ValueError, match="line count mismatch: 3 hypotheses vs 2 references"):
+        score_corpus(tmp_path / "hyp.txt", tmp_path / "ref.txt")
+    _write_lines(tmp_path / "ref.txt", ["a", "b", "c"])
+    with pytest.raises(ValueError, match="line count mismatch: 3 hypotheses vs 4 doc ids"):
+        score_corpus(tmp_path / "hyp.txt", tmp_path / "ref.txt", docid_path=tmp_path / "ids.txt")
+    _write_lines(tmp_path / "ids.txt", [])
+    with pytest.raises(ValueError, match="line count mismatch: 3 hypotheses vs 0 doc ids"):
+        score_corpus(tmp_path / "hyp.txt", tmp_path / "ref.txt", docid_path=tmp_path / "ids.txt")
+
+
 def test_score_corpus_pseudo_docs(tmp_path):
     _write_lines(tmp_path / "hyp.txt", ["a", "b", "c", "d"])
     _write_lines(tmp_path / "ref.txt", ["a", "b", "c", "d"])
@@ -311,6 +326,13 @@ def test_enum_check_passes():
     report = enum_check(trials=20)
     assert report["passed"]
     assert report["max_deviation"] <= 1e-10
+
+
+def test_check_settings_all_have_flags():
+    subparsers = _subparsers(cli.build_parser())
+    for name, check in (("grad-check", grad_check), ("enum-check", enum_check)):
+        flags = {a.dest for a in subparsers[name]._actions} - {"help", "config", "out"}
+        assert set(inspect.signature(check).parameters) == flags, name
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +402,28 @@ def test_run_experiment_leaves_mle_max_updates_unused_with_a_baseline_checkpoint
     model.save_checkpoint(model.init_params(8, 6, 8, seed=0), ckpt)
     report = run_experiment({**config, "baseline_checkpoint": str(ckpt), "mle_max_updates": 0})
     assert {row["mode"] for row in report.rows} == {"doc_mrt_ordered", "mle"}
+
+
+def test_run_experiment_scores_a_saved_baseline_as_it_scored_the_trained_one(tmp_path):
+    # at seed 2 this baseline's beam-1 and beam-4 validation doc-BLEU differ
+    config = {**_tiny_experiment_config(), "seed": 2, "eval_beam": 1, "modes": "mle"}
+    ckpt = tmp_path / "base.ckpt"
+    trained = run_experiment({**config, "save_baseline": str(ckpt)})
+    loaded = run_experiment({**config, "baseline_checkpoint": str(ckpt)})
+    assert loaded.baseline_valid_bleu == trained.baseline_valid_bleu
+    assert loaded.start_scores == trained.start_scores
+
+
+@pytest.mark.parametrize("ckpt_vocab", [6, 12])
+def test_run_experiment_rejects_a_checkpoint_of_another_vocabulary(
+    tmp_path, monkeypatch, ckpt_vocab
+):
+    ckpt = tmp_path / "base.ckpt"
+    model.save_checkpoint(model.init_params(ckpt_vocab, 6, 8, seed=0), ckpt)
+    monkeypatch.setattr(mrt, "finetune", lambda *a, **k: pytest.fail("trained"))
+    config = {**_tiny_experiment_config(), "baseline_checkpoint": str(ckpt)}
+    with pytest.raises(ValueError, match=f"vocabulary size {ckpt_vocab} != data's 8"):
+        run_experiment(config)
 
 
 def test_run_experiment_report_schema_and_rows():
@@ -609,6 +653,22 @@ def test_cli_finetune_rejects_bad_checkpoint(tmp_path, capsys, bad):
     assert rc == 2
     assert ":6:" in capsys.readouterr().err
     assert not tuned.exists()
+
+
+@pytest.mark.parametrize("ckpt_vocab", [6, 12])
+def test_cli_finetune_rejects_a_checkpoint_of_another_vocabulary(tmp_path, capsys, ckpt_vocab):
+    data, _ = tiny_data_and_checkpoint(tmp_path)
+    ckpt, out, log = tmp_path / "other.ckpt", tmp_path / "out.ckpt", tmp_path / "log.jsonl"
+    model.save_checkpoint(model.init_params(ckpt_vocab, 4, 6, seed=0), ckpt)
+    argv = [
+        "finetune-mrt", "--data-dir", str(data), "--ckpt", str(ckpt), "--out-ckpt", str(out),
+        "--log", str(log), "--max-updates", "2", "--batch-size", "2", "--max-len", "5",
+    ]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"vocabulary size {ckpt_vocab} != data's 8" in captured.err and captured.out == ""
+    assert not out.exists() and not log.exists()
 
 
 def tiny_data_and_checkpoint(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -357,6 +357,80 @@ def test_beam_sorted_unique_and_rescored():
     assert logps == sorted(logps, reverse=True)
     for h in hyps:
         assert h.log_prob == model.log_prob(p, (4, 5, 4), h.sentence, 5)
+
+
+def reference_beam(decoder, beam_size):
+    """Decoder.beam before it kept its own sums: every one of the V extensions
+    of every live hypothesis is a candidate, and the beam is rescored and
+    sorted at the end."""
+    v = decoder.params.vocab_size
+    beams = [(0.0, (), BOS_ID, False)]
+    for _ in range(decoder.max_len):
+        if all(done for _, _, _, done in beams):
+            break
+        candidates = []
+        for logp, toks, prev, done in beams:
+            if done:
+                candidates.append((logp, toks, prev, True))
+                continue
+            row = decoder.logprobs[prev]
+            candidates.append((logp + float(row[EOS_ID]), toks, prev, True))
+            for w in range(v):
+                if w == EOS_ID:
+                    continue
+                candidates.append((logp + float(row[w]), toks + (w,), w, False))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        beams = candidates[:beam_size]
+    out = [model.ScoredHypothesis(toks, decoder.score(toks)) for _, toks, _, _ in beams]
+    out.sort(key=lambda hyp: (-hyp.log_prob, hyp.sentence))
+    return out
+
+
+def rounding_tie_params():
+    """Zero theta but for the output bias of tokens 3 and 4, one ulp apart:
+    every row holds two different log-probs that the same prefix log-prob
+    can round to one sum, which the beam must then rank by token."""
+    p = model.init_params(5, 2, 2, seed=0, zero=True)
+    p.b_out[3], p.b_out[4] = 1.0, math.nextafter(1.0, 2.0)
+    return p
+
+
+def test_rounding_tie_params_tie_sums_of_different_log_probs():
+    decoder = model.Decoder(rounding_tie_params(), (), 3)
+    row = decoder.rows[4]
+    logp = row[4] + row[4]  # after the greedy prefix (4, 4)
+    assert row[3] < row[4] and logp + row[3] == logp + row[4]
+    assert decoder.beam(1)[0].sentence == (4, 4, 3)
+
+
+@st.composite
+def beam_cases(draw):
+    """(params, src, beam_size, max_len): V 5-20, with V 5-7 drawn as often
+    as the rest so that beam >= V - 1 is common; theta zero (every score
+    ties), of scale 0.1 or 1, or 30 (peaked rows); beam 1-6; max_len 1-10."""
+    v = draw(st.integers(5, 7) | st.integers(5, 20))
+    d, h = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([0.0, 0.1, 1.0, 30.0]))
+    theta = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        0.0, 1.0, model.param_count(v, d, h)
+    )
+    src = tuple(draw(st.lists(st.integers(3, v - 1), max_size=4)))
+    params = model.ModelParams(v, d, h, scale * theta)
+    return params, src, draw(st.integers(1, 6)), draw(st.integers(1, 10))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=beam_cases())
+@example(case=(rounding_tie_params(), (), 1, 3))
+@example(case=(rounding_tie_params(), (4,), 2, 8))
+def test_beam_equals_reference_beam(case):
+    params, src, beam_size, max_len = case
+    decoder = model.Decoder(params, src, max_len)
+    hyps = decoder.beam(beam_size)
+    expected = reference_beam(decoder, beam_size)
+    assert hyps == expected
+    for hyp, ref in zip(hyps, expected):
+        assert hyp.log_prob == ref.log_prob
 
 
 def test_beam_four_finds_enumeration_argmax():
