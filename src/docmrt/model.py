@@ -107,62 +107,100 @@ def init_params(
     return ModelParams(vocab_size, emb_dim, hidden_dim, theta)
 
 
-def _step_sequences(tgt: Sentence, max_len: int) -> tuple[list[int], list[int]]:
-    """Previous-token and target-token sequences for scoring tgt.
+def _steps(tgts: list[Sentence], max_len: int) -> tuple[list[int], list[int], list[int]]:
+    """Previous-token and target-token sequences for scoring each of tgts,
+    concatenated, and each target's number of steps.
 
     The EOS step is included unless the target sits at the length cap, where
     termination is forced and contributes probability 1.
     """
-    if len(tgt) > max_len:
-        raise ValueError(f"target length {len(tgt)} exceeds max_len {max_len}")
-    targets = list(tgt)
-    if len(tgt) < max_len:
-        targets.append(EOS_ID)
-    prevs = [BOS_ID] + list(tgt[: len(targets) - 1])
+    prevs: list[int] = []
+    targets: list[int] = []
+    lengths: list[int] = []
+    for tgt in tgts:
+        if len(tgt) > max_len:
+            raise ValueError(f"target length {len(tgt)} exceeds max_len {max_len}")
+        eos = len(tgt) < max_len
+        prevs.append(BOS_ID)
+        prevs += tgt if eos else tgt[:-1]
+        targets += tgt
+        if eos:
+            targets.append(EOS_ID)
+        lengths.append(len(tgt) + eos)
+    return prevs, targets, lengths
+
+
+def _step_sequences(tgt: Sentence, max_len: int) -> tuple[list[int], list[int]]:
+    """The previous-token and target-token sequences of the one target tgt."""
+    prevs, targets, _ = _steps([tgt], max_len)
     return prevs, targets
 
 
-class Decoder:
-    """Per-(params, source) decoding table.
+class _Tables:
+    """The decoding tables of a batch of sources, built in one stacked pass.
 
-    The hidden state depends only on the previous target token, so next-token
-    logits for every possible previous token form a (V, V) table computed once.
-    Scoring, sampling and beam search add up the same floats from its one list
-    of log-probability rows, so their log-probabilities are bitwise equal.
+    Row t of source i's (V, V) tables holds the next-token logits and
+    log-probabilities after previous token t: the hidden state depends only on
+    the previous target token, so the table covers every decoder step. The
+    matmuls stay 3-D, one gemm of V rows per source, because a single gemm over
+    all S * V rows blocks its sums differently and changes the last bit.
     """
 
-    def __init__(self, params: ModelParams, src: Sentence, max_len: int):
-        if max_len < 1:
-            raise ValueError("max_len must be >= 1")
-        self.params = params
-        self.max_len = max_len
-        v = params.vocab_size
-        ctx = params.src_emb[list(src)].mean(axis=0) if len(src) else np.zeros(params.emb_dim)
-        inputs = np.concatenate([np.tile(ctx, (v, 1)), params.tgt_emb], axis=1)
+    def __init__(self, params: ModelParams, sources: list[Sentence]):
+        v, d = params.vocab_size, params.emb_dim
+        inputs = np.empty((len(sources), v, 2 * d))
+        for i, src in enumerate(sources):
+            inputs[i, :, :d] = params.src_emb[list(src)].mean(axis=0) if len(src) else 0.0
+        inputs[:, :, d:] = params.tgt_emb
         hidden = np.tanh(inputs @ params.w_hidden + params.b_hidden)
         self.logits = hidden @ params.w_out + params.b_out
-        zmax = self.logits.max(axis=1, keepdims=True)
+        zmax = self.logits.max(axis=2, keepdims=True)
         self.logprobs = (
             self.logits
             - zmax
-            - np.log(np.exp(self.logits - zmax).sum(axis=1, keepdims=True))
+            - np.log(np.exp(self.logits - zmax).sum(axis=2, keepdims=True))
         )
-        self.rows: list[list[float]] = self.logprobs.tolist()
-        self.words = [w for w in range(v) if w != EOS_ID]  # a prefix's extensions
-        self._cumulative: dict[float, list[list[float]]] = {}
+        self.rows: list[list[list[float]]] = self.logprobs.tolist()
+        self._cumulative: dict[float, list[list[list[float]]]] = {}
 
-    def _sampling_rows(self, tau: float) -> list[list[float]]:
-        """The tau-tempered cumulative table as nested lists, cached per tau."""
+    def cumulative(self, tau: float) -> list[list[list[float]]]:
+        """The tau-tempered cumulative tables as nested lists, cached per tau."""
         key = float(tau)
         if key not in self._cumulative:
             z = self.logits / tau
             if not np.isfinite(z).all():  # a finite z gives a finite table
                 raise ValueError(f"non-finite decoding table at temperature {tau}")
-            z -= z.max(axis=1, keepdims=True)
+            z -= z.max(axis=2, keepdims=True)
             p = np.exp(z)
-            p /= p.sum(axis=1, keepdims=True)
-            self._cumulative[key] = np.cumsum(p, axis=1).tolist()
+            p /= p.sum(axis=2, keepdims=True)
+            self._cumulative[key] = np.cumsum(p, axis=2).tolist()
         return self._cumulative[key]
+
+
+class Decoder:
+    """Per-(params, source) decoding table, one source's slice of a _Tables.
+
+    Scoring, sampling and beam search add up the same floats from its one list
+    of log-probability rows, so their log-probabilities are bitwise equal.
+    """
+
+    def __init__(self, params: ModelParams, src: Sentence, max_len: int, *, _table=None):
+        """_table: (a batch's _Tables, src's index in it); None builds src's own."""
+        if max_len < 1:
+            raise ValueError("max_len must be >= 1")
+        tables, i = _table if _table is not None else (_Tables(params, [src]), 0)
+        self.params = params
+        self.max_len = max_len
+        self.logits = tables.logits[i]
+        self.logprobs = tables.logprobs[i]
+        self.rows: list[list[float]] = tables.rows[i]
+        self.words = [w for w in range(params.vocab_size) if w != EOS_ID]  # extensions
+        self._tables, self._index = tables, i
+
+    def _sampling_rows(self, tau: float) -> list[list[float]]:
+        """The tau-tempered cumulative table as nested lists, cached per tau
+        for the whole batch."""
+        return self._tables.cumulative(tau)[self._index]
 
     def score(self, tgt: Sentence) -> float:
         prevs, targets = _step_sequences(tgt, self.max_len)
@@ -233,6 +271,13 @@ class Decoder:
         return out
 
 
+def decoders(params: ModelParams, sources: list[Sentence], max_len: int) -> list[Decoder]:
+    """One Decoder per source, their tables built in one stacked pass and their
+    tempered cumulative tables once per batch and temperature."""
+    tables = _Tables(params, sources)
+    return [Decoder(params, src, max_len, _table=(tables, i)) for i, src in enumerate(sources)]
+
+
 def log_prob(params: ModelParams, src: Sentence, tgt: Sentence, max_len: int) -> float:
     """Sum of per-token log-probabilities of tgt given src, including EOS.
 
@@ -266,14 +311,9 @@ def weighted_log_prob_grad(
     if not len(srcs):
         return 0.0, grad
     v, d = params.vocab_size, params.emb_dim
-    prevs: list[int] = []
-    targets: list[int] = []
-    steps = np.empty(len(tgts), dtype=np.intp)
-    for i, tgt in enumerate(tgts):
-        p, t = _step_sequences(tgt, max_len)
-        prevs += p
-        targets += t
-        steps[i] = len(t)  # max_len >= 1 gives every pair a step, as reduceat needs
+    prevs, targets, lengths = _steps(tgts, max_len)
+    steps = np.array(lengths)  # max_len >= 1 gives every pair a step, as reduceat needs
+    prevs, targets = np.array(prevs, dtype=np.intp), np.array(targets, dtype=np.intp)
     # pool[i] @ E_src is the mean source embedding of pair i
     src_lens = np.array([len(src) for src in srcs])
     tokens = np.array([t for src in srcs for t in src], dtype=np.intp)
@@ -300,7 +340,9 @@ def weighted_log_prob_grad(
     views.b_hidden[:] = da.sum(axis=0)
     views.w_hidden[:] = inputs.T @ da
     dinputs = da @ params.w_hidden.T
-    np.add.at(views.tgt_emb, prevs, dinputs[:, d:])
+    # every (prev, j) cell sums its rows in step order from 0.0, as np.add.at does
+    cells = (prevs[:, None] * d + np.arange(d)).ravel()
+    views.tgt_emb[:] = np.bincount(cells, dinputs[:, d:].ravel(), v * d).reshape(v, d)
     starts = np.cumsum(steps) - steps
     views.src_emb[:] = pool.T @ np.add.reduceat(dinputs[:, :d], starts, axis=0)
     return value, grad

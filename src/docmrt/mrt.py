@@ -62,12 +62,16 @@ class TrainConfig:
             raise ValueError(f"unknown cost_kind {self.cost_kind!r} (expected one of {kinds})")
         if self.n_samples < 1 or self.batch_size < 1 or self.accum_steps < 1:
             raise ValueError("n_samples, batch_size and accum_steps must be >= 1")
-        if self.tau <= 0 or self.alpha <= 0:
-            raise ValueError("tau and alpha must be positive")
+        # NaN fails every comparison, so each check states what a good value is
+        for name in ("tau", "alpha"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        # an infinite learning rate stays allowed: finetune stops it at update 0
+        # with NonFiniteTraining
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.max_len < 1 or self.max_updates < 0:
             raise ValueError("max_len must be >= 1 and max_updates >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         return self
 
 
@@ -173,9 +177,7 @@ def _enumerated_risk(
     Documents are the rows of sampling.product_cells; products and sums run
     row by row in that order.
     """
-    spaces = [
-        model.enumerate_output_space(params, src, max_len) for src in batch.sources
-    ]
+    spaces = [decoder.enumerate() for decoder in model.decoders(params, batch.sources, max_len)]
     cells = sampling.product_cells([len(space) for space in spaces])
     if isinstance(cost_kind, CostKind):
         candidates = [[sent for sent, _ in space] for space in spaces]

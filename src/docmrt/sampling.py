@@ -139,10 +139,10 @@ def draw_sample_set(
         raise ValueError("n_samples must be >= 1")
     if not isinstance(cost_kind, CostKind):
         raise ValueError("a CostKind is required; exact_risk takes custom cost callables")
-    grid = []
-    for src in batch.sources:
-        decoder = model.Decoder(params, src, max_len)
-        grid.append([decoder.sample(tau, rng) for _ in range(n_samples)])
+    grid = [
+        [decoder.sample(tau, rng) for _ in range(n_samples)]
+        for decoder in model.decoders(params, batch.sources, max_len)
+    ]
     return SampleSet(batch=batch, grid=grid, costs=None, cost_kind=cost_kind)
 
 

@@ -396,6 +396,21 @@ def test_train_mle_baseline_rejects_no_updates_before_training(monkeypatch):
         run_experiment({**_tiny_experiment_config(), "mle_max_updates": 0})
 
 
+@pytest.mark.parametrize(
+    "key, setting",
+    [("tau", "tau"), ("alpha", "alpha"), ("mrt_learning_rate", "learning_rate"),
+     ("mle_learning_rate", "learning_rate")],
+)
+def test_run_experiment_rejects_non_finite_settings_before_training(monkeypatch, key, setting):
+    monkeypatch.setattr(mrt, "finetune", lambda *args, **kwargs: pytest.fail("trained"))
+    if key != "mle_learning_rate":  # train_mle_baseline validates its own setting
+        monkeypatch.setattr(
+            harness, "train_mle_baseline", lambda *args, **kwargs: pytest.fail("trained")
+        )
+    with pytest.raises(ValueError, match=f"^{setting} must be .*positive, got nan$"):
+        run_experiment({**_tiny_experiment_config(), key: "nan"})
+
+
 def test_run_experiment_leaves_mle_max_updates_unused_with_a_baseline_checkpoint(tmp_path):
     config = _tiny_experiment_config()
     ckpt = tmp_path / "base.ckpt"
@@ -704,6 +719,27 @@ def test_cli_non_finite_training_exits_2_without_writing(tmp_path, capsys, comma
     captured = capsys.readouterr()
     assert "update 0: non-finite updated parameters" in captured.err
     assert captured.out == ""
+    assert not out.exists() and not log.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("train-mle", "--learning-rate"), ("finetune-mrt", "--learning-rate"),
+     ("finetune-mrt", "--tau"), ("finetune-mrt", "--alpha")],
+)
+def test_cli_rejects_nan_settings_before_training(tmp_path, capsys, monkeypatch, command, flag):
+    data, ckpt = tiny_data_and_checkpoint(tmp_path)
+    monkeypatch.setattr(mrt, "finetune", lambda *args, **kwargs: pytest.fail("trained"))
+    out, log = tmp_path / "out.ckpt", tmp_path / "log.jsonl"
+    argv = [command, "--data-dir", str(data), "--log", str(log), flag, "nan", "--max-len", "5"]
+    if command == "train-mle":
+        argv += ["--ckpt", str(out), "--emb-dim", "4", "--hidden-dim", "6"]
+    else:
+        argv += ["--ckpt", str(ckpt), "--out-ckpt", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{flag[2:].replace('-', '_')} must be" in captured.err and captured.out == ""
     assert not out.exists() and not log.exists()
 
 

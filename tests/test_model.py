@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from docmrt import model
+from docmrt.metrics import CostKind
 from docmrt.mrt import fd_gradient_check
+from docmrt.sampling import draw_sample_set
 from docmrt.textcore import BOS_ID, EOS_ID, DocumentBatch
 
 
@@ -194,6 +196,92 @@ def test_weighted_log_prob_grad_empty_batch_is_zero():
     assert value == 0.0 and not grad.any()
 
 
+def reference_weighted_pass(params, srcs, tgts, weights, max_len):
+    """weighted_log_prob_grad before it built its step arrays in one loop and
+    scattered target-embedding rows with np.bincount: one _step_sequences call
+    per pair and np.add.at."""
+    weights = np.asarray(weights, dtype=np.float64)
+    grad = np.zeros_like(params.theta)
+    v, d = params.vocab_size, params.emb_dim
+    prevs, targets = [], []
+    steps = np.empty(len(tgts), dtype=np.intp)
+    for i, tgt in enumerate(tgts):
+        p, t = model._step_sequences(tgt, max_len)
+        prevs += p
+        targets += t
+        steps[i] = len(t)
+    src_lens = np.array([len(src) for src in srcs])
+    tokens = np.array([t for src in srcs for t in src], dtype=np.intp)
+    cells = np.repeat(np.arange(len(srcs)) * v, src_lens) + tokens
+    pool = np.bincount(cells, minlength=len(srcs) * v).reshape(-1, v)
+    pool = pool / np.maximum(src_lens, 1)[:, None]
+    ctx = np.repeat(pool @ params.src_emb, steps, axis=0)
+    inputs = np.concatenate([ctx, params.tgt_emb[prevs]], axis=1)
+    hidden = np.tanh(inputs @ params.w_hidden + params.b_hidden)
+    logits = hidden @ params.w_out + params.b_out
+    zmax = logits.max(axis=1, keepdims=True)
+    ez = np.exp(logits - zmax)
+    norm = ez.sum(axis=1)
+    rows = np.arange(len(targets))
+    step_w = np.repeat(weights, steps)
+    value = float(step_w @ (logits[rows, targets] - zmax[:, 0] - np.log(norm)))
+    gz = ez * (-step_w / norm)[:, None]
+    gz[rows, targets] += step_w
+    views = params.like(grad)
+    views.b_out[:] = gz.sum(axis=0)
+    views.w_out[:] = hidden.T @ gz
+    da = (1.0 - hidden * hidden) * (gz @ params.w_out.T)
+    views.b_hidden[:] = da.sum(axis=0)
+    views.w_hidden[:] = inputs.T @ da
+    dinputs = da @ params.w_hidden.T
+    np.add.at(views.tgt_emb, prevs, dinputs[:, d:])
+    starts = np.cumsum(steps) - steps
+    views.src_emb[:] = pool.T @ np.add.reduceat(dinputs[:, :d], starts, axis=0)
+    return value, grad
+
+
+def random_params(v, d, h, scale, seed):
+    theta = np.random.default_rng(seed).normal(0.0, scale, model.param_count(v, d, h))
+    return model.ModelParams(v, d, h, theta)
+
+
+@st.composite
+def weighted_cases(draw):
+    """(params, srcs, tgts, weights, max_len): V 5-25, d 1-20, h 1-40, 1-40
+    pairs. Sources and targets may be empty and targets reach the cap; a
+    narrow token range repeats previous tokens; weights may be zero, signed
+    zero or negative."""
+    v, d, h = draw(st.integers(5, 25)), draw(st.integers(1, 20)), draw(st.integers(1, 40))
+    params = random_params(
+        v, d, h, draw(st.sampled_from([0.1, 1.0, 30.0])), draw(st.integers(0, 2**32 - 1))
+    )
+    max_len = draw(st.integers(1, 8))
+    words = [t for t in range(draw(st.integers(4, v))) if t != EOS_ID]
+    n = draw(st.integers(1, 40))
+    srcs = [tuple(draw(st.lists(st.integers(0, v - 1), max_size=6))) for _ in range(n)]
+    tgts = [tuple(draw(st.lists(st.sampled_from(words), max_size=max_len))) for _ in range(n)]
+    weight = st.sampled_from([0.0, -0.0, 1.0, -1.5]) | st.floats(-3.0, 3.0)
+    return params, srcs, tgts, [draw(weight) for _ in range(n)], max_len
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=weighted_cases())
+@example(case=(random_params(5, 3, 4, 1.0, 0), [(), ()], [(), ()], [1.0, -0.0], 1))
+@example(case=(random_params(7, 2, 3, 1.0, 1), [(4,)] * 3, [(5, 5, 5)] * 3, [0.5, 0.0, -2.0], 3))
+def test_weighted_log_prob_grad_equals_reference_pass_bitwise(case):
+    params, srcs, tgts, weights, max_len = case
+    value, grad = model.weighted_log_prob_grad(params, srcs, tgts, weights, max_len)
+    want_value, want_grad = reference_weighted_pass(params, srcs, tgts, weights, max_len)
+    assert value == want_value
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_weighted_log_prob_grad_rejects_an_overlong_target():
+    p = model.init_params(5, 2, 2, seed=0)
+    with pytest.raises(ValueError, match="target length 4 exceeds max_len 3"):
+        model.weighted_log_prob_grad(p, [(4,), (4,)], [(4,), (4, 4, 4, 4)], [1.0, 1.0], 3)
+
+
 def test_log_prob_rejects_nonpositive_max_len():
     p = model.init_params(5, 2, 2, seed=0)
     with pytest.raises(ValueError, match="max_len"):
@@ -294,6 +382,97 @@ def test_sample_equals_searchsorted_reference_on_the_same_stream(make_rng, case)
         expected = reference_sample(decoder, tau, ref_rng)
         assert hyp.sentence == expected.sentence
         assert hyp.log_prob == expected.log_prob == decoder.score(hyp.sentence)
+    assert rng.random() == ref_rng.random()
+
+
+def reference_tables(params, src):
+    """Decoder.__init__ and _sampling_rows before tables were built per batch
+    of sources: (logits, logprobs, rows, cumulative) of one source, where
+    cumulative(tau) is the tau-tempered cumulative table as nested lists."""
+    v = params.vocab_size
+    ctx = params.src_emb[list(src)].mean(axis=0) if len(src) else np.zeros(params.emb_dim)
+    inputs = np.concatenate([np.tile(ctx, (v, 1)), params.tgt_emb], axis=1)
+    hidden = np.tanh(inputs @ params.w_hidden + params.b_hidden)
+    logits = hidden @ params.w_out + params.b_out
+    zmax = logits.max(axis=1, keepdims=True)
+    logprobs = logits - zmax - np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True))
+
+    def cumulative(tau):
+        z = logits / tau
+        z -= z.max(axis=1, keepdims=True)
+        p = np.exp(z)
+        p /= p.sum(axis=1, keepdims=True)
+        return np.cumsum(p, axis=1).tolist()
+
+    return logits, logprobs, logprobs.tolist(), cumulative
+
+
+@st.composite
+def source_batches(draw):
+    """(params, sources): V 5-25, d 1-20, h 1-40, theta of scale 0.1 to 30,
+    1-32 sources of up to 6 tokens, empty ones included."""
+    v, d, h = draw(st.integers(5, 25)), draw(st.integers(1, 20)), draw(st.integers(1, 40))
+    params = random_params(
+        v, d, h, draw(st.sampled_from([0.1, 1.0, 30.0])), draw(st.integers(0, 2**32 - 1))
+    )
+    sources = draw(st.lists(st.lists(st.integers(3, v - 1), max_size=6), min_size=1, max_size=32))
+    return params, [tuple(src) for src in sources]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=source_batches())
+def test_stacked_tables_equal_per_source_reference_tables(case):
+    params, sources = case
+    stacked = model.decoders(params, sources, 5)
+    alone = model.Decoder(params, sources[-1], 5)  # the one-source case
+    assert len(stacked) == len(sources)
+    for decoder, src in zip(stacked + [alone], sources + sources[-1:]):
+        logits, logprobs, rows, cumulative = reference_tables(params, src)
+        assert decoder.logits.tobytes() == logits.tobytes()
+        assert decoder.logprobs.tobytes() == logprobs.tobytes()
+        assert decoder.rows == rows
+        for tau in (0.5, 1.0, 2.0):
+            assert decoder._sampling_rows(tau) == cumulative(tau)
+
+
+def reference_draw(params, sources, n_samples, tau, rng, max_len):
+    """N samples per source, one source after another on one stream: tokens by
+    searchsorted on each source's reference cumulative table, log-probs by
+    adding its reference rows in score's order."""
+    last = params.vocab_size - 1
+    grid = []
+    for src in sources:
+        _, _, rows, cumulative = reference_tables(params, src)
+        cum = np.array(cumulative(tau))
+        row = []
+        for _ in range(n_samples):
+            tokens, prev = [], BOS_ID
+            for _ in range(max_len):
+                tok = min(int(np.searchsorted(cum[prev], rng.random(), side="right")), last)
+                if tok == EOS_ID:
+                    break
+                tokens.append(tok)
+                prev = tok
+            steps = zip(*model._step_sequences(tuple(tokens), max_len))
+            row.append(model.ScoredHypothesis(tuple(tokens), sum(rows[p][t] for p, t in steps)))
+        grid.append(row)
+    return grid
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    case=source_batches(),
+    tau=st.sampled_from([0.5, 1.0, 2.0]),
+    n_samples=st.integers(1, 4),
+    max_len=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_sample_set_equals_per_source_reference_sampling(case, tau, n_samples, max_len, seed):
+    params, sources = case
+    batch = DocumentBatch(sources, sources, [0] * len(sources))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = draw_sample_set(params, batch, n_samples, tau, rng, max_len, CostKind.ONE_MINUS_DOCBLEU)
+    assert got.grid == reference_draw(params, sources, n_samples, tau, ref_rng, max_len)
     assert rng.random() == ref_rng.random()
 
 

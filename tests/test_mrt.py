@@ -36,6 +36,16 @@ def test_train_config_validation():
     assert TrainConfig().validate() is not None
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("tau", math.nan), ("tau", math.inf), ("alpha", math.nan), ("alpha", math.inf),
+     ("learning_rate", math.nan), ("learning_rate", -math.inf)],
+)
+def test_train_config_rejects_non_finite_settings_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be .*positive, got {value}$"):
+        TrainConfig(**{name: value}).validate()
+
+
 # ---------------------------------------------------------------------------
 # sequence estimator
 # ---------------------------------------------------------------------------

@@ -316,6 +316,24 @@ def test_draw_sample_set_rejects_custom_cost_callable():
         )
 
 
+def test_draw_sample_set_rejects_a_non_positive_temperature():
+    params = model.init_params(6, 3, 3, seed=1)
+    for tau in (0.0, -1.0):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            draw_sample_set(
+                params, small_batch(), 2, tau, np.random.default_rng(0), 4, CostKind.ONE_MINUS_DOCBLEU
+            )
+
+
+def test_draw_sample_set_rejects_an_empty_batch():
+    params = model.init_params(6, 3, 3, seed=1)
+    with pytest.raises(ValueError, match="empty batch"):
+        draw_sample_set(
+            params, DocumentBatch([], [], []), 2, 1.0, np.random.default_rng(0), 4,
+            CostKind.ONE_MINUS_DOCBLEU,
+        )
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the decoder's own table
 def test_sampling_from_a_non_finite_model_raises():
     for bad in (math.nan, math.inf, -math.inf):
