@@ -103,6 +103,7 @@ def _write_log(log: list[dict], path: str | None) -> None:
 
 def _cmd_train_mle(args) -> int:
     cfg = mrt.TrainConfig(mode="mle", **_gather(args, mrt.TrainConfig)).validate()
+    harness._at_least_one(eval_every=args.eval_every, patience=args.patience)
     vocab, train, valid, _ = load_data_dir(args.data_dir)
     params, log = harness.train_mle_baseline(
         train, valid, len(vocab), args.emb_dim, args.hidden_dim, cfg,

@@ -204,6 +204,13 @@ def load_baseline(path: str | Path, vocab_size: int) -> model.ModelParams:
     return params
 
 
+def _at_least_one(**settings: int) -> None:
+    """Reject the first of settings that is below 1, naming it."""
+    for name, value in settings.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def train_mle_baseline(
     train: DocumentCorpus,
     valid: DocumentCorpus,
@@ -221,8 +228,7 @@ def train_mle_baseline(
     checkpoint seen.
     """
     cfg = dataclasses.replace(cfg, mode="mle").validate()
-    if cfg.max_updates < 1:
-        raise ValueError("max_updates must be >= 1 to train a baseline")
+    _at_least_one(max_updates=cfg.max_updates, eval_every=eval_every, patience=patience)
     params = model.init_params(vocab_size, emb_dim, hidden_dim, cfg.seed)
     best_params = params.copy()
     best_score = -1.0
@@ -402,17 +408,33 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
     )
     if cfg["len_max"] > cfg["max_len"]:
         raise ValueError("len_max must not exceed max_len")
-    # every fine-tuning run is configured and validated before anything is trained
+    _at_least_one(**{key: cfg[key] for key in ("mle_eval_every", "mle_patience", "eval_beam")})
+    if not cfg["baseline_checkpoint"]:  # a loaded baseline trains nothing
+        _at_least_one(mle_max_updates=cfg["mle_max_updates"])
+
+    def train_config(rate: str, sizes: str, **fields) -> mrt.TrainConfig:
+        """A validated TrainConfig whose learning_rate and max_updates are the
+        settings rate + field, and batch_size and accum_steps sizes + field; an
+        error names those settings, not the fields."""
+        keys = {field: rate + field for field in ("learning_rate", "max_updates")}
+        keys.update({field: sizes + field for field in ("batch_size", "accum_steps")})
+        try:
+            return mrt.TrainConfig(**{f: cfg[k] for f, k in keys.items()}, **fields).validate()
+        except ValueError as exc:
+            message = str(exc)
+            for field, key in keys.items():
+                message = message.replace(field, key)
+            raise ValueError(message) from None
+
+    # every training run is configured and validated before any corpus is generated
+    mle_cfg = train_config(
+        "mle_", "mle_", mode="mle", seed=seed, max_len=cfg["max_len"], batching="random"
+    )
     run_cfgs = [
-        mrt.TrainConfig(
-            **_fields_in(cfg, mrt.TrainConfig),
-            mode=mode,
-            batch_size=cfg["mrt_batch_size"] if mode != "mle" else cfg["mle_batch_size"],
-            learning_rate=cfg["mrt_learning_rate"],
-            accum_steps=cfg["mrt_accum_steps"] if mode != "mle" else cfg["mle_accum_steps"],
-            max_updates=cfg["mrt_max_updates"],
-            batching=batching,
-        ).validate()
+        train_config(
+            "mrt_", "mle_" if mode == "mle" else "mrt_",
+            **_fields_in(cfg, mrt.TrainConfig), mode=mode, batching=batching,
+        )
         for mode in [m.strip() for m in cfg["modes"].split(",") if m.strip()]
         for batching in [b.strip() for b in cfg["batchings"].split(",") if b.strip()]
     ]
@@ -422,16 +444,6 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
     if cfg["baseline_checkpoint"]:
         baseline = load_baseline(cfg["baseline_checkpoint"], cfg["vocab_size"])
     else:
-        mle_cfg = mrt.TrainConfig(
-            mode="mle",
-            batch_size=cfg["mle_batch_size"],
-            learning_rate=cfg["mle_learning_rate"],
-            accum_steps=cfg["mle_accum_steps"],
-            max_updates=cfg["mle_max_updates"],
-            seed=seed,
-            max_len=cfg["max_len"],
-            batching="random",
-        )
         baseline, _ = train_mle_baseline(
             train, valid, cfg["vocab_size"], cfg["emb_dim"], cfg["hidden_dim"],
             mle_cfg, eval_every=cfg["mle_eval_every"], patience=cfg["mle_patience"],

@@ -81,23 +81,6 @@ _DOCUMENT_KIND = {kind: doc for sent, doc in _LEVELS for kind in (sent, doc)}
 _METRIC = {kind: next(m for m in METRICS if kind.value.endswith(m)) for kind in CostKind}
 
 
-def ngram_extractor(ref: Sentence, src: Sentence = (), max_n: int = DEFAULT_MAX_N) -> Extractor:
-    """Stats of any hypothesis against one (reference, source) line.
-
-    A row is [matches per order, hypothesis n-grams per order, hypothesis
-    length, reference length]. Matches are clipped by the reference counts,
-    minus the hypothesis n-grams that appear in the source but not the
-    reference (the GLEU penalty), floored at 0 per order. An empty source
-    gives no penalty, so the matches are BLEU's. The reference and source
-    n-grams are counted once, here, in one dict each over every order.
-    """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    ref_counts = _ngram_counts(ref, max_n)
-    src_only = {g: c for g, c in _ngram_counts(src, max_n).items() if g not in ref_counts}
-    return lambda hyp: ngram_stats(hyp, ref_counts, src_only, max_n, len(ref))
-
-
 def _ngram_counts(sentence: Sentence, max_n: int) -> dict:
     """Count of every n-gram of orders 1..max_n, keyed by the n-gram tuple."""
     seq = tuple(sentence)
@@ -112,7 +95,7 @@ def _ngram_counts(sentence: Sentence, max_n: int) -> dict:
 def ngram_stats(
     hyp: Sentence, ref_counts: dict, src_only: dict, max_n: int, ref_len: int
 ) -> list[int]:
-    """One hypothesis's row against the n-gram counts of ngram_extractor.
+    """One hypothesis's BLEU/GLEU row against the n-gram counts of extractor.
 
     The hypothesis is scanned once. The k-th occurrence of an n-gram is a
     match if k <= its reference count, and a penalty if the n-gram is
@@ -219,13 +202,26 @@ def _ter_counts(hyp: Sentence, masks: dict, starts: dict, ref_len: int) -> list[
 def extractor(
     metric: str, ref: Sentence, src: Sentence | None = None, max_n: int = DEFAULT_MAX_N
 ) -> Extractor:
-    """The stats extractor of metric for one reference line; GLEU needs its source."""
+    """The stats extractor of metric for one reference line; GLEU needs its source.
+
+    A BLEU/GLEU row is [matches per order, hypothesis n-grams per order,
+    hypothesis length, reference length]. Matches are clipped by the reference
+    counts, minus the hypothesis n-grams that appear in the source but not the
+    reference (the GLEU penalty), floored at 0 per order. The reference and
+    source n-grams are counted once, here, in one dict each over every order;
+    a TER reference is indexed once, here. TER rows are ter_stats'.
+    """
     if metric == "ter":
-        index = _reference_index(ref)  # once per reference, as ngram_extractor
+        index = _reference_index(ref)
         return lambda hyp: _ter_counts(hyp, *index, len(ref))
     if metric == "gleu" and src is None:
         raise ValueError("GLEU requires a source sentence")
-    return ngram_extractor(ref, src if metric == "gleu" else (), max_n)
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    ref_counts = _ngram_counts(ref, max_n)
+    src_counts = _ngram_counts(src if metric == "gleu" else (), max_n)
+    src_only = {g: c for g, c in src_counts.items() if g not in ref_counts}
+    return lambda hyp: ngram_stats(hyp, ref_counts, src_only, max_n, len(ref))
 
 
 def line_stats(
@@ -304,7 +300,7 @@ def sentence_bleu_smoothed(hyp: Sentence, ref: Sentence, max_n: int = DEFAULT_MA
     p_n = (matches_n + 1) / (total_n + 1), geometric mean over n = 1..max_n,
     times the brevity penalty. Always positive for a non-empty hypothesis.
     """
-    stats = ngram_extractor(ref, (), max_n)(hyp)
+    stats = extractor("bleu", ref, None, max_n)(hyp)
     return MetricScore(score("bleu", stats, smoothed=True), "BLEU")
 
 

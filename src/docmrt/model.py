@@ -10,6 +10,7 @@ recorded log-probabilities always use tau = 1.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,14 +22,22 @@ from .textcore import BOS_ID, EOS_ID, DocumentBatch, Sentence
 ENUMERATION_GUARD = 10**6
 
 
+def _layout(v: int, d: int, h: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each block of the flat parameter vector, in order [E_src, E_tgt, W,
+    b, U, c], for vocabulary size v, embedding size d and hidden size h."""
+    return {
+        "src_emb": (v, d), "tgt_emb": (v, d), "w_hidden": (2 * d, h),
+        "b_hidden": (h,), "w_out": (h, v), "b_out": (v,),
+    }
+
+
 def param_count(vocab_size: int, emb_dim: int, hidden_dim: int) -> int:
-    v, d, h = vocab_size, emb_dim, hidden_dim
-    return 2 * v * d + 2 * d * h + h + h * v + v
+    return sum(math.prod(shape) for shape in _layout(vocab_size, emb_dim, hidden_dim).values())
 
 
 @dataclass
 class ModelParams:
-    """Flat parameter vector with fixed layout [E_src, E_tgt, W, b, U, c]."""
+    """Flat parameter vector theta in the block layout of _layout."""
 
     vocab_size: int
     emb_dim: int
@@ -37,45 +46,25 @@ class ModelParams:
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
-        expected = param_count(self.vocab_size, self.emb_dim, self.hidden_dim)
-        if self.theta.shape != (expected,):
-            raise ValueError(
-                f"theta has length {self.theta.size}, layout requires {expected}"
-            )
+        self._blocks: dict[str, tuple[slice, tuple]] = {}
+        stop = 0
+        for name, shape in _layout(self.vocab_size, self.emb_dim, self.hidden_dim).items():
+            start, stop = stop, stop + math.prod(shape)
+            self._blocks[name] = slice(start, stop), shape
+        if self.theta.shape != (stop,):
+            raise ValueError(f"theta has length {self.theta.size}, layout requires {stop}")
 
-    # Views into the flat vector; writing through them mutates theta.
-    @property
-    def src_emb(self) -> np.ndarray:
-        v, d = self.vocab_size, self.emb_dim
-        return self.theta[: v * d].reshape(v, d)
+    def _view(self, name: str) -> np.ndarray:
+        """Block name of theta; writing through the view mutates theta."""
+        block, shape = self._blocks[name]
+        return self.theta[block].reshape(shape)
 
-    @property
-    def tgt_emb(self) -> np.ndarray:
-        v, d = self.vocab_size, self.emb_dim
-        return self.theta[v * d : 2 * v * d].reshape(v, d)
-
-    @property
-    def w_hidden(self) -> np.ndarray:
-        v, d, h = self.vocab_size, self.emb_dim, self.hidden_dim
-        start = 2 * v * d
-        return self.theta[start : start + 2 * d * h].reshape(2 * d, h)
-
-    @property
-    def b_hidden(self) -> np.ndarray:
-        v, d, h = self.vocab_size, self.emb_dim, self.hidden_dim
-        start = 2 * v * d + 2 * d * h
-        return self.theta[start : start + h]
-
-    @property
-    def w_out(self) -> np.ndarray:
-        v, d, h = self.vocab_size, self.emb_dim, self.hidden_dim
-        start = 2 * v * d + 2 * d * h + h
-        return self.theta[start : start + h * v].reshape(h, v)
-
-    @property
-    def b_out(self) -> np.ndarray:
-        v = self.vocab_size
-        return self.theta[-v:]
+    src_emb = property(lambda self: self._view("src_emb"))
+    tgt_emb = property(lambda self: self._view("tgt_emb"))
+    w_hidden = property(lambda self: self._view("w_hidden"))
+    b_hidden = property(lambda self: self._view("b_hidden"))
+    w_out = property(lambda self: self._view("w_out"))
+    b_out = property(lambda self: self._view("b_out"))
 
     def like(self, flat: np.ndarray) -> "ModelParams":
         """Wrap another flat vector in the same layout (e.g. a gradient)."""
@@ -128,12 +117,6 @@ def _steps(tgts: list[Sentence], max_len: int) -> tuple[list[int], list[int], li
             targets.append(EOS_ID)
         lengths.append(len(tgt) + eos)
     return prevs, targets, lengths
-
-
-def _step_sequences(tgt: Sentence, max_len: int) -> tuple[list[int], list[int]]:
-    """The previous-token and target-token sequences of the one target tgt."""
-    prevs, targets, _ = _steps([tgt], max_len)
-    return prevs, targets
 
 
 class _Tables:
@@ -203,7 +186,7 @@ class Decoder:
         return self._tables.cumulative(tau)[self._index]
 
     def score(self, tgt: Sentence) -> float:
-        prevs, targets = _step_sequences(tgt, self.max_len)
+        prevs, targets, _ = _steps([tgt], self.max_len)
         total = 0.0
         for prev, tok in zip(prevs, targets):
             total += self.rows[prev][tok]
@@ -394,7 +377,7 @@ def mle_loss_grad(
     """Per-token negative log-likelihood of the references and its gradient."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    # a reference at the max_len cap has no EOS step (see _step_sequences)
+    # a reference at the max_len cap has no EOS step (see _steps)
     token_count = sum(min(len(ref) + 1, max_len) for ref in batch.references)
     weights = np.full(len(batch), -1.0 / token_count)
     return weighted_log_prob_grad(params, batch.sources, batch.references, weights, max_len)

@@ -63,13 +63,9 @@ class TrainConfig:
         if self.n_samples < 1 or self.batch_size < 1 or self.accum_steps < 1:
             raise ValueError("n_samples, batch_size and accum_steps must be >= 1")
         # NaN fails every comparison, so each check states what a good value is
-        for name in ("tau", "alpha"):
+        for name in ("tau", "alpha", "learning_rate"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        # an infinite learning rate stays allowed: finetune stops it at update 0
-        # with NonFiniteTraining
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.max_len < 1 or self.max_updates < 0:
             raise ValueError("max_len must be >= 1 and max_updates >= 0")
         return self

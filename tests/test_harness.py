@@ -396,6 +396,15 @@ def test_train_mle_baseline_rejects_no_updates_before_training(monkeypatch):
         run_experiment({**_tiny_experiment_config(), "mle_max_updates": 0})
 
 
+@pytest.mark.parametrize("name, value", [("eval_every", 0), ("patience", -1)])
+def test_train_mle_baseline_names_a_bad_schedule_before_initialising(monkeypatch, name, value):
+    train, valid, _ = generate_synthetic_corpus(TaskSpec(vocab_size=8, num_documents=4, seed=1))
+    monkeypatch.setattr(model, "init_params", lambda *args, **kwargs: pytest.fail("initialised"))
+    cfg = mrt.TrainConfig(mode="mle", max_updates=2, max_len=5)
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+        train_mle_baseline(train, valid, 8, 6, 8, cfg, **{name: value})
+
+
 @pytest.mark.parametrize(
     "key, setting",
     [("tau", "tau"), ("alpha", "alpha"), ("mrt_learning_rate", "learning_rate"),
@@ -403,12 +412,62 @@ def test_train_mle_baseline_rejects_no_updates_before_training(monkeypatch):
 )
 def test_run_experiment_rejects_non_finite_settings_before_training(monkeypatch, key, setting):
     monkeypatch.setattr(mrt, "finetune", lambda *args, **kwargs: pytest.fail("trained"))
-    if key != "mle_learning_rate":  # train_mle_baseline validates its own setting
-        monkeypatch.setattr(
-            harness, "train_mle_baseline", lambda *args, **kwargs: pytest.fail("trained")
-        )
-    with pytest.raises(ValueError, match=f"^{setting} must be .*positive, got nan$"):
+    monkeypatch.setattr(
+        harness, "train_mle_baseline", lambda *args, **kwargs: pytest.fail("trained")
+    )
+    with pytest.raises(ValueError) as field_err:
+        mrt.TrainConfig(**{setting: math.nan}).validate()
+    with pytest.raises(ValueError, match=f"^{key} must be .*positive, got nan$") as err:
         run_experiment({**_tiny_experiment_config(), key: "nan"})
+    # TrainConfig's rule, naming the experiment key that set the field
+    assert str(err.value) == str(field_err.value).replace(setting, key)
+
+
+# (experiment key, bad value, the CLI command and flag that set it, if any)
+BAD_SETTINGS = [
+    ("mle_eval_every", "0", ("train-mle", "--eval-every")),
+    ("mle_eval_every", "-5", ("train-mle", "--eval-every")),
+    ("mle_patience", "0", ("train-mle", "--patience")),
+    ("mle_patience", "-1", ("train-mle", "--patience")),
+    ("eval_beam", "0", None),
+    ("mle_max_updates", "0", None),
+    ("mle_learning_rate", "nan", ("train-mle", "--learning-rate")),
+    ("mle_learning_rate", "inf", ("train-mle", "--learning-rate")),
+    ("mrt_learning_rate", "nan", ("finetune-mrt", "--learning-rate")),
+    ("mrt_learning_rate", "inf", ("finetune-mrt", "--learning-rate")),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, key, value",
+    [pytest.param(None, key, value, id=f"{key}={value}") for key, value, _ in BAD_SETTINGS]
+    + [
+        pytest.param(entry, key, value, id=f"{entry[0]}{entry[1]}={value}")
+        for key, value, entry in BAD_SETTINGS
+        if entry is not None
+    ],
+)
+def test_bad_settings_fail_before_any_work_naming_themselves(
+    tmp_path, capsys, monkeypatch, entry, key, value
+):
+    for name in ("generate_synthetic_corpus", "train_mle_baseline"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name, **kw: pytest.fail(name))
+    if entry is None:
+        with pytest.raises(ValueError, match=f"^{key} must be .*, got {value}$"):
+            run_experiment({**_tiny_experiment_config(), key: value})
+        return
+    command, flag = entry
+    argv = [
+        command, "--data-dir", str(tmp_path / "data"), "--ckpt", str(tmp_path / "c.ckpt"),
+        "--log", str(tmp_path / "log.jsonl"), f"{flag}={value}",
+    ]
+    if command == "finetune-mrt":
+        argv += ["--out-ckpt", str(tmp_path / "tuned.ckpt")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag[2:].replace('-', '_')} must be" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []  # no checkpoint, no log
 
 
 def test_run_experiment_leaves_mle_max_updates_unused_with_a_baseline_checkpoint(tmp_path):
@@ -702,11 +761,13 @@ def tiny_data_and_checkpoint(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["train-mle", "finetune-mrt"])
-def test_cli_non_finite_training_exits_2_without_writing(tmp_path, capsys, command):
+def test_cli_non_finite_training_exits_2_without_writing(
+    tmp_path, capsys, overflowing_gradients, command
+):
     data, ckpt = tiny_data_and_checkpoint(tmp_path)
     out, log = tmp_path / "out.ckpt", tmp_path / "log.jsonl"
     argv = [
-        command, "--data-dir", str(data), "--log", str(log), "--learning-rate", "inf",
+        command, "--data-dir", str(data), "--log", str(log), "--learning-rate", "2",
         "--max-updates", "2", "--batch-size", "2", "--max-len", "5",
     ]
     if command == "train-mle":
@@ -714,7 +775,7 @@ def test_cli_non_finite_training_exits_2_without_writing(tmp_path, capsys, comma
     else:
         argv += ["--ckpt", str(ckpt), "--out-ckpt", str(out), "--n-samples", "2"]
     capsys.readouterr()
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore"):
         assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert "update 0: non-finite updated parameters" in captured.err

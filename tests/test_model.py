@@ -43,7 +43,7 @@ def oracle_log_prob(params, src, tgt, max_len):
 
 def reference_score_and_grad(params, src, tgt, max_len):
     """Per-sentence forward/backward pass: log P(tgt | src) and its gradient."""
-    prevs, targets = model._step_sequences(tgt, max_len)
+    prevs, targets = model._steps([tgt], max_len)[:2]
     grad = np.zeros_like(params.theta)
     d, m = params.emb_dim, len(src)
     ctx = params.src_emb[list(src)].mean(axis=0) if m else np.zeros(d)
@@ -87,6 +87,37 @@ def test_init_params_zero_flag_and_layout():
     assert p.src_emb.shape == (6, 3)
     assert p.w_hidden.shape == (6, 4)
     assert p.w_out.shape == (4, 6)
+
+
+def reference_blocks(params):
+    """Each parameter block by the hand-written offsets ModelParams had before
+    its layout table."""
+    v, d, h = params.vocab_size, params.emb_dim, params.hidden_dim
+    theta = params.theta
+    w = 2 * v * d
+    b = w + 2 * d * h
+    u = b + h
+    return {
+        "src_emb": theta[: v * d].reshape(v, d),
+        "tgt_emb": theta[v * d : 2 * v * d].reshape(v, d),
+        "w_hidden": theta[w:b].reshape(2 * d, h),
+        "b_hidden": theta[b:u],
+        "w_out": theta[u : u + h * v].reshape(h, v),
+        "b_out": theta[-v:],
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(v=st.integers(5, 30), d=st.integers(1, 12), h=st.integers(1, 12), seed=st.integers(0, 99))
+def test_block_views_are_the_reference_offsets_and_write_through(v, d, h, seed):
+    params = model.init_params(v, d, h, seed)
+    for name, ref in reference_blocks(params).items():
+        view = getattr(params, name)
+        assert view.shape == ref.shape and view.tobytes() == ref.tobytes()
+        written, expected = params.copy(), params.copy()
+        getattr(written, name)[...] = 7.0
+        reference_blocks(expected)[name][...] = 7.0
+        assert np.array_equal(written.theta, expected.theta)
 
 
 def test_init_params_validation():
@@ -198,15 +229,15 @@ def test_weighted_log_prob_grad_empty_batch_is_zero():
 
 def reference_weighted_pass(params, srcs, tgts, weights, max_len):
     """weighted_log_prob_grad before it built its step arrays in one loop and
-    scattered target-embedding rows with np.bincount: one _step_sequences call
-    per pair and np.add.at."""
+    scattered target-embedding rows with np.bincount: one _steps call per pair
+    and np.add.at."""
     weights = np.asarray(weights, dtype=np.float64)
     grad = np.zeros_like(params.theta)
     v, d = params.vocab_size, params.emb_dim
     prevs, targets = [], []
     steps = np.empty(len(tgts), dtype=np.intp)
     for i, tgt in enumerate(tgts):
-        p, t = model._step_sequences(tgt, max_len)
+        p, t = model._steps([tgt], max_len)[:2]
         prevs += p
         targets += t
         steps[i] = len(t)
@@ -453,7 +484,7 @@ def reference_draw(params, sources, n_samples, tau, rng, max_len):
                     break
                 tokens.append(tok)
                 prev = tok
-            steps = zip(*model._step_sequences(tuple(tokens), max_len))
+            steps = zip(*model._steps([tuple(tokens)], max_len)[:2])
             row.append(model.ScoredHypothesis(tuple(tokens), sum(rows[p][t] for p, t in steps)))
         grid.append(row)
     return grid

@@ -39,7 +39,7 @@ def test_train_config_validation():
 @pytest.mark.parametrize(
     "name, value",
     [("tau", math.nan), ("tau", math.inf), ("alpha", math.nan), ("alpha", math.inf),
-     ("learning_rate", math.nan), ("learning_rate", -math.inf)],
+     ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -math.inf)],
 )
 def test_train_config_rejects_non_finite_settings_by_name(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be .*positive, got {value}$"):
@@ -505,15 +505,15 @@ def test_finetune_rejects_invalid_config_and_empty_corpus():
 
 
 @pytest.mark.parametrize("mode", ["mle", "doc_mrt_ordered"])
-def test_finetune_stops_when_the_updated_parameters_are_not_finite(mode):
+def test_finetune_stops_when_the_updated_parameters_are_not_finite(overflowing_gradients, mode):
     train, _, _ = small_corpus(seed=8)
     params = model.init_params(8, 3, 3, seed=7)
     cfg = TrainConfig(
-        mode=mode, n_samples=2, batch_size=2, learning_rate=math.inf,
+        mode=mode, n_samples=2, batch_size=2, learning_rate=2.0,
         max_updates=3, max_len=4, batching="document",
     )
     seen = []
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore"):
         with pytest.raises(mrt.NonFiniteTraining, match="update 0: non-finite updated parameters"):
             mrt.finetune(params, train, cfg, eval_every=1, eval_fn=lambda p: seen.append(p) or 0.0)
     assert len(seen) == 1  # the per-update callback still saw the failing update
