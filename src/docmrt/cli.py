@@ -103,7 +103,7 @@ def _write_log(log: list[dict], path: str | None) -> None:
 
 def _cmd_train_mle(args) -> int:
     cfg = mrt.TrainConfig(mode="mle", **_gather(args, mrt.TrainConfig)).validate()
-    harness._at_least_one(eval_every=args.eval_every, patience=args.patience)
+    model.at_least(1, eval_every=args.eval_every, patience=args.patience)
     vocab, train, valid, _ = load_data_dir(args.data_dir)
     params, log = harness.train_mle_baseline(
         train, valid, len(vocab), args.emb_dim, args.hidden_dim, cfg,
@@ -118,16 +118,17 @@ def _cmd_train_mle(args) -> int:
 
 def _cmd_finetune_mrt(args) -> int:
     cfg = mrt.TrainConfig(**_gather(args, mrt.TrainConfig)).validate()
+    model.at_least(0, eval_every=args.eval_every)
     vocab, train, valid, _ = load_data_dir(args.data_dir)
     params = harness.load_baseline(args.ckpt, len(vocab))
-    tuned, log = mrt.finetune(params, train, cfg, heldout=valid, eval_every=args.eval_every)
+    kind = cfg.cost_kind.as_document_kind()
+    evaluate = lambda p: harness.evaluate_corpus(p, valid, kind, 4, cfg.max_len).value
+    tuned, log = mrt.finetune(params, train, cfg, eval_every=args.eval_every, eval_fn=evaluate)
     model.save_checkpoint(tuned, args.out_ckpt)
     _write_log(log, args.log)
     final = log[-1].get("heldout_metric") if log else None
     if final is None:  # finetune did not evaluate the tuned parameters
-        final = harness.evaluate_corpus(
-            tuned, valid, cfg.cost_kind.as_document_kind(), beam=4, max_len=cfg.max_len
-        ).value
+        final = evaluate(tuned)
     _emit(
         {
             "checkpoint": args.out_ckpt,

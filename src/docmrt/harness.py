@@ -60,12 +60,11 @@ class TaskSpec:
     cipher_seed: int | None = None
 
     def validate(self) -> "TaskSpec":
-        if self.vocab_size < 5:
-            raise ValueError("vocab_size must be >= 5")
-        if not 1 <= self.len_min <= self.len_max:
-            raise ValueError("need 1 <= len_min <= len_max")
-        if self.sentences_per_doc < 1 or self.num_documents < 1:
-            raise ValueError("documents must be non-empty")
+        model.at_least(5, vocab_size=self.vocab_size)
+        counts = ("len_min", "sentences_per_doc", "num_documents", "valid_documents",
+                  "test_documents")
+        model.at_least(1, **{name: getattr(self, name) for name in counts})
+        model.at_least(self.len_min, len_max=self.len_max)
         if self.rule not in (RULE_COPY, RULE_REVERSE, RULE_CIPHER):
             raise ValueError(
                 f"invalid rule id {self.rule} (expected {RULE_COPY} copy, "
@@ -73,8 +72,9 @@ class TaskSpec:
             )
         if self.style_consistency and self.rule != RULE_CIPHER:
             raise ValueError("style consistency requires the cipher rule")
-        if not 0.0 <= self.noise_rate <= 1.0 or not 0.0 <= self.style_weight <= 1.0:
-            raise ValueError("noise_rate and style_weight must be in [0, 1]")
+        for name in ("noise_rate", "style_weight"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         return self
 
 
@@ -138,8 +138,7 @@ def make_batches(
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    model.at_least(1, batch_size=batch_size)
     rng = np.random.default_rng(seed)
     if mode == "random":
         order = rng.permutation(len(corpus))
@@ -204,13 +203,6 @@ def load_baseline(path: str | Path, vocab_size: int) -> model.ModelParams:
     return params
 
 
-def _at_least_one(**settings: int) -> None:
-    """Reject the first of settings that is below 1, naming it."""
-    for name, value in settings.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def train_mle_baseline(
     train: DocumentCorpus,
     valid: DocumentCorpus,
@@ -228,7 +220,7 @@ def train_mle_baseline(
     checkpoint seen.
     """
     cfg = dataclasses.replace(cfg, mode="mle").validate()
-    _at_least_one(max_updates=cfg.max_updates, eval_every=eval_every, patience=patience)
+    model.at_least(1, max_updates=cfg.max_updates, eval_every=eval_every, patience=patience)
     params = model.init_params(vocab_size, emb_dim, hidden_dim, cfg.seed)
     best_params = params.copy()
     best_score = -1.0
@@ -406,27 +398,33 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
         seed=seed + 1,
         cipher_seed=seed,  # same transduction as the baseline task
     )
-    if cfg["len_max"] > cfg["max_len"]:
-        raise ValueError("len_max must not exceed max_len")
-    _at_least_one(**{key: cfg[key] for key in ("mle_eval_every", "mle_patience", "eval_beam")})
+    model.at_least(cfg["len_max"], max_len=cfg["max_len"])  # every reference fits
+    model.at_least(1, **{key: cfg[key] for key in ("mle_eval_every", "mle_patience", "eval_beam")})
     if not cfg["baseline_checkpoint"]:  # a loaded baseline trains nothing
-        _at_least_one(mle_max_updates=cfg["mle_max_updates"])
+        model.at_least(1, mle_max_updates=cfg["mle_max_updates"])
+
+    def validated(settings, keys: dict[str, str]):
+        """settings.validate(); an error about a field of keys (a bound error
+        starts with its field) names that field's config key instead."""
+        try:
+            return settings.validate()
+        except ValueError as exc:
+            name, _, rest = str(exc).partition(" ")
+            raise ValueError(f"{keys.get(name, name)} {rest}") from None
 
     def train_config(rate: str, sizes: str, **fields) -> mrt.TrainConfig:
         """A validated TrainConfig whose learning_rate and max_updates are the
-        settings rate + field, and batch_size and accum_steps sizes + field; an
-        error names those settings, not the fields."""
+        settings rate + field, and batch_size and accum_steps sizes + field."""
         keys = {field: rate + field for field in ("learning_rate", "max_updates")}
         keys.update({field: sizes + field for field in ("batch_size", "accum_steps")})
-        try:
-            return mrt.TrainConfig(**{f: cfg[k] for f, k in keys.items()}, **fields).validate()
-        except ValueError as exc:
-            message = str(exc)
-            for field, key in keys.items():
-                message = message.replace(field, key)
-            raise ValueError(message) from None
+        return validated(mrt.TrainConfig(**{f: cfg[k] for f, k in keys.items()}, **fields), keys)
 
-    # every training run is configured and validated before any corpus is generated
+    # both tasks and every training run are validated before any corpus is generated
+    for task, documents, style_weight in (
+        (base_task, "train_documents", "baseline_style_weight"),
+        (ft_task, "finetune_documents", "finetune_style_weight"),
+    ):
+        validated(task, {"num_documents": documents, "style_weight": style_weight})
     mle_cfg = train_config(
         "mle_", "mle_", mode="mle", seed=seed, max_len=cfg["max_len"], batching="random"
     )
@@ -511,22 +509,22 @@ def score_corpus(
     if metric == "gleu" and src_path is None:
         raise ValueError("GLEU scoring requires a source file")
     hyp_lines, ref_lines = textcore.read_lines(hyp_path), textcore.read_lines(ref_path)
-    src_lines = textcore.read_lines(src_path) if src_path is not None else []
-    lines = hyp_lines + ref_lines + src_lines
+    src_lines = textcore.read_lines(src_path) if src_path is not None else None
+    lines = hyp_lines + ref_lines + (src_lines or [])
     distinct = len({tok for line in lines for tok in line.split()})
     vocab = textcore.build_vocab(lines, max_size=distinct + 4)
     if docid_path is None and pseudo_doc_size is None:
         # no document structure given: one block over every line is one document
         pseudo_doc_size = max(len(lines), 1)
     id_lines = textcore.read_lines(docid_path) if docid_path is not None else None
-    for name, other in (("references", ref_lines), ("doc ids", id_lines)):
+    for name, other in (("references", ref_lines), ("sources", src_lines), ("doc ids", id_lines)):
         if other is not None and len(other) != len(hyp_lines):
             n, m = len(hyp_lines), len(other)
             raise ValueError(f"line count mismatch: {n} hypotheses vs {m} {name}")
     hyp_corpus = textcore.encode_document_corpus(
         hyp_lines, ref_lines, vocab, id_lines, pseudo_doc_size
     )
-    srcs = [textcore.encode(line, vocab) for line in src_lines] if src_path is not None else None
+    srcs = None if src_lines is None else [textcore.encode(line, vocab) for line in src_lines]
     hyps = [e[0] for e in hyp_corpus.entries]
     refs = [e[1] for e in hyp_corpus.entries]
     stats = metrics.line_stats(metric, hyps, refs, srcs)  # one row per line
@@ -627,8 +625,7 @@ def enum_check(
     seed: int = 0,
 ) -> dict:
     """Output-space normalization check over random parameter draws."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    model.at_least(1, trials=trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):

@@ -31,6 +31,18 @@ def _layout(v: int, d: int, h: int) -> dict[str, tuple[int, ...]]:
     }
 
 
+def at_least(low: float, **settings: float) -> None:
+    """Reject the first of settings that is below low (or NaN), naming it and its value."""
+    for name, value in settings.items():
+        if not value >= low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_sizes(vocab_size: int, emb_dim: int, hidden_dim: int) -> None:
+    at_least(5, vocab_size=vocab_size)
+    at_least(1, emb_dim=emb_dim, hidden_dim=hidden_dim)
+
+
 def param_count(vocab_size: int, emb_dim: int, hidden_dim: int) -> int:
     return sum(math.prod(shape) for shape in _layout(vocab_size, emb_dim, hidden_dim).values())
 
@@ -84,10 +96,7 @@ def init_params(
     vocab_size: int, emb_dim: int, hidden_dim: int, seed: int, zero: bool = False
 ) -> ModelParams:
     """Uniform [-0.1, 0.1] initialization from a seeded RNG, or all zeros."""
-    if vocab_size < 5:
-        raise ValueError("vocab_size must be >= 5")
-    if emb_dim < 1 or hidden_dim < 1:
-        raise ValueError("emb_dim and hidden_dim must be >= 1")
+    _check_sizes(vocab_size, emb_dim, hidden_dim)
     n = param_count(vocab_size, emb_dim, hidden_dim)
     if zero:
         theta = np.zeros(n)
@@ -399,7 +408,11 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "docmrt-ckpt" or header[1] != "v1":
             raise ValueError("not a docmrt v1 checkpoint")
-        v, d, h = (int(x) for x in header[2:])
+        try:
+            v, d, h = (int(x) for x in header[2:])
+            _check_sizes(v, d, h)
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: {exc}") from None
         values = []
         for lineno, line in enumerate(fh, start=2):
             try:

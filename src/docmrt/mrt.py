@@ -60,14 +60,13 @@ class TrainConfig:
         if not isinstance(self.cost_kind, CostKind):
             kinds = ", ".join(kind.value for kind in CostKind)
             raise ValueError(f"unknown cost_kind {self.cost_kind!r} (expected one of {kinds})")
-        if self.n_samples < 1 or self.batch_size < 1 or self.accum_steps < 1:
-            raise ValueError("n_samples, batch_size and accum_steps must be >= 1")
+        sizes = ("n_samples", "batch_size", "accum_steps", "max_len")
+        model.at_least(1, **{name: getattr(self, name) for name in sizes})
+        model.at_least(0, max_updates=self.max_updates)
         # NaN fails every comparison, so each check states what a good value is
         for name in ("tau", "alpha", "learning_rate"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        if self.max_len < 1 or self.max_updates < 0:
-            raise ValueError("max_len must be >= 1 and max_updates >= 0")
         return self
 
 
@@ -273,7 +272,6 @@ def finetune(
     params0: model.ModelParams,
     corpus: DocumentCorpus,
     cfg: TrainConfig,
-    heldout: DocumentCorpus | None = None,
     eval_every: int | None = None,
     eval_fn: Callable[[model.ModelParams], float] | None = None,
 ) -> tuple[model.ModelParams, list[dict]]:
@@ -281,34 +279,33 @@ def finetune(
 
     Every accum_steps micro-batch gradients are averaged, all evaluated at the
     pre-update parameters, then applied in one step: theta -= lr * mean(grads).
+    After every eval_every-th update (never if it is 0 or None), the record's
+    heldout_metric is eval_fn of the updated parameters.
     Deterministic per cfg.seed. Returns the trained parameters and a training
     log with one record per update. Raises NonFiniteTraining, naming the
     update, when an update's risk or the updated theta is not finite.
     """
-    from .harness import evaluate_corpus, make_batches  # cyclic at module level
+    from .harness import make_batches  # cyclic at module level
 
     cfg.validate()
+    model.at_least(0, eval_every=eval_every or 0)
     if len(corpus) == 0:
         raise ValueError("empty corpus")
     params = params0.copy()
     rng = np.random.default_rng(cfg.seed)
-    if eval_fn is None and heldout is not None:
-        eval_fn = lambda p: evaluate_corpus(
-            p, heldout, cfg.cost_kind.as_document_kind(), beam=4, max_len=cfg.max_len
-        ).value
+
+    def epochs():  # each epoch's seed is drawn from rng as the last one runs out
+        while True:
+            epoch_seed = int(rng.integers(2**31 - 1))
+            yield from make_batches(corpus, cfg.batching, cfg.batch_size, epoch_seed)
+
+    batches = epochs()
     log: list[dict] = []
-    batches: list[DocumentBatch] = []
-    cursor = 0
     for update in range(cfg.max_updates):
         acc = np.zeros_like(params.theta)
         risks = []
         for _ in range(cfg.accum_steps):
-            if cursor >= len(batches):
-                epoch_seed = int(rng.integers(2**31 - 1))
-                batches = make_batches(corpus, cfg.batching, cfg.batch_size, epoch_seed)
-                cursor = 0
-            est = _micro_batch_estimate(params, batches[cursor], cfg, rng)
-            cursor += 1
+            est = _micro_batch_estimate(params, next(batches), cfg, rng)
             acc += est.grad
             risks.append(est.risk)
         params.theta -= cfg.learning_rate * acc / cfg.accum_steps

@@ -1,8 +1,10 @@
 import argparse
+import dataclasses
 import hashlib
 import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +128,40 @@ def test_taskspec_validation():
         TaskSpec(len_min=0).validate()
 
 
+# one out-of-range value of every bounded TrainConfig and TaskSpec field
+BOUNDED_FIELDS = [
+    (mrt.TrainConfig, "n_samples", 0), (mrt.TrainConfig, "batch_size", 0),
+    (mrt.TrainConfig, "batch_size", -2), (mrt.TrainConfig, "accum_steps", 0),
+    (mrt.TrainConfig, "max_len", 0), (mrt.TrainConfig, "max_updates", -1),
+    (mrt.TrainConfig, "tau", 0.0), (mrt.TrainConfig, "alpha", -1.0),
+    (mrt.TrainConfig, "learning_rate", 0.0), (TaskSpec, "vocab_size", 4),
+    (TaskSpec, "len_min", 0), (TaskSpec, "len_max", 2), (TaskSpec, "sentences_per_doc", 0),
+    (TaskSpec, "num_documents", 0), (TaskSpec, "valid_documents", 0),
+    (TaskSpec, "test_documents", -1), (TaskSpec, "noise_rate", 2.0),
+    (TaskSpec, "noise_rate", -0.1), (TaskSpec, "style_weight", 1.5),
+    (TaskSpec, "style_weight", math.nan),
+]
+# numeric fields with no bound: seeds, and rule ids checked against a list
+UNBOUNDED_FIELDS = {"seed", "rule", "cipher_seed"}
+
+
+def test_bounded_fields_cover_every_numeric_setting():
+    for cls in (mrt.TrainConfig, TaskSpec):
+        numeric = {
+            f.name for f in dataclasses.fields(cls)
+            if type(f.default) in (int, float) and f.name not in UNBOUNDED_FIELDS
+        }
+        assert numeric == {name for owner, name, _ in BOUNDED_FIELDS if owner is cls}
+
+
+@pytest.mark.parametrize(
+    "cls, name, value", [pytest.param(*row, id=f"{row[1]}={row[2]}") for row in BOUNDED_FIELDS]
+)
+def test_a_bad_bounded_field_is_named_with_its_value(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be .* got {re.escape(str(value))}$"):
+        cls(**{name: value}).validate()
+
+
 def test_make_batches_document_mode_single_doc_per_batch():
     task = TaskSpec(vocab_size=10, sentences_per_doc=5, num_documents=6, seed=7)
     train, _, _ = generate_synthetic_corpus(task)
@@ -161,6 +197,8 @@ def test_make_batches_errors():
 
     with pytest.raises(ValueError):
         make_batches(DocumentCorpus([]), "random", 2, seed=0)
+    with pytest.raises(ValueError, match="^batch_size must be >= 1, got 0$"):
+        make_batches(train, "random", 0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +296,7 @@ def test_score_corpus_misaligned_files(tmp_path):
         score_corpus(tmp_path / "hyp.txt", tmp_path / "ref.txt", metric="bleu")
 
 
-def test_score_corpus_misalignment_names_hypotheses(tmp_path):
+def test_score_corpus_misalignment_names_hypotheses(tmp_path, monkeypatch):
     _write_lines(tmp_path / "hyp.txt", ["a", "b", "c"])
     _write_lines(tmp_path / "ref.txt", ["a", "b"])
     _write_lines(tmp_path / "ids.txt", ["0", "0", "1", "1"])
@@ -270,6 +308,14 @@ def test_score_corpus_misalignment_names_hypotheses(tmp_path):
     _write_lines(tmp_path / "ids.txt", [])
     with pytest.raises(ValueError, match="line count mismatch: 3 hypotheses vs 0 doc ids"):
         score_corpus(tmp_path / "hyp.txt", tmp_path / "ref.txt", docid_path=tmp_path / "ids.txt")
+    _write_lines(tmp_path / "src.txt", ["a", "b"])
+    monkeypatch.setattr(metrics, "line_stats", lambda *args: pytest.fail("extracted"))
+    for metric in ("bleu", "gleu"):
+        with pytest.raises(ValueError, match="^line count mismatch: 3 hypotheses vs 2 sources$"):
+            score_corpus(
+                tmp_path / "hyp.txt", tmp_path / "ref.txt", src_path=tmp_path / "src.txt",
+                metric=metric,
+            )
 
 
 def test_score_corpus_pseudo_docs(tmp_path):
@@ -435,12 +481,32 @@ BAD_SETTINGS = [
     ("mle_learning_rate", "inf", ("train-mle", "--learning-rate")),
     ("mrt_learning_rate", "nan", ("finetune-mrt", "--learning-rate")),
     ("mrt_learning_rate", "inf", ("finetune-mrt", "--learning-rate")),
+    ("mle_batch_size", "0", ("train-mle", "--batch-size")),
+    ("mle_accum_steps", "0", ("train-mle", "--accum-steps")),
+    ("mrt_batch_size", "0", ("finetune-mrt", "--batch-size")),
+    ("mrt_accum_steps", "-1", ("finetune-mrt", "--accum-steps")),
+    ("mrt_max_updates", "-1", ("finetune-mrt", "--max-updates")),
+    ("n_samples", "0", ("finetune-mrt", "--n-samples")),
+    ("max_len", "0", ("finetune-mrt", "--max-len")),
+    ("train_documents", "0", None),
+    ("valid_documents", "0", None),
+    ("test_documents", "0", None),
+    ("finetune_documents", "0", None),
+    ("baseline_style_weight", "-0.5", None),
+    ("finetune_style_weight", "2.0", None),
+    ("noise_rate", "1.5", None),
+    ("vocab_size", "4", None),
+    (None, "-1", ("finetune-mrt", "--eval-every")),
 ]
 
 
 @pytest.mark.parametrize(
     "entry, key, value",
-    [pytest.param(None, key, value, id=f"{key}={value}") for key, value, _ in BAD_SETTINGS]
+    [
+        pytest.param(None, key, value, id=f"{key}={value}")
+        for key, value, _ in BAD_SETTINGS
+        if key is not None
+    ]
     + [
         pytest.param(entry, key, value, id=f"{entry[0]}{entry[1]}={value}")
         for key, value, entry in BAD_SETTINGS
@@ -466,8 +532,36 @@ def test_bad_settings_fail_before_any_work_naming_themselves(
     capsys.readouterr()
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert f"error: {flag[2:].replace('-', '_')} must be" in captured.err and captured.out == ""
+    setting = flag[2:].replace("-", "_")
+    assert captured.err.startswith(f"error: {setting} must be ")
+    assert captured.err.endswith(f", got {value}\n") and captured.out == ""
     assert list(tmp_path.iterdir()) == []  # no checkpoint, no log
+
+
+@pytest.mark.parametrize(
+    "key, value, setting",
+    [("modes", "batch_size", "mode"), ("modes", "mle_learning_rate", "mode"),
+     ("estimator", "learning_rate", "estimator"), ("batchings", "accum_steps", "batching")],
+)
+def test_run_experiment_quotes_a_bad_value_unchanged(monkeypatch, key, value, setting):
+    for name in ("generate_synthetic_corpus", "train_mle_baseline"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name, **kw: pytest.fail(name))
+    with pytest.raises(ValueError, match=f"^unknown {setting} '{value}' \\(expected one of "):
+        run_experiment({**_tiny_experiment_config(), key: value})
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--sentences-per-doc", "0", "sentences_per_doc must be >= 1, got 0"),
+     ("--noise-rate", "2", "noise_rate must be in [0, 1], got 2.0"),
+     ("--len-max", "2", "len_max must be >= 3, got 2")],
+)
+def test_cli_gen_data_names_a_bad_task_setting(tmp_path, capsys, flag, value, message):
+    capsys.readouterr()
+    assert cli.main(["gen-data", "--out-dir", str(tmp_path / "data"), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_experiment_leaves_mle_max_updates_unused_with_a_baseline_checkpoint(tmp_path):
@@ -599,7 +693,7 @@ def test_cli_enum_check(capsys):
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_enum_check_rejects_fewer_than_one_trial(capsys, trials):
-    with pytest.raises(ValueError, match="trials must be >= 1"):
+    with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
         enum_check(trials=trials)
     assert cli.main(["enum-check", "--trials", str(trials)]) == 2
     captured = capsys.readouterr()
@@ -706,15 +800,20 @@ def test_cli_train_and_finetune_round_trip(tmp_path, capsys):
     assert {"update", "mode", "risk", "seed"} <= set(json.loads(log_lines[0]))
 
 
-@pytest.mark.parametrize("bad", ["nan", "0.1.2"])
-def test_cli_finetune_rejects_bad_checkpoint(tmp_path, capsys, bad):
+@pytest.mark.parametrize(
+    "line, bad, error",
+    [pytest.param(5, "nan", ":6: non-finite", id="nan"),
+     pytest.param(5, "0.1.2", ":6: unparseable", id="0.1.2"),
+     pytest.param(0, "docmrt-ckpt v1 3 1 1", ":1: vocab_size must be >= 5, got 3", id="v1 3 1 1")],
+)
+def test_cli_finetune_rejects_bad_checkpoint(tmp_path, capsys, line, bad, error):
     data = tmp_path / "data"
     assert cli.main(["gen-data", "--out-dir", str(data), "--vocab-size", "8", "--rule", "0"]) == 0
     params = model.init_params(12, 2, 2, seed=0)
     ckpt = tmp_path / "base.ckpt"
     model.save_checkpoint(params, ckpt)
     lines = ckpt.read_text(encoding="utf-8").splitlines()
-    lines[5] = bad
+    lines[line] = bad
     ckpt.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     tuned = tmp_path / "tuned.ckpt"
@@ -725,7 +824,7 @@ def test_cli_finetune_rejects_bad_checkpoint(tmp_path, capsys, bad):
         ]
     )
     assert rc == 2
-    assert ":6:" in capsys.readouterr().err
+    assert f"{ckpt}{error}" in capsys.readouterr().err
     assert not tuned.exists()
 
 

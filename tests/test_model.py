@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -760,6 +761,29 @@ def test_checkpoint_rejects_non_finite_values(tmp_path):
         _write_checkpoint(tmp_path / "bad.ckpt", values)
         with pytest.raises(ValueError, match=":5: non-finite"):
             model.load_checkpoint(tmp_path / "bad.ckpt")
+
+
+@pytest.mark.parametrize(
+    "sizes, values, message",
+    [("3 1 1", 15, "vocab_size must be >= 5, got 3"),
+     ("5 -1 2", 3, "emb_dim must be >= 1, got -1"),
+     ("5 0 3", 23, "emb_dim must be >= 1, got 0"),
+     ("5 2 0", 10, "hidden_dim must be >= 1, got 0"),
+     ("5 2 x", 10, "invalid literal for int() with base 10: 'x'")],
+)
+def test_checkpoint_rejects_sizes_init_params_rejects_before_reading_values(
+    tmp_path, sizes, values, message
+):
+    # the first value does not parse, so only a header check can raise this
+    path = tmp_path / "bad.ckpt"
+    lines = ["docmrt-ckpt v1 " + sizes, "0.5x"] + ["0.0"] * (values - 1)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        model.load_checkpoint(path)
+    assert str(err.value) == f"{path}:1: {message}"
+    if not sizes.endswith("x"):  # the same rule as a model of these sizes
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model.init_params(*(int(x) for x in sizes.split()), seed=0)
 
 
 def test_checkpoint_rejects_unparseable_line_and_wrong_count(tmp_path):

@@ -426,6 +426,16 @@ def small_corpus(seed=0):
     return generate_synthetic_corpus(task)
 
 
+def heldout_evaluator(heldout, cfg):
+    """Beam-4 pooled document metric of cfg's cost kind on heldout, the
+    evaluator docmrt finetune-mrt passes as eval_fn."""
+    from docmrt.harness import evaluate_corpus
+
+    return lambda p: evaluate_corpus(
+        p, heldout, cfg.cost_kind.as_document_kind(), beam=4, max_len=cfg.max_len
+    ).value
+
+
 def test_finetune_accumulation_matches_single_concatenated_update():
     # all micro-batch gradients are taken at the starting parameters and
     # averaged, so one update with accum_steps=k is one plain SGD step
@@ -477,11 +487,55 @@ def test_finetune_is_deterministic_per_seed():
         mode="seq_mrt", cost_kind=CostKind.ONE_MINUS_SBLEU, n_samples=2,
         batch_size=2, learning_rate=0.1, max_updates=3, seed=7, max_len=4,
     )
-    a, log_a = mrt.finetune(params, train, cfg, heldout=valid, eval_every=2)
-    b, log_b = mrt.finetune(params, train, cfg, heldout=valid, eval_every=2)
+    evaluate = heldout_evaluator(valid, cfg)
+    a, log_a = mrt.finetune(params, train, cfg, eval_every=2, eval_fn=evaluate)
+    b, log_b = mrt.finetune(params, train, cfg, eval_every=2, eval_fn=evaluate)
     assert np.array_equal(a.theta, b.theta)
     assert log_a == log_b
     assert "heldout_metric" in log_a[1]
+
+
+@pytest.mark.parametrize("mode", ["mle", "doc_mrt_random"])
+def test_finetune_reshuffles_each_epoch_on_the_training_stream(mode):
+    # 3 updates of 2 micro-batches over 3 batches per epoch: the second epoch's
+    # seed is drawn from the training rng between the third and fourth batches
+    from docmrt.harness import make_batches
+
+    train, _, _ = small_corpus(seed=11)
+    params = model.init_params(8, 3, 3, seed=9)
+    cfg = TrainConfig(
+        mode=mode, n_samples=2, batch_size=4, learning_rate=0.3, accum_steps=2,
+        max_updates=3, seed=5, max_len=4, batching="random",
+    )
+    tuned, _ = mrt.finetune(params, train, cfg)
+
+    rng = np.random.default_rng(cfg.seed)
+    expected, batches = params.copy(), []
+    for _ in range(cfg.max_updates):
+        acc = np.zeros_like(expected.theta)
+        for _ in range(cfg.accum_steps):
+            if not batches:
+                batches = make_batches(train, "random", 4, int(rng.integers(2**31 - 1)))
+                assert len(batches) == 3
+            acc += mrt._micro_batch_estimate(expected, batches.pop(0), cfg, rng).grad
+        expected.theta -= cfg.learning_rate * acc / cfg.accum_steps
+    assert np.array_equal(tuned.theta, expected.theta)
+
+
+@pytest.mark.parametrize("eval_every", [None, 0, -1, -3])
+def test_finetune_evaluates_never_for_0_and_rejects_a_negative_eval_every(eval_every):
+    train, _, _ = small_corpus(seed=12)
+    params = model.init_params(8, 3, 3, seed=10)
+    cfg = TrainConfig(mode="mle", batch_size=2, max_updates=3, max_len=4)
+    calls = []
+    evaluate = lambda p: calls.append(p) or 0.0
+    if eval_every is not None and eval_every < 0:
+        with pytest.raises(ValueError, match=f"^eval_every must be >= 0, got {eval_every}$"):
+            mrt.finetune(params, train, cfg, eval_every=eval_every, eval_fn=evaluate)
+    else:
+        _, log = mrt.finetune(params, train, cfg, eval_every=eval_every, eval_fn=evaluate)
+        assert len(log) == 3 and not any("heldout_metric" in rec for rec in log)
+    assert calls == []
 
 
 def test_finetune_does_not_mutate_start_params():
@@ -546,7 +600,7 @@ def test_finetune_rejects_a_cost_kind_that_is_not_a_cost_kind(mode):
     kinds = ", ".join(kind.value for kind in CostKind)
     message = f"unknown cost_kind 'one_minus_docbleu' (expected one of {kinds})"
     with pytest.raises(ValueError, match=re.escape(message)):
-        mrt.finetune(params, train, cfg, heldout=valid, eval_every=1)
+        mrt.finetune(params, train, cfg, eval_every=1, eval_fn=heldout_evaluator(valid, cfg))
 
 
 # ---------------------------------------------------------------------------
