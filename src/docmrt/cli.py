@@ -143,6 +143,8 @@ def _cmd_finetune_mrt(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    if args.pseudo_docs is not None:
+        model.at_least(1, pseudo_docs=args.pseudo_docs)
     report = harness.score_corpus(
         args.hyp, args.ref, args.src, args.docid,
         metric=args.metric, pseudo_doc_size=args.pseudo_docs,

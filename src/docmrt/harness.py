@@ -502,12 +502,15 @@ def score_corpus(
     Token identity is literal whitespace-token equality; a throwaway vocabulary
     over all provided files keeps distinct surface tokens distinct. Each line's
     metric stats are extracted once; every document and the corpus are scored
-    from the sum of their lines' stats.
+    from the sum of their lines' stats. A pseudo_doc_size below 1 is an error
+    even when a doc-id file sets the documents.
     """
     if metric not in metrics.METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "gleu" and src_path is None:
         raise ValueError("GLEU scoring requires a source file")
+    if pseudo_doc_size is not None:
+        model.at_least(1, pseudo_doc_size=pseudo_doc_size)
     hyp_lines, ref_lines = textcore.read_lines(hyp_path), textcore.read_lines(ref_path)
     src_lines = textcore.read_lines(src_path) if src_path is not None else None
     lines = hyp_lines + ref_lines + (src_lines or [])

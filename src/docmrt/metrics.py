@@ -123,36 +123,49 @@ def ngram_stats(
 
 def _reference_index(ref: Sentence) -> tuple[dict, dict]:
     """Match masks (bit k of masks[tok] set where ref[k] == tok) and the ascending
-    start positions of every reference block of length <= MAX_SHIFT_BLOCK."""
+    positions of each reference token, keyed by its 1-token block (tok,).
+
+    The shift search finds the positions of longer blocks by extending these
+    in place (see _ter_counts), so no table of every block is built.
+    """
     masks, starts = {}, {}
     for k, tok in enumerate(ref):
         masks[tok] = masks.get(tok, 0) | 1 << k
-        for length in range(1, min(MAX_SHIFT_BLOCK, len(ref) - k) + 1):
-            starts.setdefault(tuple(ref[k : k + length]), []).append(k)
+        starts.setdefault((tok,), []).append(k)
     return masks, starts
 
 
-def _edit_distance(hyp: Sequence[int], masks: dict, ref_len: int) -> int:
+def _edit_distance(
+    hyp: Sequence[int],
+    masks: dict,
+    ref_len: int,
+    state: tuple[int, int, int] | None = None,
+    states: list | None = None,
+) -> int:
     """Word-level Levenshtein distance (unit costs) from hyp to the reference of
     masks: Myers' (1999) bit-vector DP in Hyyrö's (2003) global form, where bit k
-    of vp/vn is the +1/-1 step from row k to k + 1 of the current column."""
-    if ref_len == 0:
-        return len(hyp)
-    top = 1 << (ref_len - 1)
-    full = (top << 1) - 1
-    vp, vn, dist = full, 0, ref_len
+    of vp/vn is the +1/-1 step from row k to k + 1 of the current column.
+
+    state (vp, vn, distance) resumes the DP after a prefix, so the result is the
+    distance of that prefix followed by hyp; states, when given, receives the
+    state after each token of hyp.
+    """
+    top = 1 << ref_len  # hp/hn are shifted one row down: bit ref_len is the last row's step
+    full = top - 1
+    vp, vn, dist = state or (full, 0, ref_len)
     for tok in hyp:
         eq = masks.get(tok, 0)
         d0 = (((eq & vp) + vp) ^ vp) | eq | vn
-        hp = vn | ~(d0 | vp)
-        hn = vp & d0
+        hp = (vn | ~(d0 | vp)) << 1 | 1  # row 0 grows by one per hypothesis token
+        hn = (vp & d0) << 1
         if hp & top:
             dist += 1
         elif hn & top:
             dist -= 1
-        hp = hp << 1 | 1  # row 0 grows by one per hypothesis token
-        vp = (hn << 1 | ~(d0 | hp)) & full
+        vp = (hn | ~(d0 | hp)) & full
         vn = hp & d0
+        if states is not None:
+            states.append((vp, vn, dist))
     return dist
 
 
@@ -168,33 +181,47 @@ def ter_stats(hyp: Sentence, ref: Sentence) -> list[int]:
     return extractor("ter", ref)(hyp)
 
 
-def _ter_counts(hyp: Sentence, masks: dict, starts: dict, ref_len: int) -> list[int]:
-    """ter_stats of hyp against a reference of length ref_len indexed by
-    _reference_index."""
-    current = list(hyp)
-    edits = _edit_distance(current, masks, ref_len)
+def _ter_counts(hyp: Sentence, masks: dict, starts: dict, ref: Sentence) -> list[int]:
+    """ter_stats of hyp against ref, indexed by _reference_index.
+
+    A block from i grows one token at a time: the positions of the longer block
+    are those k of the shorter one where ref[k + length - 1] is the new token,
+    and the block stops growing at the first length with none. A candidate
+    equals the current hypothesis up to min(i, j), so it is aligned from the
+    DP state recorded there (states[m] is the state after m tokens; None
+    starts afresh), feeding _edit_distance only the tail.
+    """
+    ref_len = len(ref)
+    current, states = list(hyp), [None]
+    edits = _edit_distance(current, masks, ref_len, None, states)
     shifts = 0
     while edits > 0:
         best = None
         for i in range(len(current)):
-            for length in range(1, min(MAX_SHIFT_BLOCK, len(current) - i) + 1):
+            positions = starts.get((current[i],))
+            length = 1
+            while positions:
                 block = current[i : i + length]
-                positions = starts.get(tuple(block))
-                if positions is None:
-                    break  # no longer block from i is in the reference either
                 rest = current[:i] + current[i + length :]
                 for j in positions:
                     if j > len(rest):
                         break
                     if j == i:
                         continue  # reinserting in place is a no-op
-                    candidate = rest[:j] + block + rest[j:]
-                    e = _edit_distance(candidate, masks, ref_len)
+                    m = min(i, j)
+                    e = _edit_distance(rest[m:j] + block + rest[j:], masks, ref_len, states[m])
                     if e < edits and (best is None or e < best[0]):
-                        best = (e, candidate)
+                        best = (e, m, rest[:j] + block + rest[j:])
+                if length == MAX_SHIFT_BLOCK or i + length == len(current):
+                    break
+                tok = current[i + length]
+                positions = [k for k in positions if k + length < ref_len and ref[k + length] == tok]
+                length += 1
         if best is None:
             break
-        edits, current = best
+        edits, m, current = best
+        del states[m + 1 :]
+        _edit_distance(current[m:], masks, ref_len, states[m], states)
         shifts += 1
     return [edits + shifts, ref_len]
 
@@ -213,7 +240,7 @@ def extractor(
     """
     if metric == "ter":
         index = _reference_index(ref)
-        return lambda hyp: _ter_counts(hyp, *index, len(ref))
+        return lambda hyp: _ter_counts(hyp, *index, ref)
     if metric == "gleu" and src is None:
         raise ValueError("GLEU requires a source sentence")
     if max_n < 1:

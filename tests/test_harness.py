@@ -334,6 +334,30 @@ def test_score_corpus_rejects_zero_pseudo_doc_size(tmp_path):
         score_corpus(tmp_path / "hyp.txt", tmp_path / "ref.txt", pseudo_doc_size=0)
 
 
+@pytest.mark.parametrize("with_docid", [False, True])
+@pytest.mark.parametrize("size", [0, -2])
+def test_a_bad_pseudo_doc_size_fails_before_any_file_is_read(
+    tmp_path, capsys, monkeypatch, size, with_docid
+):
+    # the hypothesis file does not exist, so only the bound can be the error;
+    # a doc-id file does not excuse the bad setting
+    hyp, ref, ids = tmp_path / "missing.txt", tmp_path / "ref.txt", tmp_path / "ids.txt"
+    _write_lines(ref, ["a"])
+    _write_lines(ids, ["0"])
+    docid = ids if with_docid else None
+    reads = []
+    monkeypatch.setattr(harness.textcore, "read_lines", lambda path: reads.append(path))
+    with pytest.raises(ValueError, match=f"^pseudo_doc_size must be >= 1, got {size}$"):
+        score_corpus(hyp, ref, docid_path=docid, pseudo_doc_size=size)
+    capsys.readouterr()
+    argv = ["score", "--hyp", str(hyp), "--ref", str(ref), "--pseudo-docs", str(size)]
+    assert cli.main(argv + (["--docid", str(ids)] if with_docid else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: pseudo_docs must be ")
+    assert captured.err.endswith(f", got {size}\n") and captured.out == ""
+    assert reads == []
+
+
 def test_score_corpus_reads_each_file_once(tmp_path, monkeypatch):
     paths = [tmp_path / f"{name}.txt" for name in ("hyp", "ref", "src", "ids")]
     for path, lines in zip(paths, (["a b", "c"], ["a x", "c"], ["s t", "u"], ["0", "1"])):

@@ -587,13 +587,13 @@ def test_ngram_rows_equal_per_order_counters(hyp, src, ref, max_n):
 
 @st.composite
 def small_vocab_pairs(draw):
-    """(hyp, ref) of lengths 0-20 over 2-6 tokens: repeated blocks and tied
-    shifts are common."""
-    line = st.lists(st.integers(0, draw(st.integers(2, 6)) - 1), max_size=20)
+    """(hyp, ref) of lengths 0-25 over 1-6 tokens: repeated blocks and tied
+    shifts are common, and most common over 1-3 tokens."""
+    line = st.lists(st.integers(0, draw(st.integers(1, 6)) - 1), max_size=25)
     return tuple(draw(line)), tuple(draw(line))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(pair=small_vocab_pairs())
 def test_ter_stats_equal_reference_search(pair):
     hyp, ref = pair
@@ -706,3 +706,34 @@ def test_doc_cost_pools_empty_reference_lines():
         doc_cost(CostKind.DOC_TER, [(4,)], [()])
     with pytest.raises(ValueError, match="empty reference"):
         seq_cost(CostKind.SENT_TER, (4,), ())
+
+
+@pytest.mark.parametrize("ref_len", [0, 1, 63, 64, 65, 130])
+def test_edit_distance_resumed_from_a_recorded_state_equals_the_full_pass(ref_len):
+    rng = random.Random(ref_len)
+    for vocab in (2, 5, 300):
+        ref = [rng.randrange(vocab) for _ in range(ref_len)]
+        masks = _reference_index(ref)[0]
+        hyp = [rng.randrange(vocab) for _ in range(ref_len + 3)]
+        states = []
+        full = _edit_distance(hyp, masks, ref_len, None, states)
+        assert full == reference_edit_distance(hyp, ref) and len(states) == len(hyp)
+        for k in range(len(hyp) + 1):
+            own = []  # the states of the prefix's own pass
+            _edit_distance(hyp[:k], masks, ref_len, None, own)
+            assert own == states[:k]
+            start = states[k - 1] if k else None  # None: the state before any token
+            assert _edit_distance(hyp[k:], masks, ref_len, start) == full
+
+
+def test_shift_candidates_are_aligned_from_their_first_changed_token(monkeypatch):
+    # a full realignment would feed every candidate's 14 tokens
+    distance, calls = metrics._edit_distance, []
+    monkeypatch.setattr(metrics, "_edit_distance", lambda *args: calls.append(args) or distance(*args))
+    hyp = (2, 0, 1, 1, 0, 2, 2, 1, 0, 1, 2, 0, 0, 1)
+    ref = (0, 1, 2, 0, 1, 1, 2, 2, 0, 1, 0, 2, 1, 0)
+    assert ter_stats(hyp, ref) == [3, 14]
+    candidates = [args for args in calls if len(args) == 4]  # the others record states
+    fed = sum(len(args[0]) for args in calls)
+    assert len(candidates) == 252 and fed == 2659
+    assert fed < len(candidates) * len(hyp)
