@@ -103,7 +103,7 @@ def _write_log(log: list[dict], path: str | None) -> None:
 
 def _cmd_train_mle(args) -> int:
     cfg = mrt.TrainConfig(mode="mle", **_gather(args, mrt.TrainConfig)).validate()
-    model.at_least(1, eval_every=args.eval_every, patience=args.patience)
+    textcore.at_least(1, eval_every=args.eval_every, patience=args.patience)
     vocab, train, valid, _ = load_data_dir(args.data_dir)
     params, log = harness.train_mle_baseline(
         train, valid, len(vocab), args.emb_dim, args.hidden_dim, cfg,
@@ -118,7 +118,7 @@ def _cmd_train_mle(args) -> int:
 
 def _cmd_finetune_mrt(args) -> int:
     cfg = mrt.TrainConfig(**_gather(args, mrt.TrainConfig)).validate()
-    model.at_least(0, eval_every=args.eval_every)
+    textcore.at_least(0, eval_every=args.eval_every)
     vocab, train, valid, _ = load_data_dir(args.data_dir)
     params = harness.load_baseline(args.ckpt, len(vocab))
     kind = cfg.cost_kind.as_document_kind()
@@ -144,7 +144,7 @@ def _cmd_finetune_mrt(args) -> int:
 
 def _cmd_score(args) -> int:
     if args.pseudo_docs is not None:
-        model.at_least(1, pseudo_docs=args.pseudo_docs)
+        textcore.at_least(1, pseudo_docs=args.pseudo_docs)
     report = harness.score_corpus(
         args.hyp, args.ref, args.src, args.docid,
         metric=args.metric, pseudo_doc_size=args.pseudo_docs,

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import metrics, model, mrt, textcore
 from .metrics import CostKind, MetricScore
-from .textcore import DocumentBatch, DocumentCorpus, Sentence, Vocabulary
+from .textcore import DocumentBatch, DocumentCorpus, Sentence, Vocabulary, aligned, at_least
 
 RULE_COPY = 0
 RULE_REVERSE = 1
@@ -60,11 +60,11 @@ class TaskSpec:
     cipher_seed: int | None = None
 
     def validate(self) -> "TaskSpec":
-        model.at_least(5, vocab_size=self.vocab_size)
+        at_least(5, vocab_size=self.vocab_size)
         counts = ("len_min", "sentences_per_doc", "num_documents", "valid_documents",
                   "test_documents")
-        model.at_least(1, **{name: getattr(self, name) for name in counts})
-        model.at_least(self.len_min, len_max=self.len_max)
+        at_least(1, **{name: getattr(self, name) for name in counts})
+        at_least(self.len_min, len_max=self.len_max)
         if self.rule not in (RULE_COPY, RULE_REVERSE, RULE_CIPHER):
             raise ValueError(
                 f"invalid rule id {self.rule} (expected {RULE_COPY} copy, "
@@ -138,7 +138,7 @@ def make_batches(
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    model.at_least(1, batch_size=batch_size)
+    at_least(1, batch_size=batch_size)
     rng = np.random.default_rng(seed)
     if mode == "random":
         order = rng.permutation(len(corpus))
@@ -220,7 +220,7 @@ def train_mle_baseline(
     checkpoint seen.
     """
     cfg = dataclasses.replace(cfg, mode="mle").validate()
-    model.at_least(1, max_updates=cfg.max_updates, eval_every=eval_every, patience=patience)
+    at_least(1, max_updates=cfg.max_updates, eval_every=eval_every, patience=patience)
     params = model.init_params(vocab_size, emb_dim, hidden_dim, cfg.seed)
     best_params = params.copy()
     best_score = -1.0
@@ -371,7 +371,10 @@ def resolve_experiment_config(config: dict | str | Path | None) -> dict:
         key = key.replace("-", "_")
         if key not in resolved:
             raise ValueError(f"unknown experiment config key {key!r}")
-        resolved[key] = _coerce(value, EXPERIMENT_DEFAULTS[key])
+        try:
+            resolved[key] = _coerce(value, EXPERIMENT_DEFAULTS[key])
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     return resolved
 
 
@@ -398,10 +401,10 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
         seed=seed + 1,
         cipher_seed=seed,  # same transduction as the baseline task
     )
-    model.at_least(cfg["len_max"], max_len=cfg["max_len"])  # every reference fits
-    model.at_least(1, **{key: cfg[key] for key in ("mle_eval_every", "mle_patience", "eval_beam")})
+    at_least(cfg["len_max"], max_len=cfg["max_len"])  # every reference fits
+    at_least(1, **{key: cfg[key] for key in ("mle_eval_every", "mle_patience", "eval_beam")})
     if not cfg["baseline_checkpoint"]:  # a loaded baseline trains nothing
-        model.at_least(1, mle_max_updates=cfg["mle_max_updates"])
+        at_least(1, mle_max_updates=cfg["mle_max_updates"])
 
     def validated(settings, keys: dict[str, str]):
         """settings.validate(); an error about a field of keys (a bound error
@@ -510,7 +513,7 @@ def score_corpus(
     if metric == "gleu" and src_path is None:
         raise ValueError("GLEU scoring requires a source file")
     if pseudo_doc_size is not None:
-        model.at_least(1, pseudo_doc_size=pseudo_doc_size)
+        at_least(1, pseudo_doc_size=pseudo_doc_size)
     hyp_lines, ref_lines = textcore.read_lines(hyp_path), textcore.read_lines(ref_path)
     src_lines = textcore.read_lines(src_path) if src_path is not None else None
     lines = hyp_lines + ref_lines + (src_lines or [])
@@ -520,10 +523,7 @@ def score_corpus(
         # no document structure given: one block over every line is one document
         pseudo_doc_size = max(len(lines), 1)
     id_lines = textcore.read_lines(docid_path) if docid_path is not None else None
-    for name, other in (("references", ref_lines), ("sources", src_lines), ("doc ids", id_lines)):
-        if other is not None and len(other) != len(hyp_lines):
-            n, m = len(hyp_lines), len(other)
-            raise ValueError(f"line count mismatch: {n} hypotheses vs {m} {name}")
+    aligned(hypotheses=hyp_lines, references=ref_lines, sources=src_lines, doc_ids=id_lines)
     hyp_corpus = textcore.encode_document_corpus(
         hyp_lines, ref_lines, vocab, id_lines, pseudo_doc_size
     )
@@ -628,7 +628,7 @@ def enum_check(
     seed: int = 0,
 ) -> dict:
     """Output-space normalization check over random parameter draws."""
-    model.at_least(1, trials=trials)
+    at_least(1, trials=trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .textcore import Sentence
+from .textcore import Sentence, aligned, at_least
 
 DEFAULT_MAX_N = 4
 
@@ -243,8 +243,7 @@ def extractor(
         return lambda hyp: _ter_counts(hyp, *index, ref)
     if metric == "gleu" and src is None:
         raise ValueError("GLEU requires a source sentence")
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+    at_least(1, max_n=max_n)
     ref_counts = _ngram_counts(ref, max_n)
     src_counts = _ngram_counts(src if metric == "gleu" else (), max_n)
     src_only = {g: c for g, c in src_counts.items() if g not in ref_counts}
@@ -259,8 +258,7 @@ def line_stats(
     max_n: int = DEFAULT_MAX_N,
 ) -> np.ndarray:
     """One stats row per aligned line, shape (lines, K); sources only for GLEU."""
-    if len(hyps) != len(refs) or srcs is not None and len(srcs) != len(refs):
-        raise ValueError("hypothesis/source/reference count mismatch")
+    aligned(hypotheses=hyps, references=refs, sources=srcs)
     if not hyps:
         raise ValueError("empty corpus")
     srcs = [None] * len(refs) if srcs is None else srcs

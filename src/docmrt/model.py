@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .textcore import BOS_ID, EOS_ID, DocumentBatch, Sentence
+from .textcore import BOS_ID, EOS_ID, DocumentBatch, Sentence, at_least
 
 ENUMERATION_GUARD = 10**6
 
@@ -29,13 +29,6 @@ def _layout(v: int, d: int, h: int) -> dict[str, tuple[int, ...]]:
         "src_emb": (v, d), "tgt_emb": (v, d), "w_hidden": (2 * d, h),
         "b_hidden": (h,), "w_out": (h, v), "b_out": (v,),
     }
-
-
-def at_least(low: float, **settings: float) -> None:
-    """Reject the first of settings that is below low (or NaN), naming it and its value."""
-    for name, value in settings.items():
-        if not value >= low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _check_sizes(vocab_size: int, emb_dim: int, hidden_dim: int) -> None:
@@ -178,8 +171,7 @@ class Decoder:
 
     def __init__(self, params: ModelParams, src: Sentence, max_len: int, *, _table=None):
         """_table: (a batch's _Tables, src's index in it); None builds src's own."""
-        if max_len < 1:
-            raise ValueError("max_len must be >= 1")
+        at_least(1, max_len=max_len)
         tables, i = _table if _table is not None else (_Tables(params, [src]), 0)
         self.params = params
         self.max_len = max_len
@@ -221,8 +213,7 @@ class Decoder:
         return ScoredHypothesis(tuple(tokens), total)
 
     def beam(self, beam_size: int) -> list[ScoredHypothesis]:
-        if beam_size < 1:
-            raise ValueError("beam size must be >= 1")
+        at_least(1, beam_size=beam_size)
         # (logp, tokens, done), ranked by (-logp, tokens); EOS competes for beam
         # slots like any other extension, so beam_size 1 is greedy decoding.
         beams: list[tuple[float, Sentence, bool]] = [(0.0, (), False)]
@@ -297,8 +288,7 @@ def weighted_log_prob_grad(
         raise ValueError(
             f"misaligned: {len(srcs)} sources, {len(tgts)} targets, weights {weights.shape}"
         )
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    at_least(1, max_len=max_len)
     grad = np.zeros_like(params.theta)
     if not len(srcs):
         return 0.0, grad
@@ -423,4 +413,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     bad = np.flatnonzero(~np.isfinite(theta))
     if bad.size:
         raise ValueError(f"{path}:{bad[0] + 2}: non-finite parameter {theta[bad[0]]}")
-    return ModelParams(v, d, h, theta)
+    try:
+        return ModelParams(v, d, h, theta)
+    except ValueError as exc:  # a count the header's layout does not have
+        raise ValueError(f"{path}: {exc}") from None

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import metrics, model, sampling
 from .metrics import CostKind
-from .textcore import DocumentBatch, DocumentCorpus
+from .textcore import DocumentBatch, DocumentCorpus, at_least
 
 MODES = ("seq_mrt", "doc_mrt_ordered", "doc_mrt_random", "mle")
 ESTIMATORS = ("raw", "renormalized")
@@ -61,8 +61,8 @@ class TrainConfig:
             kinds = ", ".join(kind.value for kind in CostKind)
             raise ValueError(f"unknown cost_kind {self.cost_kind!r} (expected one of {kinds})")
         sizes = ("n_samples", "batch_size", "accum_steps", "max_len")
-        model.at_least(1, **{name: getattr(self, name) for name in sizes})
-        model.at_least(0, max_updates=self.max_updates)
+        at_least(1, **{name: getattr(self, name) for name in sizes})
+        at_least(0, max_updates=self.max_updates)
         # NaN fails every comparison, so each check states what a good value is
         for name in ("tau", "alpha", "learning_rate"):
             if not 0 < getattr(self, name) < math.inf:
@@ -226,10 +226,10 @@ def fd_gradient_check(
     """Max relative error of analytic_grad vs central differences of fn.
 
     Coordinates where |analytic| <= 1e-8 are skipped; they carry no usable
-    relative scale.
+    relative scale. A non-finite difference or analytic value gives inf.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     worst = 0.0
     for i in coords:
         g = analytic_grad[i]
@@ -241,7 +241,8 @@ def fd_gradient_check(
         shifted[i] = theta[i] - eps
         lo = fn(shifted)
         fd = (hi - lo) / (2.0 * eps)
-        worst = max(worst, abs(fd - g) / max(abs(g), 1e-12))
+        err = abs(fd - g) / max(abs(g), 1e-12)
+        worst = max(worst, math.inf if math.isnan(err) else err)
     return worst
 
 
@@ -288,7 +289,7 @@ def finetune(
     from .harness import make_batches  # cyclic at module level
 
     cfg.validate()
-    model.at_least(0, eval_every=eval_every or 0)
+    at_least(0, eval_every=eval_every or 0)
     if len(corpus) == 0:
         raise ValueError("empty corpus")
     params = params0.copy()

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import metrics, model
 from .metrics import CostKind
-from .textcore import DocumentBatch
+from .textcore import DocumentBatch, at_least
 
 
 @dataclass
@@ -135,8 +135,7 @@ def draw_sample_set(
     sentence-level version of cost_kind, which is also the ranking metric for
     ordered document assembly.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    at_least(1, n_samples=n_samples)
     if not isinstance(cost_kind, CostKind):
         raise ValueError("a CostKind is required; exact_risk takes custom cost callables")
     grid = [

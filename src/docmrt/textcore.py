@@ -18,6 +18,23 @@ RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 Sentence = tuple[int, ...]
 
 
+def at_least(low: float, **settings: float) -> None:
+    """Reject the first of settings that is below low (or NaN), naming it and its value."""
+    for name, value in settings.items():
+        if not value >= low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def aligned(**columns) -> None:
+    """Reject the first column whose line count differs from the first column's,
+    naming both and their counts; a None column is absent."""
+    (first, lines), *others = columns.items()
+    for name, other in others:
+        if other is not None and len(other) != len(lines):
+            counts = f"{len(lines)} {first} vs {len(other)} {name}".replace("_", " ")
+            raise ValueError(f"line count mismatch: {counts}")
+
+
 @dataclass
 class Vocabulary:
     """Token table with ids 0-3 reserved for PAD/BOS/EOS/UNK."""
@@ -76,8 +93,7 @@ class DocumentBatch:
     doc_ids: list[int]
 
     def __post_init__(self):
-        if not len(self.sources) == len(self.references) == len(self.doc_ids):
-            raise ValueError("batch fields must be aligned")
+        aligned(sources=self.sources, references=self.references, doc_ids=self.doc_ids)
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -85,8 +101,7 @@ class DocumentBatch:
 
 def build_vocab(lines: list[str], max_size: int) -> Vocabulary:
     """Keep the most frequent whitespace tokens, ties broken by first occurrence."""
-    if max_size < 5:
-        raise ValueError("max_size must be at least 5")
+    at_least(5, max_size=max_size)
     counts: Counter[str] = Counter()
     first_seen: dict[str, int] = {}
     pos = 0
@@ -115,8 +130,7 @@ def decode(sentence: Sentence, vocab: Vocabulary) -> str:
 
 def ngrams(sentence: Sentence, n: int) -> Counter:
     """Multiset of all contiguous length-n subsequences."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    at_least(1, n=n)
     seq = tuple(sentence)
     return Counter(seq[i : i + n] for i in range(len(seq) - n + 1))
 
@@ -152,25 +166,19 @@ def encode_document_corpus(
 ) -> DocumentCorpus:
     """Encode parallel source/reference lines with doc ids from id_lines, or in
     blocks of pseudo_doc_size lines when there are none."""
-    if len(src_lines) != len(ref_lines):
-        raise ValueError(
-            f"line count mismatch: {len(src_lines)} sources vs {len(ref_lines)} references"
-        )
+    aligned(sources=src_lines, references=ref_lines, doc_ids=id_lines)
     if id_lines is not None:
-        if len(id_lines) != len(src_lines):
-            raise ValueError(
-                f"line count mismatch: {len(src_lines)} sources vs {len(id_lines)} doc ids"
-            )
-        try:
-            doc_ids = [int(line.strip()) for line in id_lines]
-        except ValueError as exc:
-            raise ValueError(f"unparseable doc id: {exc}") from None
-        for prev, cur in zip(doc_ids, doc_ids[1:]):
-            if cur < prev:
-                raise ValueError("doc ids must be non-decreasing in file order")
+        doc_ids: list[int] = []
+        for lineno, line in enumerate(id_lines, start=1):
+            try:
+                doc_ids.append(int(line))
+            except ValueError:
+                raise ValueError(f"unparseable doc id {line!r} on line {lineno}") from None
+            if lineno > 1 and doc_ids[-1] < doc_ids[-2]:
+                bad = f"line {lineno} has {doc_ids[-1]} after {doc_ids[-2]}"
+                raise ValueError(f"doc ids must be non-decreasing in file order: {bad}")
     elif pseudo_doc_size is not None:
-        if pseudo_doc_size < 1:
-            raise ValueError("pseudo_doc_size must be >= 1")
+        at_least(1, pseudo_doc_size=pseudo_doc_size)
         doc_ids = [i // pseudo_doc_size for i in range(len(src_lines))]
     else:
         raise ValueError("either a doc-id file or pseudo_doc_size is required")

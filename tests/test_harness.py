@@ -318,6 +318,23 @@ def test_score_corpus_misalignment_names_hypotheses(tmp_path, monkeypatch):
             )
 
 
+@pytest.mark.parametrize(
+    "ids, error",
+    [pytest.param(["0", "", "1"], "unparseable doc id '' on line 2", id="blank"),
+     pytest.param(["0", "2", "1"], "doc ids must be non-decreasing in file order: line 3 has 1 "
+                  "after 2", id="decreasing")],
+)
+def test_score_names_the_line_and_value_of_a_bad_doc_id(tmp_path, capsys, ids, error):
+    for name, lines in (("hyp", ["a", "b", "c"]), ("ref", ["a", "b", "c"]), ("ids", ids)):
+        _write_lines(tmp_path / f"{name}.txt", lines)
+    capsys.readouterr()
+    argv = ["score", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "ref.txt"),
+            "--docid", str(tmp_path / "ids.txt")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n" and captured.out == ""
+
+
 def test_score_corpus_pseudo_docs(tmp_path):
     _write_lines(tmp_path / "hyp.txt", ["a", "b", "c", "d"])
     _write_lines(tmp_path / "ref.txt", ["a", "b", "c", "d"])
@@ -389,6 +406,13 @@ def test_grad_check_passes_by_default():
 
 def test_grad_check_detects_injected_fault():
     report = grad_check(corrupt=True)
+    assert not report["passed"]
+
+
+def test_grad_check_fails_when_its_function_goes_nan(monkeypatch):
+    monkeypatch.setattr(model, "log_prob", lambda *args: math.nan)
+    report = grad_check()
+    assert [c["passed"] for c in report["checks"]] == [False, True, True]
     assert not report["passed"]
 
 
@@ -572,6 +596,28 @@ def test_run_experiment_quotes_a_bad_value_unchanged(monkeypatch, key, value, se
         monkeypatch.setattr(harness, name, lambda *args, name=name, **kw: pytest.fail(name))
     with pytest.raises(ValueError, match=f"^unknown {setting} '{value}' \\(expected one of "):
         run_experiment({**_tiny_experiment_config(), key: value})
+
+
+@pytest.mark.parametrize("by_file", [False, True])
+@pytest.mark.parametrize(
+    "key, value, error",
+    [pytest.param("vocab_size", "nan", "invalid literal for int() with base 10: 'nan'", id="int"),
+     pytest.param("tau", "fast", "could not convert string to float: 'fast'", id="float"),
+     pytest.param("style_consistency", "maybe", "expected a boolean, got 'maybe'", id="bool")],
+)
+def test_run_experiment_names_the_config_key_of_a_value_that_does_not_parse(
+    tmp_path, monkeypatch, key, value, error, by_file
+):
+    monkeypatch.setattr(
+        harness, "generate_synthetic_corpus", lambda *args, **kwargs: pytest.fail("generated")
+    )
+    config = {key: value}
+    if by_file:
+        config = tmp_path / "experiment.cfg"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        run_experiment(config)
+    assert str(err.value) == f"config key {key!r}: {error}"
 
 
 @pytest.mark.parametrize(
@@ -828,6 +874,8 @@ def test_cli_train_and_finetune_round_trip(tmp_path, capsys):
     "line, bad, error",
     [pytest.param(5, "nan", ":6: non-finite", id="nan"),
      pytest.param(5, "0.1.2", ":6: unparseable", id="0.1.2"),
+     pytest.param(5, "", ": theta has length 93, layout requires 94", id="truncated"),
+     pytest.param(5, "0.0\n0.0", ": theta has length 95, layout requires 94", id="overlong"),
      pytest.param(0, "docmrt-ckpt v1 3 1 1", ":1: vocab_size must be >= 5, got 3", id="v1 3 1 1")],
 )
 def test_cli_finetune_rejects_bad_checkpoint(tmp_path, capsys, line, bad, error):
@@ -837,7 +885,7 @@ def test_cli_finetune_rejects_bad_checkpoint(tmp_path, capsys, line, bad, error)
     ckpt = tmp_path / "base.ckpt"
     model.save_checkpoint(params, ckpt)
     lines = ckpt.read_text(encoding="utf-8").splitlines()
-    lines[line] = bad
+    lines[line : line + 1] = bad.splitlines()  # "" drops the line
     ckpt.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     tuned = tmp_path / "tuned.ckpt"

@@ -405,6 +405,25 @@ def test_fd_gradient_check_flags_wrong_gradient():
     assert err > 0.1
 
 
+@pytest.mark.parametrize(
+    "fn, grad",
+    [pytest.param(lambda th: math.nan, [2.0, 2.0], id="fn-nan"),
+     pytest.param(lambda th: float((th**2).sum()), [math.nan, 2.0], id="analytic-nan"),
+     pytest.param(lambda th: float((th**2).sum()), [math.inf, 2.0], id="analytic-inf"),
+     pytest.param(lambda th: math.inf * th[0], [2.0, 2.0], id="fn-inf")],
+)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # numpy's inf - inf, inf / inf
+def test_fd_gradient_check_fails_every_threshold_on_a_non_finite_value(fn, grad):
+    # the non-finite coordinate comes first, so a later finite one cannot hide it
+    assert fd_gradient_check(fn, np.array(grad), np.ones(2), range(2)) == math.inf
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1e-4])
+def test_fd_gradient_check_requires_a_finite_positive_eps(eps):
+    with pytest.raises(ValueError, match=f"^eps must be finite and positive, got {eps}$"):
+        fd_gradient_check(lambda th: float(th[0]), np.ones(1), np.zeros(1), range(1), eps=eps)
+
+
 def test_fd_gradient_check_skips_tiny_coordinates():
     theta = np.zeros(2)
     err = fd_gradient_check(lambda th: float(th[0]), np.array([1.0, 0.0]), theta, range(2))

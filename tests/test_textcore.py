@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from docmrt import metrics, model, sampling
 from docmrt.textcore import (
     BOS_ID,
     EOS_ID,
@@ -12,6 +14,7 @@ from docmrt.textcore import (
     build_vocab,
     decode,
     encode,
+    encode_document_corpus,
     ngrams,
     read_document_corpus,
     write_document_corpus,
@@ -152,3 +155,62 @@ def test_read_document_corpus_pseudo_docs(tmp_path):
         tmp_path / "x.src", tmp_path / "x.ref", vocab, None, pseudo_doc_size=2
     )
     assert [e[2] for e in corpus.entries] == [0, 0, 1]
+
+
+def _params():
+    return model.init_params(6, 2, 2, seed=0)
+
+
+def _batch():
+    return DocumentBatch(sources=[(4,)], references=[(4,)], doc_ids=[0])
+
+
+# (setting, its lower bound, the bad value, a call that passes the bad value), by site
+FORMER_AD_HOC_BOUNDS = [
+    pytest.param("max_size", 5, 4, lambda: build_vocab(["a"], max_size=4), id="build_vocab"),
+    pytest.param("n", 1, 0, lambda: ngrams((4, 5), 0), id="ngrams"),
+    pytest.param("pseudo_doc_size", 1, -2, lambda: encode_document_corpus(
+        ["a"], ["a"], build_vocab(["a"], max_size=5), pseudo_doc_size=-2),
+        id="encode_document_corpus"),
+    pytest.param("max_n", 1, 0, lambda: metrics.extractor("bleu", (4, 5), max_n=0),
+                 id="extractor"),
+    pytest.param("max_len", 1, 0, lambda: model.Decoder(_params(), (4,), 0), id="Decoder"),
+    pytest.param("beam_size", 1, 0, lambda: model.Decoder(_params(), (4,), 3).beam(0),
+                 id="Decoder.beam"),
+    pytest.param("max_len", 1, -1, lambda: model.weighted_log_prob_grad(
+        _params(), [(4,)], [(4,)], [1.0], -1), id="weighted_log_prob_grad"),
+    pytest.param("n_samples", 1, 0, lambda: sampling.draw_sample_set(
+        _params(), _batch(), 0, 1.0, np.random.default_rng(0), 3,
+        metrics.CostKind.ONE_MINUS_SBLEU), id="draw_sample_set"),
+]
+
+
+@pytest.mark.parametrize("name, low, value, call", FORMER_AD_HOC_BOUNDS)
+def test_every_lower_bound_names_its_setting_and_value(name, low, value, call):
+    with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {value}$"):
+        call()
+
+
+# (a call with one column a line short or long, the message naming both columns), by site
+MISALIGNED_COLUMNS = [
+    pytest.param(lambda: encode_document_corpus(
+        ["a", "a"], ["a"], build_vocab(["a"], max_size=5), None, 1),
+        "2 sources vs 1 references", id="encode_document_corpus-references"),
+    pytest.param(lambda: encode_document_corpus(
+        ["a"], ["a"], build_vocab(["a"], max_size=5), ["0", "0"]),
+        "1 sources vs 2 doc ids", id="encode_document_corpus-doc_ids"),
+    pytest.param(lambda: metrics.line_stats("bleu", [(4,), (5,)], [(4,)]),
+                 "2 hypotheses vs 1 references", id="line_stats-references"),
+    pytest.param(lambda: metrics.line_stats("gleu", [(4,)], [(4,)], [(4,), (5,)]),
+                 "1 hypotheses vs 2 sources", id="line_stats-sources"),
+    pytest.param(lambda: DocumentBatch(sources=[(4,)], references=[], doc_ids=[0]),
+                 "1 sources vs 0 references", id="DocumentBatch-references"),
+    pytest.param(lambda: DocumentBatch(sources=[(4,)], references=[(4,)], doc_ids=[0, 0]),
+                 "1 sources vs 2 doc ids", id="DocumentBatch-doc_ids"),
+]
+
+
+@pytest.mark.parametrize("call, counts", MISALIGNED_COLUMNS)
+def test_every_alignment_check_names_both_columns_and_counts(call, counts):
+    with pytest.raises(ValueError, match=f"^line count mismatch: {counts}$"):
+        call()
