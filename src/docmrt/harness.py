@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -343,7 +344,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 def _coerce(value, like):
     """A setting's value (a config or command-line string) as the type of its
     default like; a setting without a default (None) keeps its value. This is
-    the only place such a string becomes a value."""
+    the only place such a string becomes a value; any other value of a number
+    setting must be a number of its kind (an integer is a float), not a bool."""
     if like is None:
         return value
     if isinstance(like, bool):
@@ -352,6 +354,10 @@ def _coerce(value, like):
         if str(value).lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"expected a boolean, got {value!r}")
+    if isinstance(like, (int, float)) and not isinstance(value, str):
+        kind = numbers.Integral if isinstance(like, int) else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"expected {type(like).__name__}, got {value!r}")
     return type(like)(value)  # int, float, str and enums such as CostKind
 
 
@@ -502,11 +508,11 @@ def score_corpus(
 ) -> dict:
     """Corpus-level and per-document scores for parallel text files.
 
-    Token identity is literal whitespace-token equality; a throwaway vocabulary
-    over all provided files keeps distinct surface tokens distinct. Each line's
-    metric stats are extracted once; every document and the corpus are scored
-    from the sum of their lines' stats. A pseudo_doc_size below 1 is an error
-    even when a doc-id file sets the documents.
+    Token identity is literal whitespace-token equality: each distinct token of
+    the files gets an id of its own, interned in one pass (sources only for
+    GLEU). Each line's stats are extracted once; each document (every line, given
+    no doc ids or pseudo_doc_size) and the corpus are scored from their sum. A
+    pseudo_doc_size below 1 is an error even when a doc-id file sets the documents.
     """
     if metric not in metrics.METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -516,35 +522,31 @@ def score_corpus(
         at_least(1, pseudo_doc_size=pseudo_doc_size)
     hyp_lines, ref_lines = textcore.read_lines(hyp_path), textcore.read_lines(ref_path)
     src_lines = textcore.read_lines(src_path) if src_path is not None else None
-    lines = hyp_lines + ref_lines + (src_lines or [])
-    distinct = len({tok for line in lines for tok in line.split()})
-    vocab = textcore.build_vocab(lines, max_size=distinct + 4)
-    if docid_path is None and pseudo_doc_size is None:
-        # no document structure given: one block over every line is one document
-        pseudo_doc_size = max(len(lines), 1)
+    if not any(map(str.strip, hyp_lines + ref_lines + (src_lines or []))):
+        raise ValueError("empty corpus")  # no token in any file
     id_lines = textcore.read_lines(docid_path) if docid_path is not None else None
     aligned(hypotheses=hyp_lines, references=ref_lines, sources=src_lines, doc_ids=id_lines)
-    hyp_corpus = textcore.encode_document_corpus(
-        hyp_lines, ref_lines, vocab, id_lines, pseudo_doc_size
-    )
-    srcs = None if src_lines is None else [textcore.encode(line, vocab) for line in src_lines]
-    hyps = [e[0] for e in hyp_corpus.entries]
-    refs = [e[1] for e in hyp_corpus.entries]
-    stats = metrics.line_stats(metric, hyps, refs, srcs)  # one row per line
+    doc_ids = textcore.document_ids(id_lines, len(hyp_lines), pseudo_doc_size or len(hyp_lines))
+    ids: dict[str, int] = {}
+
+    def intern(lines: list[str]) -> list[Sentence]:
+        return [tuple([ids.setdefault(tok, len(ids)) for tok in line.split()]) for line in lines]
+
+    srcs = intern(src_lines) if metric == "gleu" else None
+    stats = metrics.line_stats(metric, intern(hyp_lines), intern(ref_lines), srcs)
+    starts = [k for k, doc_id in enumerate(doc_ids) if k == 0 or doc_id != doc_ids[k - 1]]
+    sums = np.add.reduceat(stats, starts)  # doc ids are contiguous: a document is a run of rows
     per_document = []
-    start = 0  # doc ids are contiguous, so each document is one slice
-    for doc in hyp_corpus.documents():
-        doc_id, stop = doc[0][2], start + len(doc)
+    for start, stop, row in zip(starts, starts[1:] + [len(doc_ids)], sums):
         try:
-            value = metrics.score(metric, stats[start:stop].sum(axis=0))
+            value = metrics.score(metric, row)
         except ValueError as exc:
-            raise ValueError(f"document {doc_id}: {exc}") from None
-        per_document.append({"doc_id": doc_id, "sentences": len(doc), "score": value})
-        start = stop
+            raise ValueError(f"document {doc_ids[start]}: {exc}") from None
+        per_document.append({"doc_id": doc_ids[start], "sentences": stop - start, "score": value})
     return {
         "metric": metric,
         "corpus_score": metrics.score(metric, stats.sum(axis=0)),
-        "num_sentences": len(hyp_corpus),
+        "num_sentences": len(hyp_lines),
         "per_document": per_document,
     }
 

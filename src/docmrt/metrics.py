@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -135,6 +136,25 @@ def _reference_index(ref: Sentence) -> tuple[dict, dict]:
     return masks, starts
 
 
+def _recurrence(eqs: Iterable[int], full: int, state: tuple, states: list | None = None) -> int:
+    """Myers' (1999) bit-vector DP in Hyyrö's (2003) global form, fed each token's
+    match mask: bit k of vp/vn is the +1/-1 step from row k to k + 1 of the column
+    (full masks the rows), so the last row is row 0 + vp.bit_count() -
+    vn.bit_count(). Resumes from state (vp, vn, distance) and returns the last
+    column's distance; states, when given, receives each column's state."""
+    vp, vn, dist = state
+    row = dist - vp.bit_count() + vn.bit_count()  # row 0: hypothesis tokens so far
+    for eq in eqs:
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = (vn | ~(d0 | vp)) << 1 | 1  # row 0 grows by one per hypothesis token
+        vp = ((vp & d0) << 1 | ~(d0 | hp)) & full
+        vn = hp & d0  # needs no mask: a carry past the last row needs vp's top bit, clearing hp's
+        row += 1
+        if states is not None:
+            states.append((vp, vn, row + vp.bit_count() - vn.bit_count()))
+    return row + vp.bit_count() - vn.bit_count()
+
+
 def _edit_distance(
     hyp: Sequence[int],
     masks: dict,
@@ -143,30 +163,10 @@ def _edit_distance(
     states: list | None = None,
 ) -> int:
     """Word-level Levenshtein distance (unit costs) from hyp to the reference of
-    masks: Myers' (1999) bit-vector DP in Hyyrö's (2003) global form, where bit k
-    of vp/vn is the +1/-1 step from row k to k + 1 of the current column.
-
-    state (vp, vn, distance) resumes the DP after a prefix, so the result is the
-    distance of that prefix followed by hyp; states, when given, receives the
-    state after each token of hyp.
-    """
-    top = 1 << ref_len  # hp/hn are shifted one row down: bit ref_len is the last row's step
-    full = top - 1
-    vp, vn, dist = state or (full, 0, ref_len)
-    for tok in hyp:
-        eq = masks.get(tok, 0)
-        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
-        hp = (vn | ~(d0 | vp)) << 1 | 1  # row 0 grows by one per hypothesis token
-        hn = (vp & d0) << 1
-        if hp & top:
-            dist += 1
-        elif hn & top:
-            dist -= 1
-        vp = (hn | ~(d0 | hp)) & full
-        vn = hp & d0
-        if states is not None:
-            states.append((vp, vn, dist))
-    return dist
+    masks, by _recurrence. state resumes the DP after a prefix, so the result is
+    the distance of that prefix followed by hyp; states receives each token's."""
+    full, eqs = (1 << ref_len) - 1, [masks.get(tok, 0) for tok in hyp]
+    return _recurrence(eqs, full, state or (full, 0, ref_len), states)
 
 
 def ter_stats(hyp: Sentence, ref: Sentence) -> list[int]:
@@ -186,42 +186,41 @@ def _ter_counts(hyp: Sentence, masks: dict, starts: dict, ref: Sentence) -> list
 
     A block from i grows one token at a time: the positions of the longer block
     are those k of the shorter one where ref[k + length - 1] is the new token,
-    and the block stops growing at the first length with none. A candidate
-    equals the current hypothesis up to min(i, j), so it is aligned from the
-    DP state recorded there (states[m] is the state after m tokens; None
-    starts afresh), feeding _edit_distance only the tail.
+    and the block stops growing at the first length with none. Moving it to j
+    swaps two adjacent runs [lo, mid) and [mid, hi), so the candidate is aligned
+    from states[lo], the DP state after lo tokens, on its tail's match masks.
     """
-    ref_len = len(ref)
-    current, states = list(hyp), [None]
-    edits = _edit_distance(current, masks, ref_len, None, states)
+    ref_len, n, full = len(ref), len(hyp), (1 << len(ref)) - 1
+    current, states = list(hyp), [(full, 0, ref_len)]
+    edits = _edit_distance(current, masks, ref_len, states[0], states)
     shifts = 0
     while edits > 0:
-        best = None
-        for i in range(len(current)):
+        best, bound, eqs = None, edits, [masks.get(tok, 0) for tok in current]
+        for i in range(n):
             positions = starts.get((current[i],))
             length = 1
             while positions:
-                block = current[i : i + length]
-                rest = current[:i] + current[i + length :]
+                end = i + length
                 for j in positions:
-                    if j > len(rest):
+                    if j > n - length:
                         break
                     if j == i:
                         continue  # reinserting in place is a no-op
-                    m = min(i, j)
-                    e = _edit_distance(rest[m:j] + block + rest[j:], masks, ref_len, states[m])
-                    if e < edits and (best is None or e < best[0]):
-                        best = (e, m, rest[:j] + block + rest[j:])
-                if length == MAX_SHIFT_BLOCK or i + length == len(current):
+                    lo, mid, hi = (j, i, end) if j < i else (i, end, j + length)
+                    e = _recurrence(chain(eqs[mid:hi], eqs[lo:mid], eqs[hi:]), full, states[lo])
+                    if e < bound:
+                        bound, best = e, (lo, mid, hi)
+                if length == MAX_SHIFT_BLOCK or end == n:
                     break
-                tok = current[i + length]
+                tok = current[end]
                 positions = [k for k in positions if k + length < ref_len and ref[k + length] == tok]
                 length += 1
         if best is None:
             break
-        edits, m, current = best
-        del states[m + 1 :]
-        _edit_distance(current[m:], masks, ref_len, states[m], states)
+        edits, (lo, mid, hi) = bound, best
+        current[lo:hi] = current[mid:hi] + current[lo:mid]
+        del states[lo + 1 :]
+        _edit_distance(current[lo:], masks, ref_len, states[lo], states)
         shifts += 1
     return [edits + shifts, ref_len]
 

@@ -147,14 +147,34 @@ def read_document_corpus(
     docid_path: str | Path | None = None,
     pseudo_doc_size: int | None = None,
 ) -> DocumentCorpus:
-    """Read parallel source/reference files plus a doc-id sidecar.
-
-    Without a doc-id file, pseudo_doc_size S assigns doc_id = line_index // S.
-    """
+    """Read parallel source/reference files plus a doc-id sidecar, named in its
+    errors; without one, pseudo_doc_size sets the documents (see document_ids)."""
     id_lines = read_lines(docid_path) if docid_path is not None else None
     return encode_document_corpus(
-        read_lines(src_path), read_lines(ref_path), vocab, id_lines, pseudo_doc_size
+        read_lines(src_path), read_lines(ref_path), vocab, id_lines, pseudo_doc_size, docid_path
     )
+
+
+def document_ids(
+    id_lines: list[str] | None, count: int, pseudo_doc_size: int | None, docid_path=None
+) -> list[int]:
+    """Each of count lines' doc id: id_lines parsed, non-decreasing in file order
+    (errors name the line, and docid_path if given), or blocks of pseudo_doc_size."""
+    if id_lines is None:
+        if pseudo_doc_size is None:
+            raise ValueError("either a doc-id file or pseudo_doc_size is required")
+        at_least(1, pseudo_doc_size=pseudo_doc_size)
+        return [i // pseudo_doc_size for i in range(count)]
+    of, doc_ids = "" if docid_path is None else f" of {docid_path}", []
+    for lineno, line in enumerate(id_lines, start=1):
+        try:
+            doc_ids.append(int(line))
+        except ValueError:
+            raise ValueError(f"unparseable doc id {line!r} on line {lineno}{of}") from None
+        if lineno > 1 and doc_ids[-1] < doc_ids[-2]:
+            bad = f"line {lineno}{of} has {doc_ids[-1]} after {doc_ids[-2]}"
+            raise ValueError(f"doc ids must be non-decreasing in file order: {bad}")
+    return doc_ids
 
 
 def encode_document_corpus(
@@ -163,25 +183,11 @@ def encode_document_corpus(
     vocab: Vocabulary,
     id_lines: list[str] | None = None,
     pseudo_doc_size: int | None = None,
+    docid_path: str | Path | None = None,
 ) -> DocumentCorpus:
-    """Encode parallel source/reference lines with doc ids from id_lines, or in
-    blocks of pseudo_doc_size lines when there are none."""
+    """Encode parallel source/reference lines, with their document_ids."""
     aligned(sources=src_lines, references=ref_lines, doc_ids=id_lines)
-    if id_lines is not None:
-        doc_ids: list[int] = []
-        for lineno, line in enumerate(id_lines, start=1):
-            try:
-                doc_ids.append(int(line))
-            except ValueError:
-                raise ValueError(f"unparseable doc id {line!r} on line {lineno}") from None
-            if lineno > 1 and doc_ids[-1] < doc_ids[-2]:
-                bad = f"line {lineno} has {doc_ids[-1]} after {doc_ids[-2]}"
-                raise ValueError(f"doc ids must be non-decreasing in file order: {bad}")
-    elif pseudo_doc_size is not None:
-        at_least(1, pseudo_doc_size=pseudo_doc_size)
-        doc_ids = [i // pseudo_doc_size for i in range(len(src_lines))]
-    else:
-        raise ValueError("either a doc-id file or pseudo_doc_size is required")
+    doc_ids = document_ids(id_lines, len(src_lines), pseudo_doc_size, docid_path)
     entries = [
         (encode(src, vocab), encode(ref, vocab), doc_id)
         for src, ref, doc_id in zip(src_lines, ref_lines, doc_ids)

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from docmrt import cli, harness, metrics, model, mrt
+from docmrt import cli, harness, metrics, model, mrt, textcore
 from docmrt.harness import (
     TaskSpec,
     enum_check,
@@ -333,6 +333,86 @@ def test_score_names_the_line_and_value_of_a_bad_doc_id(tmp_path, capsys, ids, e
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {error}\n" and captured.out == ""
+
+
+def _vocabulary_report(hyp_lines, ref_lines, src_lines, id_lines, metric, pseudo_doc_size):
+    """score_corpus's report built through a frequency-ranked vocabulary over every
+    line: textcore.build_vocab, encode, metrics.line_stats and one metrics.score
+    per document, with doc ids parsed here."""
+    lines = hyp_lines + ref_lines + (src_lines or [])
+    distinct = len({tok for line in lines for tok in line.split()})
+    vocab = textcore.build_vocab(lines, max_size=distinct + 4)
+    hyps, refs = ([textcore.encode(line, vocab) for line in col] for col in (hyp_lines, ref_lines))
+    srcs = None if src_lines is None else [textcore.encode(line, vocab) for line in src_lines]
+    if id_lines is not None:
+        doc_ids = [int(line) for line in id_lines]
+    else:
+        doc_ids = [k // (pseudo_doc_size or len(hyps)) for k in range(len(hyps))]
+    stats = metrics.line_stats(metric, hyps, refs, srcs)
+    per_document, start = [], 0
+    while start < len(doc_ids):
+        stop = start + doc_ids[start:].count(doc_ids[start])  # ids are contiguous
+        score = metrics.score(metric, stats[start:stop].sum(axis=0))
+        per_document.append({"doc_id": doc_ids[start], "sentences": stop - start, "score": score})
+        start = stop
+    return {
+        "metric": metric,
+        "corpus_score": metrics.score(metric, stats.sum(axis=0)),
+        "num_sentences": len(hyps),
+        "per_document": per_document,
+    }
+
+
+# literal reserved tokens, repeated tokens, an empty hypothesis and empty sources
+ORACLE_HYPS = ["<unk> a a b", "", "c <pad> <eos> a", "b b b b", "a <unk> c", "d e f g", "<bos> a a"]
+ORACLE_REFS = ["<unk> a b b", "a c", "c <eos> a <pad>", "b b", "<unk> <unk> c", "e d f g h", "a"]
+ORACLE_SRCS = ["a a b", "", "c a <eos>", "", "<unk> c", "d f g", "<bos>"]
+
+
+@pytest.mark.parametrize("metric", metrics.METRICS)
+@pytest.mark.parametrize(
+    "id_lines, pseudo_doc_size",
+    [
+        pytest.param(["0", "0", "1", "3", "3", "3", "9"], None, id="docid"),
+        pytest.param(None, 2, id="pseudo2"),
+        pytest.param(None, 100, id="pseudo100"),
+        pytest.param(None, None, id="one-document"),
+        pytest.param([str(k) for k in range(7)], None, id="docid-one-line-each"),
+        pytest.param(["4"] * 7, None, id="docid-one-document"),
+    ],
+)
+def test_score_corpus_equals_the_vocabulary_built_report(
+    tmp_path, metric, id_lines, pseudo_doc_size
+):
+    for name, lines in (("hyp", ORACLE_HYPS), ("ref", ORACLE_REFS), ("src", ORACLE_SRCS)):
+        _write_lines(tmp_path / f"{name}.txt", lines)
+    docid_path = None
+    if id_lines is not None:
+        docid_path = tmp_path / "ids.txt"
+        _write_lines(docid_path, id_lines)
+    report = score_corpus(
+        tmp_path / "hyp.txt", tmp_path / "ref.txt", tmp_path / "src.txt", docid_path,
+        metric=metric, pseudo_doc_size=pseudo_doc_size,
+    )
+    expected = _vocabulary_report(
+        ORACLE_HYPS, ORACLE_REFS, ORACLE_SRCS, id_lines, metric, pseudo_doc_size
+    )
+    assert report == expected
+    assert json.dumps(report) == json.dumps(expected)
+
+
+def test_score_corpus_interns_sources_only_for_gleu(tmp_path, monkeypatch):
+    for name, lines in (("hyp", ORACLE_HYPS), ("ref", ORACLE_REFS), ("src", ORACLE_SRCS)):
+        _write_lines(tmp_path / f"{name}.txt", lines)
+    seen = []
+    line_stats = metrics.line_stats
+    monkeypatch.setattr(
+        metrics, "line_stats", lambda m, h, r, s: seen.append(s is None) or line_stats(m, h, r, s)
+    )
+    paths = [tmp_path / f"{name}.txt" for name in ("hyp", "ref", "src")]
+    for metric in metrics.METRICS:
+        score_corpus(*paths, metric=metric)
+    assert seen == [metric != "gleu" for metric in metrics.METRICS]
 
 
 def test_score_corpus_pseudo_docs(tmp_path):
@@ -713,6 +793,34 @@ def test_run_experiment_rejects_unknown_keys():
         run_experiment({"surprise": 1})
 
 
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("vocab_size", 20, 20),
+        ("vocab_size", "20", 20),
+        ("tau", 1, 1.0),
+        ("tau", "0.5", 0.5),
+        ("style_consistency", True, True),
+        ("style_consistency", "off", False),
+        ("vocab_size", 20.7, "expected int, got 20.7"),
+        ("vocab_size", True, "expected int, got True"),
+        ("vocab_size", "20.7", "invalid literal for int"),
+        ("tau", False, "expected float, got False"),
+        ("tau", [1.0], "expected float, got [1.0]"),
+    ],
+)
+def test_dict_config_values_convert_or_fail_naming_their_key(monkeypatch, key, value, expected):
+    if not isinstance(expected, str):
+        resolved = harness.resolve_experiment_config({key: value})[key]
+        assert resolved == expected and type(resolved) is type(expected)
+        return
+    for name in ("generate_synthetic_corpus", "train_mle_baseline"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name, **kw: pytest.fail(name))
+    for run in (harness.resolve_experiment_config, run_experiment):
+        with pytest.raises(ValueError, match=f"^config key '{key}': {re.escape(expected)}"):
+            run({**_tiny_experiment_config(), key: value})
+
+
 def test_experiment_config_file_parsing(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("seed = 5\nmodes = mle  # comment\n\n", encoding="utf-8")
@@ -825,6 +933,29 @@ def test_cli_config_file_bad_value_exit_code(tmp_path, capsys):
     assert rc == 2
     assert "style_consistency" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize(
+    "line2, error",
+    [("x", "unparseable doc id 'x' on line 2 of {path}"),
+     ("-1", "doc ids must be non-decreasing in file order: line 2 of {path} has -1 after 0")],
+)
+def test_cli_doc_id_errors_name_their_file(tmp_path, capsys, line2, error):
+    data = tmp_path / "data"
+    argv = ["gen-data", "--out-dir", str(data), "--vocab-size", "8", "--num-documents", "4"]
+    assert cli.main(argv) == 0
+    path = data / "valid.docid"
+    ids = path.read_text(encoding="utf-8").splitlines()
+    assert ids[:2] == ["0", "0"]
+    _write_lines(path, [ids[0], line2] + ids[2:])
+    capsys.readouterr()
+    ckpt, log = tmp_path / "c.ckpt", tmp_path / "log.jsonl"
+    argv = ["train-mle", "--data-dir", str(data), "--ckpt", str(ckpt), "--log", str(log),
+            "--max-updates", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error.format(path=path)}\n" and captured.out == ""
+    assert not ckpt.exists() and not log.exists()
 
 
 def test_cli_train_and_finetune_round_trip(tmp_path, capsys):

@@ -728,12 +728,17 @@ def test_edit_distance_resumed_from_a_recorded_state_equals_the_full_pass(ref_le
 
 def test_shift_candidates_are_aligned_from_their_first_changed_token(monkeypatch):
     # a full realignment would feed every candidate's 14 tokens
-    distance, calls = metrics._edit_distance, []
-    monkeypatch.setattr(metrics, "_edit_distance", lambda *args: calls.append(args) or distance(*args))
+    recurrence, calls = metrics._recurrence, []
+
+    def counted(eqs, *rest):
+        calls.append((eqs := list(eqs), *rest))  # a candidate's masks come as an iterator
+        return recurrence(eqs, *rest)
+
+    monkeypatch.setattr(metrics, "_recurrence", counted)
     hyp = (2, 0, 1, 1, 0, 2, 2, 1, 0, 1, 2, 0, 0, 1)
     ref = (0, 1, 2, 0, 1, 1, 2, 2, 0, 1, 0, 2, 1, 0)
     assert ter_stats(hyp, ref) == [3, 14]
-    candidates = [args for args in calls if len(args) == 4]  # the others record states
+    candidates = [args for args in calls if len(args) == 3]  # the others record states
     fed = sum(len(args[0]) for args in calls)
     assert len(candidates) == 252 and fed == 2659
     assert fed < len(candidates) * len(hyp)
