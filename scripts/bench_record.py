@@ -16,9 +16,11 @@ the previous BENCH file.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -54,6 +56,16 @@ def environment(details: list[dict]) -> dict:
     return envs[0]
 
 
+def diff_sha256() -> str | None:
+    """The sha256 of `git diff HEAD --binary` in the repository, None when empty."""
+    git = subprocess.run(
+        ["git", "-C", str(ROOT), "diff", "HEAD", "--binary"], capture_output=True, timeout=60
+    )
+    if git.returncode:
+        raise SystemExit(f"git diff failed: {git.stderr.decode(errors='replace').strip()}")
+    return hashlib.sha256(git.stdout).hexdigest() if git.stdout else None
+
+
 def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -70,7 +82,8 @@ def main(argv: list[str] | None = None) -> int:
             path = OUT / f"{workload}-seed{result['seed']}-trace0.json"
             details.append(json.loads(path.read_text(encoding="utf-8")))
             result["cpu_speed_vs_reference"] = details[-1]["samples"]["cpu_speed_vs_reference"]
-    doc = {"label": args.label, "environment": environment(details), **record(spec, runs)}
+    env = {**environment(details), "git_diff_sha256": diff_sha256()}
+    doc = {"label": args.label, "environment": env, **record(spec, runs)}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path}")

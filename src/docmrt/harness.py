@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -344,8 +345,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 def _coerce(value, like):
     """A setting's value (a config or command-line string) as the type of its
     default like; a setting without a default (None) keeps its value. This is
-    the only place such a string becomes a value; any other value of a number
-    setting must be a number of its kind (an integer is a float), not a bool."""
+    the only place such a string becomes a value; any other value must be a path
+    for a str, or a number of the setting's kind (an integer is a float), not a bool."""
     if like is None:
         return value
     if isinstance(like, bool):
@@ -354,8 +355,8 @@ def _coerce(value, like):
         if str(value).lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"expected a boolean, got {value!r}")
-    if isinstance(like, (int, float)) and not isinstance(value, str):
-        kind = numbers.Integral if isinstance(like, int) else numbers.Real
+    if isinstance(like, (int, float, str)) and not isinstance(value, str):
+        kind = {int: numbers.Integral, float: numbers.Real, str: os.PathLike}[type(like)]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"expected {type(like).__name__}, got {value!r}")
     return type(like)(value)  # int, float, str and enums such as CostKind

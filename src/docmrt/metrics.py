@@ -4,9 +4,10 @@ All comparisons are on token ids. Costs are "lower is better": 1 - score for
 BLEU/GLEU selectors, raw TER for TER selectors.
 
 Every metric is a function of per-line counts that add up over lines, its
-sufficient statistics. Each sentence, document and corpus score extracts one
-stats row per line, sums the rows and scores the sum. BLEU and GLEU share one
-n-gram extractor (BLEU is GLEU with an empty source); TER has its own.
+sufficient statistics. line_stats extracts one row per line; each sentence,
+document and corpus score sums the rows and scores the sum. BLEU and GLEU rows
+come from one numpy pass per n-gram order over every line of a call (BLEU is
+GLEU with an empty source); TER rows from one shift search per line.
 """
 
 from __future__ import annotations
@@ -80,46 +81,6 @@ _LEVELS = [
 _SENTENCE_KIND = {kind: sent for sent, doc in _LEVELS for kind in (sent, doc)}
 _DOCUMENT_KIND = {kind: doc for sent, doc in _LEVELS for kind in (sent, doc)}
 _METRIC = {kind: next(m for m in METRICS if kind.value.endswith(m)) for kind in CostKind}
-
-
-def _ngram_counts(sentence: Sentence, max_n: int) -> dict:
-    """Count of every n-gram of orders 1..max_n, keyed by the n-gram tuple."""
-    seq = tuple(sentence)
-    counts: dict = {}
-    for i in range(len(seq)):
-        for n in range(1, min(max_n, len(seq) - i) + 1):
-            gram = seq[i : i + n]
-            counts[gram] = counts.get(gram, 0) + 1
-    return counts
-
-
-def ngram_stats(
-    hyp: Sentence, ref_counts: dict, src_only: dict, max_n: int, ref_len: int
-) -> list[int]:
-    """One hypothesis's BLEU/GLEU row against the n-gram counts of extractor.
-
-    The hypothesis is scanned once. The k-th occurrence of an n-gram is a
-    match if k <= its reference count, and a penalty if the n-gram is
-    source-only and k <= its source count; per order, this sums to
-    min(count, reference count) minus min(count, source-only count).
-    """
-    seq = tuple(hyp)
-    seen: dict = {}
-    matches = [0] * max_n
-    for i in range(len(seq)):
-        for n in range(1, min(max_n, len(seq) - i) + 1):
-            gram = seq[i : i + n]
-            limit = ref_counts.get(gram)
-            step = 1
-            if limit is None:
-                limit, step = src_only.get(gram), -1
-                if limit is None:
-                    break  # no longer n-gram from i is in the reference or source
-            k = seen[gram] = seen.get(gram, 0) + 1
-            if k <= limit:
-                matches[n - 1] += step
-    totals = [max(len(seq) - n + 1, 0) for n in range(1, max_n + 1)]
-    return [max(m, 0) for m in matches] + totals + [len(seq), ref_len]
 
 
 def _reference_index(ref: Sentence) -> tuple[dict, dict]:
@@ -228,25 +189,22 @@ def _ter_counts(hyp: Sentence, masks: dict, starts: dict, ref: Sentence) -> list
 def extractor(
     metric: str, ref: Sentence, src: Sentence | None = None, max_n: int = DEFAULT_MAX_N
 ) -> Extractor:
-    """The stats extractor of metric for one reference line; GLEU needs its source.
-
-    A BLEU/GLEU row is [matches per order, hypothesis n-grams per order,
-    hypothesis length, reference length]. Matches are clipped by the reference
-    counts, minus the hypothesis n-grams that appear in the source but not the
-    reference (the GLEU penalty), floored at 0 per order. The reference and
-    source n-grams are counted once, here, in one dict each over every order;
-    a TER reference is indexed once, here. TER rows are ter_stats'.
-    """
+    """The stats row of a hypothesis against one reference line, as a list; GLEU
+    needs its source. A TER reference is indexed once, here; a BLEU/GLEU row is
+    line_stats' row of one line."""
     if metric == "ter":
         index = _reference_index(ref)
         return lambda hyp: _ter_counts(hyp, *index, ref)
     if metric == "gleu" and src is None:
         raise ValueError("GLEU requires a source sentence")
     at_least(1, max_n=max_n)
-    ref_counts = _ngram_counts(ref, max_n)
-    src_counts = _ngram_counts(src if metric == "gleu" else (), max_n)
-    src_only = {g: c for g, c in src_counts.items() if g not in ref_counts}
-    return lambda hyp: ngram_stats(hyp, ref_counts, src_only, max_n, len(ref))
+    srcs = [src] if metric == "gleu" else None
+    return lambda hyp: line_stats(metric, [hyp], [ref], srcs, max_n)[0].tolist()
+
+
+# Lines per n-gram pass of line_stats: it bounds the pass's temporaries, and
+# keeps its int64 keys below the square of one chunk's token count.
+LINE_CHUNK = 64
 
 
 def line_stats(
@@ -256,15 +214,69 @@ def line_stats(
     srcs: Sequence[Sentence] | None = None,
     max_n: int = DEFAULT_MAX_N,
 ) -> np.ndarray:
-    """One stats row per aligned line, shape (lines, K); sources only for GLEU."""
+    """One stats row per aligned line, shape (lines, K); sources only for GLEU.
+    Each distinct TER reference is indexed once per call."""
     aligned(hypotheses=hyps, references=refs, sources=srcs)
     if not hyps:
         raise ValueError("empty corpus")
-    srcs = [None] * len(refs) if srcs is None else srcs
-    return np.array(
-        [extractor(metric, r, s, max_n)(h) for h, r, s in zip(hyps, refs, srcs)],
-        dtype=np.int64,
-    )
+    if metric == "ter":
+        extract = {ref: extractor("ter", ref) for ref in dict.fromkeys(map(tuple, refs))}
+        return np.array([extract[tuple(ref)](hyp) for hyp, ref in zip(hyps, refs)], dtype=np.int64)
+    if metric == "gleu" and srcs is None:
+        raise ValueError("GLEU requires a source sentence")
+    at_least(1, max_n=max_n)
+    sides = (hyps, refs, srcs) if metric == "gleu" else (hyps, refs)
+    chunks = [[side[k : k + LINE_CHUNK] for side in sides] for k in range(0, len(hyps), LINE_CHUNK)]
+    return np.concatenate([_ngram_rows(chunk, max_n) for chunk in chunks])
+
+
+def _ngram_rows(sides: list[Sequence[Sentence]], max_n: int) -> np.ndarray:
+    """BLEU/GLEU rows of aligned hypotheses, references and (GLEU) sources:
+    [matches per order, hypothesis n-grams per order, hypothesis length,
+    reference length]. Per order n, a line's copies of an n-gram share a key
+    (token and line at n = 1, then the ranks of the first n - 1 tokens and of
+    the last, below the square of the token count); one stable sort groups the
+    keys, one bincount counts each group per side (h, r, s), and a line sums
+    min(h, r), minus min(h, s) where r == 0, floored at 0. Only n-grams whose
+    first n - 1 tokens count on some side are keyed: no other can count."""
+    roles, lines = len(sides), len(sides[0])
+    sentences = [sentence for line in zip(*sides) for sentence in line]
+    lens = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    seg = np.arange(len(sentences)).repeat(lens)  # sentence of each position
+    pos = np.arange(len(seg))
+    room = lens.cumsum()[seg] - pos  # tokens from each position to its sentence's end
+    line, side = np.divmod(seg, roles)
+    key = np.fromiter(chain.from_iterable(sentences), np.int64, len(seg))
+    out = np.zeros((lines, 2 * max_n + 2), dtype=np.int64)
+    out[:, max_n:-2] = (lens[::roles, None] - np.arange(max_n)).clip(0)
+    out[:, -2], out[:, -1] = lens[::roles], lens[1::roles]
+    for n in range(1, max_n + 1):
+        if n > 1:
+            keep = live[group] & (room[pos] >= n)
+            pos = pos[keep]
+            key = group[keep] * unigrams + first[pos + (n - 1)]
+        if not len(pos):
+            break  # no line shares an n-gram of this or any higher order
+        order = key.argsort(kind="stable")
+        key, pos = key[order], pos[order]
+        owner = line[pos]  # the line of each n-gram, in key order
+        new = np.concatenate(([True], key[1:] != key[:-1]))
+        if n == 1:  # a stable sort of tokens keeps each token's lines in order
+            new[1:] |= owner[1:] != owner[:-1]
+        group = new.cumsum()  # 1-based: the counts of group 0 are zeros
+        counts = np.bincount(group * roles + side[pos], minlength=(group[-1] + 1) * roles)
+        hyp, ref = counts[0::roles], counts[1::roles]
+        matches = np.minimum(hyp, ref)
+        live = matches > 0
+        if roles == 3:
+            penalty = np.minimum(hyp, counts[2::roles])
+            live |= penalty > 0
+            matches -= penalty * (ref == 0)
+        out[:, n - 1] = np.bincount(owner[new], weights=matches[1:], minlength=lines).clip(0)
+        if n == 1:
+            first, unigrams = np.empty_like(group), group[-1] + 1
+            first[pos] = group
+    return out
 
 
 def score(metric: str, stats: Sequence[int], smoothed: bool = False) -> float:

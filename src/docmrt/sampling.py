@@ -62,14 +62,14 @@ class SampledDocument:
 
 def candidate_stats(batch: DocumentBatch, candidates, metric: str) -> list[np.ndarray]:
     """Stats of candidates[s][i], the i-th candidate of sentence s, as one
-    (candidates, K) array per sentence; each reference is read once and each
-    distinct candidate of a row is extracted once."""
-    stats = []
-    for src, ref, row in zip(batch.sources, batch.references, candidates):
-        extract = metrics.extractor(metric, ref, src)
-        memo = {hyp: extract(hyp) for hyp in dict.fromkeys(row)}
-        stats.append(np.array([memo[hyp] for hyp in row], dtype=np.int64))
-    return stats
+    (candidates, K) array per sentence, from one metrics.line_stats call over
+    the distinct (sentence, candidate) pairs."""
+    ids: dict = {}
+    cells = [[ids.setdefault((s, h), len(ids)) for h in row] for s, row in enumerate(candidates)]
+    refs = [batch.references[s] for s, _ in ids]
+    srcs = [batch.sources[s] for s, _ in ids] if metric == "gleu" else None
+    stats = metrics.line_stats(metric, [hyp for _, hyp in ids], refs, srcs)
+    return [stats[row] for row in cells]
 
 
 def sentence_costs(kind: CostKind, stats) -> list[np.ndarray]:

@@ -1,5 +1,6 @@
 """scripts/bench_record.py on canned benchmark result lines; no benchmark runs."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -71,3 +72,24 @@ def test_the_environment_is_the_runs_own_and_must_agree():
     details[2]["environment"]["numpy"] = "2.5.0"
     with pytest.raises(SystemExit, match="environments differ"):
         bench_record.environment(details)
+
+
+def test_the_tree_is_named_by_the_sha256_of_its_diff(monkeypatch):
+    answers, commands = {"dirty": b"diff --git a/x b/x\n+1\n", "clean": b""}, []
+
+    def git(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout=answers[state], stderr=b"")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", git)
+    state = "dirty"
+    assert bench_record.diff_sha256() == hashlib.sha256(answers["dirty"]).hexdigest()
+    state = "clean"
+    assert bench_record.diff_sha256() is None
+    assert all(cmd[-3:] == ["diff", "HEAD", "--binary"] for cmd in commands)
+    monkeypatch.setattr(
+        bench_record.subprocess, "run",
+        lambda cmd, **kw: subprocess.CompletedProcess(cmd, 128, stdout=b"", stderr=b"not a git repository"),
+    )
+    with pytest.raises(SystemExit, match="git diff failed: not a git repository"):
+        bench_record.diff_sha256()

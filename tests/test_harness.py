@@ -821,6 +821,28 @@ def test_dict_config_values_convert_or_fail_naming_their_key(monkeypatch, key, v
             run({**_tiny_experiment_config(), key: value})
 
 
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("save_baseline", False, "expected str, got False"),
+        ("save_decodes", None, "expected str, got None"),
+        ("baseline_checkpoint", 0, "expected str, got 0"),
+        ("modes", ["doc_mrt_ordered"], "expected str, got ['doc_mrt_ordered']"),
+    ],
+)
+def test_a_string_setting_takes_only_text_or_a_path(tmp_path, monkeypatch, key, value, error):
+    monkeypatch.chdir(tmp_path)
+    for name in ("generate_synthetic_corpus", "train_mle_baseline"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name, **kw: pytest.fail(name))
+    for run in (harness.resolve_experiment_config, run_experiment):
+        with pytest.raises(ValueError) as err:
+            run({**_tiny_experiment_config(), key: value})
+        assert str(err.value) == f"config key {key!r}: {error}"
+    assert not any(tmp_path.iterdir())  # no file named after the value
+    for text in ("out", tmp_path / "out"):
+        assert harness.resolve_experiment_config({key: text})[key] == str(text)
+
+
 def test_experiment_config_file_parsing(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("seed = 5\nmodes = mle  # comment\n\n", encoding="utf-8")

@@ -586,6 +586,40 @@ def test_ngram_rows_equal_per_order_counters(hyp, src, ref, max_n):
 
 
 @st.composite
+def ngram_corpora(draw):
+    """Aligned (hyps, refs, srcs) of 1-60 lines drawn from a pool, so lines
+    repeat, over 1-4 token ids that may be negative or at least 2**40; any
+    sentence may be empty."""
+    ids = st.one_of(st.integers(-3, 3), st.integers(2**40, 2**62), st.integers(-(2**62), -(2**40)))
+    alphabet = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    sentence = st.lists(st.sampled_from(alphabet), max_size=8).map(tuple)
+    pool = draw(st.lists(st.tuples(sentence, sentence, sentence), min_size=1, max_size=8))
+    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    return tuple(map(list, zip(*lines)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(corpus=ngram_corpora(), max_n=st.integers(1, 5), chunk=st.integers(1, 70))
+def test_line_stats_rows_equal_per_order_counters(corpus, max_n, chunk):
+    hyps, refs, srcs = corpus
+    orders = range(1, max_n + 1)
+    for metric, oracle in (
+        ("bleu", lambda hyp, src, ref, n: reference_clipped_matches(hyp, ref, n)),
+        ("gleu", reference_gleu_sentence_stats),
+    ):
+        expected = []
+        for hyp, ref, src in zip(hyps, refs, srcs):
+            per_order = [oracle(hyp, src, ref, n) for n in orders]
+            matches = [m for m, _ in per_order]
+            totals = [max(len(hyp) - n + 1, 0) for n in orders]
+            expected.append(matches + totals + [len(hyp), len(ref)])
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(metrics, "LINE_CHUNK", chunk)  # 1-70 lines a chunk: one or many
+            rows = metrics.line_stats(metric, hyps, refs, srcs if metric == "gleu" else None, max_n)
+        assert rows.dtype == np.int64 and rows.tolist() == expected
+
+
+@st.composite
 def small_vocab_pairs(draw):
     """(hyp, ref) of lengths 0-25 over 1-6 tokens: repeated blocks and tied
     shifts are common, and most common over 1-3 tokens."""

@@ -352,16 +352,16 @@ def test_duplicate_heavy_grid_equals_per_cell_extraction(monkeypatch):
     params = model.init_params(5, 2, 2, seed=0, zero=True)
     batch = DocumentBatch(sources=[(3, 4), (), (4,)], references=[(3,), (4, 3), (4,)], doc_ids=[0] * 3)
     extracted = []
-    extractor = metrics.extractor
+    line_stats = metrics.line_stats
 
-    def counting_extractor(metric, ref, src=None, max_n=metrics.DEFAULT_MAX_N):
-        extract = extractor(metric, ref, src, max_n)
-        return lambda hyp: extracted.append(hyp) or extract(hyp)
+    def counting_line_stats(metric, hyps, refs, srcs=None, max_n=metrics.DEFAULT_MAX_N):
+        extracted.extend(hyps)
+        return line_stats(metric, hyps, refs, srcs, max_n)
 
     for kind in CostKind:
         extracted.clear()
         with monkeypatch.context() as m:
-            m.setattr(metrics, "extractor", counting_extractor)
+            m.setattr(metrics, "line_stats", counting_line_stats)
             ss = draw_sample_set(params, batch, 8, 1.0, np.random.default_rng(3), 1, kind)
         rows = [[hyp.sentence for hyp in row] for row in ss.grid]
         distinct = sum(len(set(row)) for row in rows)
@@ -374,6 +374,21 @@ def test_duplicate_heavy_grid_equals_per_cell_extraction(monkeypatch):
         costs = [[metrics.cost_from_stats(sentence_kind, c) for c in row] for row in stats]
         assert np.array_equal(ss.stats, np.array(stats, dtype=np.int64))
         assert np.array_equal(ss.costs, np.array(costs))
+
+
+@pytest.mark.parametrize("metric", metrics.METRICS)
+def test_candidate_stats_equal_per_cell_extraction_on_enumerated_spaces(metric):
+    # every output sentence of a small model; the spaces share sentences, and
+    # each row repeats its first three candidates at its end
+    params = model.init_params(6, 3, 3, seed=2)
+    batch = DocumentBatch(sources=[(4, 5), (5,), ()], references=[(4, 5), (5, 5), (4,)], doc_ids=[0] * 3)
+    spaces = [[sent for sent, _ in model.enumerate_output_space(params, src, 3)] for src in batch.sources]
+    rows = [space + space[:3] for space in spaces]
+    stats = sampling.candidate_stats(batch, rows, metric)
+    assert len(stats) == len(rows)
+    for src, ref, row, got in zip(batch.sources, batch.references, rows, stats):
+        extract = metrics.extractor(metric, ref, src)
+        assert got.dtype == np.int64 and got.tolist() == [extract(hyp) for hyp in row]
 
 
 @pytest.mark.parametrize("sizes", [[], [3], [2, 3], [3, 1, 2], [4, 2, 3, 2], [2, 0, 3]])
