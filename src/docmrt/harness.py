@@ -515,8 +515,7 @@ def score_corpus(
     no doc ids or pseudo_doc_size) and the corpus are scored from their sum. A
     pseudo_doc_size below 1 is an error even when a doc-id file sets the documents.
     """
-    if metric not in metrics.METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
+    metrics.check_metric(metric)
     if metric == "gleu" and src_path is None:
         raise ValueError("GLEU scoring requires a source file")
     if pseudo_doc_size is not None:

@@ -29,6 +29,13 @@ MAX_SHIFT_BLOCK = 10
 
 METRICS = ("bleu", "ter", "gleu")
 
+
+def check_metric(metric: str) -> None:
+    """Reject a metric name outside METRICS, naming it."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+
+
 Extractor = Callable[[Sentence], list[int]]
 
 
@@ -192,6 +199,7 @@ def extractor(
     """The stats row of a hypothesis against one reference line, as a list; GLEU
     needs its source. A TER reference is indexed once, here; a BLEU/GLEU row is
     line_stats' row of one line."""
+    check_metric(metric)
     if metric == "ter":
         index = _reference_index(ref)
         return lambda hyp: _ter_counts(hyp, *index, ref)
@@ -216,6 +224,7 @@ def line_stats(
 ) -> np.ndarray:
     """One stats row per aligned line, shape (lines, K); sources only for GLEU.
     Each distinct TER reference is indexed once per call."""
+    check_metric(metric)
     aligned(hypotheses=hyps, references=refs, sources=srcs)
     if not hyps:
         raise ValueError("empty corpus")
@@ -288,6 +297,7 @@ def score(metric: str, stats: Sequence[int], smoothed: bool = False) -> float:
     zero-match order gives 0. TER: edits over reference length, which must be
     positive.
     """
+    check_metric(metric)
     stats = [int(v) for v in stats]
     if metric == "ter":
         edits, ref_len = stats

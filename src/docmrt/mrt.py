@@ -99,10 +99,10 @@ def _scatter(cells: np.ndarray, weights: np.ndarray, sizes: list[int]) -> list[n
     return [np.bincount(cells[:, s], weights=weights, minlength=n) for s, n in enumerate(sizes)]
 
 
-def _weighted_grad(params, sources, candidates, weights, max_len: int) -> np.ndarray:
+def _weighted_grad(params, batch: DocumentBatch, candidates, weights, max_len: int) -> np.ndarray:
     """Gradient of sum_s sum_i weights[s][i] * log P(candidates[s][i] | sources[s]),
-    in one weighted pass."""
-    srcs = [src for src, row in zip(sources, candidates) for _ in row]
+    sources[s] the batch's, in one weighted pass."""
+    srcs = [src for src, row in zip(batch.sources, candidates) for _ in row]
     tgts = [tgt for row in candidates for tgt in row]
     flat = [w for row in weights for w in row]
     return model.weighted_log_prob_grad(params, srcs, tgts, flat, max_len)[1]
@@ -118,10 +118,8 @@ def seq_mrt_grad(
     """Sequence-level risk gradient over N samples per sentence: each sentence
     is a row of N one-sample documents."""
     sample_set = _sample_set(params, batch, cfg, rng, sample_set)
-    logps = np.array([[h.log_prob for h in row] for row in sample_set.grid])
-    weights, risk = _weigh(cfg, sample_set.costs, logps)
-    sentences = [[h.sentence for h in row] for row in sample_set.grid]
-    grad = _weighted_grad(params, sample_set.batch.sources, sentences, weights, cfg.max_len)
+    weights, risk = _weigh(cfg, sample_set.costs, sample_set.log_probs)
+    grad = _weighted_grad(params, sample_set.batch, sample_set.sentences, weights, cfg.max_len)
     return RiskEstimate(risk=risk, grad=grad, n_used=weights.size)
 
 
@@ -143,19 +141,16 @@ def doc_mrt_grad(
         raise ValueError(f"unknown scheme {scheme!r}")
     sample_set = _sample_set(params, batch, cfg, rng, sample_set)
     if scheme == "ordered":
-        docs = sampling.build_documents_ordered(sampling.order_samples(sample_set))
+        cells = sampling.ordered_cells(sampling.order_samples(sample_set))
     elif rng is None:
         raise ValueError("the random scheme needs an rng")
     else:
-        docs = sampling.build_documents_random(sample_set, rng)
-    weights, risk = _weigh(
-        cfg, np.array([[doc.cost for doc in docs]]), np.array([[doc.log_prob for doc in docs]])
-    )
-    cells = np.array([doc.assignment for doc in docs])
+        cells = sampling.random_cells(sample_set, rng)
+    costs, log_probs = sampling.assemble(sample_set, cells)
+    weights, risk = _weigh(cfg, costs[None], log_probs[None])
     per_sample = _scatter(cells, weights[0], [sample_set.n_samples] * sample_set.n_sentences)
-    sentences = [[h.sentence for h in row] for row in sample_set.grid]
-    grad = _weighted_grad(params, sample_set.batch.sources, sentences, per_sample, cfg.max_len)
-    return RiskEstimate(risk=risk, grad=grad, n_used=len(docs))
+    grad = _weighted_grad(params, sample_set.batch, sample_set.sentences, per_sample, cfg.max_len)
+    return RiskEstimate(risk=risk, grad=grad, n_used=len(cells))
 
 
 CostLike = "CostKind | metrics.DocCostFn"
@@ -213,7 +208,7 @@ def exact_risk_grad(
     """
     _, spaces, coeffs = _enumerated_risk(params, batch, cost_kind, max_len)
     candidates = [[sent for sent, _ in space] for space in spaces]
-    return _weighted_grad(params, batch.sources, candidates, coeffs, max_len)
+    return _weighted_grad(params, batch, candidates, coeffs, max_len)
 
 
 def fd_gradient_check(

@@ -1,22 +1,23 @@
 """Sample grids and document assembly for document-level risk training.
 
-A SampleSet holds N sampled hypotheses per sentence of a batch. Documents are
-assembled either by cost rank (the n-th document takes each sentence's rank-n
-sample, giving diverse document scores) or by random per-sentence assignment.
-Both schemes use each grid cell exactly once across the N documents.
+A SampleSet holds N sampled hypotheses per sentence of a batch. A document is a
+row of (documents, S) cells, one sample per sentence: by cost rank (the n-th
+document takes each sentence's rank-n sample, giving diverse document scores)
+or by a random permutation per sentence, each cell used once across N documents.
+assemble gives every row its cost and log-prob; the document views share it.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics, model
 from .metrics import CostKind
-from .textcore import DocumentBatch, at_least
+from .textcore import DocumentBatch, aligned, at_least
 
 
 @dataclass
@@ -30,23 +31,33 @@ class SampleSet:
     cost_kind: CostKind
     ranks: list[list[int]] | None = None  # per-sentence sample order, best first
     stats: np.ndarray | None = None  # shape (S, N, K), K stats per cell
+    # read out of the grid once
+    sentences: list[list[tuple]] = field(init=False, repr=False, compare=False)
+    log_probs: np.ndarray = field(init=False, repr=False, compare=False)  # shape (S, N)
+    n_sentences: int = field(init=False, repr=False, compare=False)
+    n_samples: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.grid:
             raise ValueError("empty batch: a sample set needs at least one sentence")
+        aligned(sentences=self.batch.sources, sample_rows=self.grid)
+        widths = sorted(set(map(len, self.grid)))
+        if len(widths) > 1:
+            raise ValueError(f"ragged sample grid: rows of {widths} samples")
+        self.sentences = [[hyp.sentence for hyp in row] for row in self.grid]
+        self.log_probs = np.array([[hyp.log_prob for hyp in row] for row in self.grid])
+        self.n_sentences, self.n_samples = self.log_probs.shape
+        shape = self.log_probs.shape
+        if self.costs is not None and np.shape(self.costs) != shape:
+            raise ValueError(f"costs of shape {np.shape(self.costs)} for a grid of shape {shape}")
         if self.stats is None:
-            rows = [[hyp.sentence for hyp in row] for row in self.grid]
-            self.stats = np.array(candidate_stats(self.batch, rows, self.cost_kind.metric))
+            stats = candidate_stats(self.batch, self.sentences, self.cost_kind.metric)
+            self.stats = np.array(stats)
         if self.costs is None:
             self.costs = np.array(sentence_costs(self.cost_kind, self.stats))
-
-    @property
-    def n_sentences(self) -> int:
-        return len(self.grid)
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.grid[0])
+        for name, values in (("costs", self.costs), ("log-probs", self.log_probs)):
+            if np.isnan(values).any():
+                raise ValueError(f"NaN sample {name}: a sample set ranks and weighs by them")
 
 
 @dataclass
@@ -148,49 +159,52 @@ def draw_sample_set(
 def order_samples(sample_set: SampleSet) -> SampleSet:
     """Attach per-sentence rank permutations: ascending cost, best first.
 
-    Ties break by descending log_prob, then by original sample index.
+    Ties break by descending log_prob, then by original sample index (a stable sort).
     """
-    ranks = []
-    for s, row in enumerate(sample_set.grid):
-        order = sorted(
-            range(len(row)),
-            key=lambda n: (sample_set.costs[s, n], -row[n].log_prob, n),
-        )
-        ranks.append(order)
-    return dataclasses.replace(sample_set, ranks=ranks)
+    ordered = copy.copy(sample_set)
+    ordered.ranks = np.lexsort((-sample_set.log_probs, sample_set.costs)).tolist()
+    return ordered
+
+
+def ordered_cells(sample_set: SampleSet) -> np.ndarray:
+    """Document n takes the rank-n sample of every sentence."""
+    if sample_set.ranks is None:
+        raise ValueError("sample set is not ordered; call order_samples first")
+    return np.array(sample_set.ranks).T
+
+
+def random_cells(sample_set: SampleSet, rng: np.random.Generator) -> np.ndarray:
+    """Documents by an independent uniform permutation of the samples per sentence."""
+    return np.array([rng.permutation(sample_set.n_samples) for _ in sample_set.grid]).T
+
+
+def assemble(sample_set: SampleSet, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cost and the log-prob of every row of a (documents, S) array of sample
+    indices; a log-prob is its members' sum in sentence order."""
+    costs = document_costs(sample_set.cost_kind, sample_set.stats, sample_set.costs, cells)
+    log_probs = sum(sample_set.log_probs[s][cells[:, s]] for s in range(cells.shape[1]))
+    return np.array(costs), log_probs
 
 
 def _build(sample_set: SampleSet, cells: np.ndarray) -> list[SampledDocument]:
-    """Documents from a (documents, S) array of sample indices."""
-    costs = document_costs(sample_set.cost_kind, sample_set.stats, sample_set.costs, cells)
-    docs = []
-    for assignment, cost in zip(cells.tolist(), costs):
-        hyps = [sample_set.grid[s][n] for s, n in enumerate(assignment)]
-        docs.append(
-            SampledDocument(
-                assignment=tuple(assignment),
-                hyps=hyps,
-                log_prob=sum(h.log_prob for h in hyps),
-                cost=cost,
-            )
-        )
-    return docs
+    """The documents of cells, as assemble costs them."""
+    costs, log_probs = assemble(sample_set, cells)
+    return [
+        SampledDocument(tuple(row), [sample_set.grid[s][n] for s, n in enumerate(row)], lp, cost)
+        for row, lp, cost in zip(cells.tolist(), log_probs.tolist(), costs.tolist())
+    ]
 
 
 def build_documents_ordered(sample_set: SampleSet) -> list[SampledDocument]:
     """Document n concatenates the rank-n sample of every sentence."""
-    if sample_set.ranks is None:
-        raise ValueError("sample set is not ordered; call order_samples first")
-    return _build(sample_set, np.array(sample_set.ranks).T)
+    return _build(sample_set, ordered_cells(sample_set))
 
 
 def build_documents_random(
     sample_set: SampleSet, rng: np.random.Generator
 ) -> list[SampledDocument]:
     """Assign samples to documents by an independent uniform permutation per sentence."""
-    n_docs = sample_set.n_samples
-    perms = [rng.permutation(n_docs) for _ in range(sample_set.n_sentences)]
-    return _build(sample_set, np.array(perms).T)
+    return _build(sample_set, random_cells(sample_set, rng))
 
 
 def enumerate_documents(sample_set: SampleSet) -> list[SampledDocument]:

@@ -762,6 +762,35 @@ def test_run_experiment_reports_are_byte_identical():
     assert "wall_clock" not in a.to_json()
 
 
+PINNED_REPORT_SHA256 = [
+    (
+        {"cost_kind": "doc_ter", "estimator": "renormalized", "alpha": 0.5},
+        "6432386074300a7a0876cfd47b1d45effbf1bd388ac9083d102c5e7ee29f64ba",
+    ),
+    (
+        {"cost_kind": "one_minus_doc_gleu", "estimator": "raw"},
+        "04e456b7dc0a60f6ce9e31e662d657ee97feae475b6da968efcb005b07bc6eb5",
+    ),
+    (
+        {"cost_kind": "one_minus_docbleu", "estimator": "raw"},
+        "1241c4e99bcb772ce91e0f6f8a72060fbc206872ef4de6dce194582fdb5d0e1d",
+    ),
+]
+
+
+@pytest.mark.parametrize("variant, digest", PINNED_REPORT_SHA256, ids=["doc_ter", "doc_gleu", "docbleu"])
+def test_run_experiment_report_bytes_are_pinned(variant, digest):
+    # every MRT mode under both batchings: a change to sampling, assembly,
+    # weighting or scoring that moves any number changes the report's bytes
+    config = {
+        **_tiny_experiment_config(), "sentences_per_doc": 3, "n_samples": 4, "mrt_max_updates": 20,
+        "mrt_batch_size": 3, "modes": "seq_mrt,doc_mrt_ordered,doc_mrt_random",
+        "batchings": "document,random", **variant,
+    }
+    report = run_experiment(config).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
 def test_run_experiment_scores_reproducible_from_saved_decodes(tmp_path):
     config = dict(_tiny_experiment_config(), save_decodes=str(tmp_path / "decodes"))
     report = run_experiment(config)

@@ -683,6 +683,20 @@ def test_ter_stats_pinned_on_length_48_pairs(hyp, ref, expected):
     assert ter_stats(hyp, ref) == expected
 
 
+@pytest.mark.parametrize("name", ["blue", "tER", "BLEU", "", "gleu "])
+def test_every_metric_entry_point_rejects_a_name_outside_metrics(name):
+    hyp, ref = (4, 5, 6), (4, 5, 7)
+    calls = [
+        lambda: metrics.line_stats(name, [hyp], [ref], [ref]),
+        lambda: metrics.extractor(name, ref, ref),
+        lambda: metrics.pooled(name, [hyp], [ref], [ref]),
+        lambda: metrics.score(name, [2, 1, 0, 0, 3, 2, 1, 0, 3, 3]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^unknown metric {name!r}$"):
+            call()
+
+
 def test_ter_extractor_indexes_its_reference_once(monkeypatch):
     ref, hyps = (4, 5, 6, 4), [(4, 5, 6, 4), (6, 5, 4), (), (4, 4, 5, 6)]
     expected = [ter_stats(hyp, ref) for hyp in hyps]

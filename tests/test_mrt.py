@@ -653,15 +653,49 @@ def reference_seq_mrt_grad(params, batch, cfg, rng):
     return mrt.RiskEstimate(risk=risk, grad=grad, n_used=n * sample_set.n_sentences)
 
 
+def reference_order_samples(sample_set):
+    """Each sentence's sample indices sorted by a Python key of (cost, -log_prob,
+    index), the oracle of sampling.order_samples."""
+    return [
+        sorted(range(len(row)), key=lambda n: (sample_set.costs[s, n], -row[n].log_prob, n))
+        for s, row in enumerate(sample_set.grid)
+    ]
+
+
+def reference_random_cells(sample_set, rng):
+    """One rng.permutation of the N samples per sentence, in sentence order."""
+    perms = [rng.permutation(sample_set.n_samples) for _ in range(sample_set.n_sentences)]
+    return np.array(perms).T
+
+
+def reference_documents(sample_set, cells):
+    """One SampledDocument per row of cells, its log-prob a Python sum over its
+    hypotheses: the oracle of sampling.assemble and its document views."""
+    costs = sampling.document_costs(sample_set.cost_kind, sample_set.stats, sample_set.costs, cells)
+    docs = []
+    for assignment, cost in zip(cells.tolist(), costs):
+        hyps = [sample_set.grid[s][n] for s, n in enumerate(assignment)]
+        docs.append(
+            sampling.SampledDocument(
+                assignment=tuple(assignment),
+                hyps=hyps,
+                log_prob=sum(h.log_prob for h in hyps),
+                cost=cost,
+            )
+        )
+    return docs
+
+
 def reference_doc_mrt_grad(params, batch, cfg, scheme, rng):
     """Document MRT filling its weight grid document by document, the oracle of doc_mrt_grad."""
     sample_set = sampling.draw_sample_set(
         params, batch, cfg.n_samples, cfg.tau, rng, cfg.max_len, cfg.cost_kind
     )
     if scheme == "ordered":
-        docs = sampling.build_documents_ordered(sampling.order_samples(sample_set))
+        cells = np.array(reference_order_samples(sample_set)).T
     else:
-        docs = sampling.build_documents_random(sample_set, rng)
+        cells = reference_random_cells(sample_set, rng)
+    docs = reference_documents(sample_set, cells)
     n = sample_set.n_samples
     costs = np.array([doc.cost for doc in docs])
     if cfg.estimator == "raw":
@@ -721,3 +755,47 @@ def test_estimators_equal_their_reference_loops(case):
         ref = reference_doc_mrt_grad(params, batch, cfg, scheme, np.random.default_rng(seed))
         assert _ulps(est.risk, ref.risk) <= 4
     assert np.array_equal(est.grad, ref.grad) and est.n_used == ref.n_used
+
+
+@st.composite
+def tied_sample_sets(draw):
+    """(sample set, seed): S 1-3, N 1-9, every cost kind; costs, log-probs and
+    sentences drawn from a few values each, so ties are common, with zeros of
+    either sign and values whose sums depend on their order."""
+    s, n = draw(st.integers(1, 3)), draw(st.integers(1, 9))
+    tokens = st.lists(st.integers(4, 6), max_size=3).map(tuple)
+    batch = DocumentBatch(
+        sources=[draw(tokens) for _ in range(s)],
+        references=[draw(tokens.filter(len)) for _ in range(s)],
+        doc_ids=[0] * s,
+    )
+    grid_of = lambda values: [[draw(values) for _ in range(n)] for _ in range(s)]
+    log_probs = grid_of(st.sampled_from([-0.0, 0.0, -0.1, -0.2, -0.7, -2.5]))
+    grid = [[model.ScoredHypothesis(draw(tokens), lp) for lp in row] for row in log_probs]
+    costs = np.array(grid_of(st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.7, 1.0])))
+    kind = draw(st.sampled_from(list(CostKind)))
+    sample_set = sampling.SampleSet(batch=batch, grid=grid, costs=costs, cost_kind=kind)
+    return sample_set, draw(st.integers(0, 2**16))
+
+
+def _bitwise(docs):
+    return [(d.assignment, d.hyps, d.log_prob.hex(), d.cost.hex(), d.weight) for d in docs]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=tied_sample_sets())
+def test_ranks_and_document_views_equal_their_reference_loops(case):
+    sample_set, seed = case
+    ranks = reference_order_samples(sample_set)
+    ordered = sampling.order_samples(sample_set)
+    assert ordered.ranks == ranks
+    expected = reference_documents(sample_set, np.array(ranks).T)
+    assert _bitwise(sampling.build_documents_ordered(ordered)) == _bitwise(expected)
+    cells = reference_random_cells(sample_set, np.random.default_rng(seed))
+    got = sampling.build_documents_random(sample_set, np.random.default_rng(seed))
+    assert _bitwise(got) == _bitwise(reference_documents(sample_set, cells))
+    sizes = [range(sample_set.n_samples)] * sample_set.n_sentences
+    expected = reference_documents(sample_set, np.array(list(itertools.product(*sizes))))
+    for doc in expected:
+        doc.weight = 1.0 / len(expected)
+    assert _bitwise(sampling.enumerate_documents(sample_set)) == _bitwise(expected)

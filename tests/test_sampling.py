@@ -334,6 +334,29 @@ def test_draw_sample_set_rejects_an_empty_batch():
         )
 
 
+def _two_by_two(grid_rows=2, widths=(2, 2), costs=((0.1, 0.2), (0.3, 0.4)), log_prob=-1.0):
+    """SampleSet fields over small_batch(): a grid of the given rows and widths."""
+    grid = [[ScoredHypothesis((4,) * (n + 1), log_prob) for n in range(w)] for w in widths]
+    costs = None if costs is None else np.array(costs)
+    return dict(batch=small_batch(), grid=grid[:grid_rows], costs=costs, cost_kind=CostKind.SENT_TER)
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        (_two_by_two(grid_rows=1, costs=[[0.1, 0.2]]), "^line count mismatch: 2 sentences vs 1 sample rows$"),
+        (_two_by_two(widths=(2, 3), costs=None), r"^ragged sample grid: rows of \[2, 3\] samples$"),
+        (_two_by_two(costs=np.zeros((2, 3))), r"^costs of shape \(2, 3\) for a grid of shape \(2, 2\)$"),
+        (_two_by_two(costs=[[0.1, math.nan], [0.3, 0.4]]), "^NaN sample costs"),
+        (_two_by_two(log_prob=math.nan), "^NaN sample log-probs"),
+    ],
+    ids=["fewer-rows-than-sentences", "ragged-rows", "costs-of-another-shape", "nan-costs", "nan-log-probs"],
+)
+def test_sample_set_rejects_a_malformed_grid(fields, error):
+    with pytest.raises(ValueError, match=error):
+        SampleSet(**fields)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the decoder's own table
 def test_sampling_from_a_non_finite_model_raises():
     for bad in (math.nan, math.inf, -math.inf):
