@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import harness, model, mrt, textcore
+from . import harness, metrics, model, mrt, textcore
 
 
 def _typed(like):
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src")
     p.add_argument("--docid")
     p.add_argument("--pseudo-docs", type=_typed(0), help="assign doc ids in blocks of this size")
-    p.add_argument("--metric", default="bleu", choices=["bleu", "ter", "gleu"])
+    p.add_argument("--metric", default="bleu", choices=metrics.METRICS)
 
     p = add("grad-check", _cmd_check(harness.grad_check), "finite-difference gradient checks")
     p.add_argument("--corrupt", action="store_true", help="inject a gradient fault")

@@ -4,10 +4,12 @@ All comparisons are on token ids. Costs are "lower is better": 1 - score for
 BLEU/GLEU selectors, raw TER for TER selectors.
 
 Every metric is a function of per-line counts that add up over lines, its
-sufficient statistics. line_stats extracts one row per line; each sentence,
-document and corpus score sums the rows and scores the sum. BLEU and GLEU rows
-come from one numpy pass per n-gram order over every line of a call (BLEU is
-GLEU with an empty source); TER rows from one shift search per line.
+sufficient statistics. line_stats is the one way to them: it extracts one row
+per line, and each sentence, document and corpus score sums the rows and scores
+the sum (a sentence's is row 0 of a one-line call). BLEU and GLEU rows come from
+one numpy pass per n-gram order over every line of a call (BLEU is GLEU with an
+empty source); TER rows from one shift search per line, against each distinct
+reference indexed once per call.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ def check_metric(metric: str) -> None:
     """Reject a metric name outside METRICS, naming it."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-
-
-Extractor = Callable[[Sentence], list[int]]
 
 
 @dataclass
@@ -92,7 +91,7 @@ _METRIC = {kind: next(m for m in METRICS if kind.value.endswith(m)) for kind in 
 
 def _reference_index(ref: Sentence) -> tuple[dict, dict]:
     """Match masks (bit k of masks[tok] set where ref[k] == tok) and the ascending
-    positions of each reference token, keyed by its 1-token block (tok,).
+    positions of each reference token, keyed by the token.
 
     The shift search finds the positions of longer blocks by extending these
     in place (see _ter_counts), so no table of every block is built.
@@ -100,7 +99,7 @@ def _reference_index(ref: Sentence) -> tuple[dict, dict]:
     masks, starts = {}, {}
     for k, tok in enumerate(ref):
         masks[tok] = masks.get(tok, 0) | 1 << k
-        starts.setdefault((tok,), []).append(k)
+        starts.setdefault(tok, []).append(k)
     return masks, starts
 
 
@@ -123,20 +122,6 @@ def _recurrence(eqs: Iterable[int], full: int, state: tuple, states: list | None
     return row + vp.bit_count() - vn.bit_count()
 
 
-def _edit_distance(
-    hyp: Sequence[int],
-    masks: dict,
-    ref_len: int,
-    state: tuple[int, int, int] | None = None,
-    states: list | None = None,
-) -> int:
-    """Word-level Levenshtein distance (unit costs) from hyp to the reference of
-    masks, by _recurrence. state resumes the DP after a prefix, so the result is
-    the distance of that prefix followed by hyp; states receives each token's."""
-    full, eqs = (1 << ref_len) - 1, [masks.get(tok, 0) for tok in hyp]
-    return _recurrence(eqs, full, state or (full, 0, ref_len), states)
-
-
 def ter_stats(hyp: Sentence, ref: Sentence) -> list[int]:
     """TER stats of one line: [edits + shifts, reference length].
 
@@ -146,7 +131,7 @@ def ter_stats(hyp: Sentence, ref: Sentence) -> list[int]:
     destination) is accepted while it strictly reduces the remaining edit
     distance. An empty reference gives [len(hyp), 0].
     """
-    return extractor("ter", ref)(hyp)
+    return line_stats("ter", [hyp], [ref])[0].tolist()
 
 
 def _ter_counts(hyp: Sentence, masks: dict, starts: dict, ref: Sentence) -> list[int]:
@@ -157,15 +142,20 @@ def _ter_counts(hyp: Sentence, masks: dict, starts: dict, ref: Sentence) -> list
     and the block stops growing at the first length with none. Moving it to j
     swaps two adjacent runs [lo, mid) and [mid, hi), so the candidate is aligned
     from states[lo], the DP state after lo tokens, on its tail's match masks.
+    Each step computes the masks once and realigns the current hypothesis from
+    the accepted shift's lo (all of it at the first step), recording its states.
     """
     ref_len, n, full = len(ref), len(hyp), (1 << len(ref)) - 1
-    current, states = list(hyp), [(full, 0, ref_len)]
-    edits = _edit_distance(current, masks, ref_len, states[0], states)
-    shifts = 0
-    while edits > 0:
-        best, bound, eqs = None, edits, [masks.get(tok, 0) for tok in current]
+    current, states, lo, shifts = list(hyp), [(full, 0, ref_len)], 0, 0
+    while True:
+        eqs = [masks.get(tok, 0) for tok in current]
+        del states[lo + 1 :]
+        edits = _recurrence(eqs[lo:], full, states[lo], states)
+        if edits == 0:
+            break
+        best, bound = None, edits
         for i in range(n):
-            positions = starts.get((current[i],))
+            positions = starts.get(current[i])
             length = 1
             while positions:
                 end = i + length
@@ -185,29 +175,10 @@ def _ter_counts(hyp: Sentence, masks: dict, starts: dict, ref: Sentence) -> list
                 length += 1
         if best is None:
             break
-        edits, (lo, mid, hi) = bound, best
+        lo, mid, hi = best
         current[lo:hi] = current[mid:hi] + current[lo:mid]
-        del states[lo + 1 :]
-        _edit_distance(current[lo:], masks, ref_len, states[lo], states)
         shifts += 1
     return [edits + shifts, ref_len]
-
-
-def extractor(
-    metric: str, ref: Sentence, src: Sentence | None = None, max_n: int = DEFAULT_MAX_N
-) -> Extractor:
-    """The stats row of a hypothesis against one reference line, as a list; GLEU
-    needs its source. A TER reference is indexed once, here; a BLEU/GLEU row is
-    line_stats' row of one line."""
-    check_metric(metric)
-    if metric == "ter":
-        index = _reference_index(ref)
-        return lambda hyp: _ter_counts(hyp, *index, ref)
-    if metric == "gleu" and src is None:
-        raise ValueError("GLEU requires a source sentence")
-    at_least(1, max_n=max_n)
-    srcs = [src] if metric == "gleu" else None
-    return lambda hyp: line_stats(metric, [hyp], [ref], srcs, max_n)[0].tolist()
 
 
 # Lines per n-gram pass of line_stats: it bounds the pass's temporaries, and
@@ -229,8 +200,9 @@ def line_stats(
     if not hyps:
         raise ValueError("empty corpus")
     if metric == "ter":
-        extract = {ref: extractor("ter", ref) for ref in dict.fromkeys(map(tuple, refs))}
-        return np.array([extract[tuple(ref)](hyp) for hyp, ref in zip(hyps, refs)], dtype=np.int64)
+        index = {ref: _reference_index(ref) for ref in dict.fromkeys(map(tuple, refs))}
+        rows = [_ter_counts(hyp, *index[tuple(ref)], ref) for hyp, ref in zip(hyps, refs)]
+        return np.array(rows, dtype=np.int64)
     if metric == "gleu" and srcs is None:
         raise ValueError("GLEU requires a source sentence")
     at_least(1, max_n=max_n)
@@ -346,7 +318,7 @@ def sentence_bleu_smoothed(hyp: Sentence, ref: Sentence, max_n: int = DEFAULT_MA
     p_n = (matches_n + 1) / (total_n + 1), geometric mean over n = 1..max_n,
     times the brevity penalty. Always positive for a non-empty hypothesis.
     """
-    stats = extractor("bleu", ref, None, max_n)(hyp)
+    stats = line_stats("bleu", [hyp], [ref], None, max_n)[0]
     return MetricScore(score("bleu", stats, smoothed=True), "BLEU")
 
 
@@ -410,7 +382,8 @@ def seq_cost(
     """Sentence-level cost for one hypothesis; lower is better."""
     if not kind.is_sentence_level:
         raise ValueError(f"{kind.value} is a document-level cost")
-    return cost_from_stats(kind, extractor(kind.metric, ref, src)(hyp))
+    srcs = None if src is None else [src]
+    return cost_from_stats(kind, line_stats(kind.metric, [hyp], [ref], srcs)[0])
 
 
 def doc_cost(

@@ -40,7 +40,7 @@ def param_count(vocab_size: int, emb_dim: int, hidden_dim: int) -> int:
     return sum(math.prod(shape) for shape in _layout(vocab_size, emb_dim, hidden_dim).values())
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
     """Flat parameter vector theta in the block layout of _layout."""
 

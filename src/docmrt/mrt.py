@@ -29,7 +29,7 @@ ESTIMATORS = ("raw", "renormalized")
 BATCHINGS = ("random", "document")
 
 
-@dataclass
+@dataclass(eq=False)
 class RiskEstimate:
     risk: float
     grad: np.ndarray

@@ -20,7 +20,7 @@ from .metrics import CostKind
 from .textcore import DocumentBatch, aligned, at_least
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleSet:
     """N scored hypotheses per sentence, their sentence-level costs and the
     metric stats of every cell; stats and costs not given are computed here."""
@@ -32,10 +32,10 @@ class SampleSet:
     ranks: list[list[int]] | None = None  # per-sentence sample order, best first
     stats: np.ndarray | None = None  # shape (S, N, K), K stats per cell
     # read out of the grid once
-    sentences: list[list[tuple]] = field(init=False, repr=False, compare=False)
-    log_probs: np.ndarray = field(init=False, repr=False, compare=False)  # shape (S, N)
-    n_sentences: int = field(init=False, repr=False, compare=False)
-    n_samples: int = field(init=False, repr=False, compare=False)
+    sentences: list[list[tuple]] = field(init=False, repr=False)
+    log_probs: np.ndarray = field(init=False, repr=False)  # shape (S, N)
+    n_sentences: int = field(init=False, repr=False)
+    n_samples: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.grid:

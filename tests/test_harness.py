@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import random
 import re
 
 import numpy as np
@@ -282,6 +283,13 @@ def test_score_corpus_ter_names_document_with_only_empty_references(tmp_path):
     assert cli.main(argv + ["--metric", "ter"]) == 0  # one document with |ref| = 1
 
 
+def test_score_rejects_a_metric_outside_metrics_before_any_io(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    assert cli.main(["score", "--hyp", missing, "--ref", missing, "--metric", "blue"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'blue'" in err and all(repr(m) in err for m in metrics.METRICS)
+
+
 def test_score_corpus_gleu_requires_sources(tmp_path):
     _write_lines(tmp_path / "hyp.txt", ["a"])
     _write_lines(tmp_path / "ref.txt", ["a"])
@@ -429,6 +437,70 @@ def test_score_corpus_rejects_zero_pseudo_doc_size(tmp_path):
     _write_lines(tmp_path / "ref.txt", ["a", "b"])
     with pytest.raises(ValueError, match="pseudo_doc_size"):
         score_corpus(tmp_path / "hyp.txt", tmp_path / "ref.txt", pseudo_doc_size=0)
+
+
+def _pinned_score_files(path):
+    """Seeded hyp, ref, src and doc-id files of 24 lines in 7 documents. Short
+    lines draw on 12 words; every third line is a shift-heavy TER pair of 30-60
+    tokens, half of them "a", the hypothesis being the reference with three
+    blocks moved and two words swapped. Line 1's hypothesis and line 4's
+    reference are empty; every document, by doc id or in blocks of 3, keeps a
+    non-empty reference."""
+    rng = random.Random(18)
+    words = [f"w{k}" for k in range(12)]
+    hyps, refs, srcs = [], [], []
+    for k in range(24):
+        if k % 3 == 2:
+            size = rng.randint(30, 60)
+            ref = ["a" if rng.random() < 0.5 else rng.choice(words) for _ in range(size)]
+            hyp = list(ref)
+            for _ in range(3):
+                i, length = rng.randrange(len(hyp)), rng.randint(1, 6)
+                block = hyp[i : i + length]
+                del hyp[i : i + length]
+                j = rng.randrange(len(hyp) + 1)
+                hyp[j:j] = block
+            for _ in range(2):
+                hyp[rng.randrange(len(hyp))] = rng.choice(words)
+        else:
+            ref = [rng.choice(words) for _ in range(rng.randint(1, 12))]
+            hyp = [tok if rng.random() < 0.7 else rng.choice(words) for tok in ref]
+            hyp = hyp[: rng.randint(0, len(hyp))] + rng.sample(words, rng.randint(0, 3))
+        hyps.append(hyp)
+        refs.append(ref)
+        srcs.append([tok if rng.random() < 0.5 else rng.choice(words) for tok in hyp])
+    hyps[1], refs[4] = [], []
+    sizes = [2, 5, 1, 4, 3, 6, 3]
+    files = {
+        "hyp": map(" ".join, hyps), "ref": map(" ".join, refs), "src": map(" ".join, srcs),
+        "ids": [str(3 * doc) for doc, size in enumerate(sizes) for _ in range(size)],
+    }
+    for name, lines in files.items():
+        _write_lines(path / f"{name}.txt", list(lines))
+    return {name: path / f"{name}.txt" for name in files}
+
+
+PINNED_SCORE_SHA256 = {
+    ("bleu", "docid"): "bd8edff8c5f66cc951594e6852422426bcd5c41f0e5c85b9146256f449b7d1dc",
+    ("bleu", "pseudo3"): "0ba9b2d9a1c0ad87c7c56fe6dd7d628cefae8bb69ab9c0ec4050aa957a22ba83",
+    ("ter", "docid"): "0f73f8f9baee9202252e5da538b3b67372bdf2ad0ce54ae80122f6943d408af7",
+    ("ter", "pseudo3"): "c8bf78a02e184faf0a13f8ac7c4f92430ee108d7be455d3034fcbbe9ce394183",
+    ("gleu", "docid"): "a7318c7959b9025164a4cd9a5687985f940c41198c53f0d04d5e10839faf2046",
+    ("gleu", "pseudo3"): "1cddc2892299937c883d038c0d76e118ae7eacfc0240016437e2d889e40785ff",
+}
+
+
+@pytest.mark.parametrize("metric, documents", PINNED_SCORE_SHA256)
+def test_score_corpus_report_bytes_are_pinned(tmp_path, metric, documents):
+    # every line's stats, each document's sum and the corpus sum reach the bytes
+    paths = _pinned_score_files(tmp_path)
+    report = score_corpus(
+        paths["hyp"], paths["ref"], paths["src"] if metric == "gleu" else None,
+        paths["ids"] if documents == "docid" else None, metric,
+        3 if documents == "pseudo3" else None,
+    )
+    digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+    assert digest == PINNED_SCORE_SHA256[metric, documents], digest
 
 
 @pytest.mark.parametrize("with_docid", [False, True])

@@ -11,7 +11,6 @@ from docmrt import metrics
 from docmrt.metrics import (
     MAX_SHIFT_BLOCK,
     CostKind,
-    _edit_distance,
     _reference_index,
     corpus_bleu,
     doc_cost,
@@ -504,6 +503,15 @@ def reference_edit_distance(a, b):
     return prev[-1]
 
 
+def edit_distance(hyp, masks, ref_len, state=None, states=None):
+    """Word-level Levenshtein distance from hyp to the reference of masks, by
+    metrics._recurrence on hyp's match masks. state resumes the DP after a prefix,
+    so the result is the distance of that prefix followed by hyp; states
+    receives each token's."""
+    full, eqs = (1 << ref_len) - 1, [masks.get(tok, 0) for tok in hyp]
+    return metrics._recurrence(eqs, full, state or (full, 0, ref_len), states)
+
+
 def reference_best_shift(hyp, ref, edits):
     """The unindexed shift search, the oracle of ter_stats: every (block start,
     block length, destination) in scan order, each candidate aligned by the
@@ -579,7 +587,7 @@ def test_ngram_rows_equal_per_order_counters(hyp, src, ref, max_n):
         ("bleu", [reference_clipped_matches(hyp, ref, n) for n in orders]),
         ("gleu", [reference_gleu_sentence_stats(hyp, src, ref, n) for n in orders]),
     ):
-        row = metrics.extractor(metric, ref, src, max_n)(hyp)
+        row = metrics.line_stats(metric, [hyp], [ref], [src], max_n)[0].tolist()
         matches = [m for m, _ in per_order]
         totals = [max(len(hyp) - n + 1, 0) for n in orders]
         assert row == matches + totals + [len(hyp), len(ref)]
@@ -634,19 +642,42 @@ def test_ter_stats_equal_reference_search(pair):
     assert tuple(ter_stats(hyp, ref)) == reference_ter_counts(hyp, ref)
 
 
+@st.composite
+def ter_corpora(draw):
+    """Aligned (hyps, refs) of 1-30 lines over 1-4 tokens, each side drawn from a
+    pool of 1-5 lines of 0-12 tokens, so references repeat against different
+    hypotheses; a reference may come as a list or a tuple."""
+    line = st.lists(st.integers(0, draw(st.integers(1, 4)) - 1), max_size=12).map(tuple)
+    hyp_pool, ref_pool = (draw(st.lists(line, min_size=1, max_size=5)) for _ in range(2))
+    size = draw(st.integers(1, 30))
+    hyps = draw(st.lists(st.sampled_from(hyp_pool), min_size=size, max_size=size))
+    ref = st.sampled_from(ref_pool)
+    refs = draw(st.lists(st.one_of(ref, ref.map(list)), min_size=size, max_size=size))
+    return hyps, refs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(corpus=ter_corpora())
+def test_ter_line_stats_equal_reference_search_on_every_row(corpus):
+    # one call indexes each distinct reference once and reuses it across lines
+    hyps, refs = corpus
+    expected = [list(reference_ter_counts(hyp, ref)) for hyp, ref in zip(hyps, refs)]
+    assert metrics.line_stats("ter", hyps, refs).tolist() == expected
+
+
 @pytest.mark.parametrize("ref_len", [1, 63, 64, 65, 130])
 def test_bit_parallel_edit_distance_equals_plain_dp(ref_len):
     rng = random.Random(ref_len)
     for vocab in (2, 5, 300):
         ref = [rng.randrange(vocab) for _ in range(ref_len)]
         masks = _reference_index(ref)[0]
-        assert _edit_distance((), masks, ref_len) == ref_len
+        assert edit_distance((), masks, ref_len) == ref_len
         for hyp_len in (1, ref_len - 1, ref_len, ref_len + 1, 2 * ref_len + 3):
             hyp = [rng.randrange(vocab) for _ in range(hyp_len)]
-            assert _edit_distance(hyp, masks, ref_len) == reference_edit_distance(hyp, ref)
+            assert edit_distance(hyp, masks, ref_len) == reference_edit_distance(hyp, ref)
         near = list(ref)
         near[::7] = [vocab] * len(near[::7])  # a token the reference lacks
-        assert _edit_distance(near, masks, ref_len) == reference_edit_distance(near, ref)
+        assert edit_distance(near, masks, ref_len) == reference_edit_distance(near, ref)
 
 
 # Length-48 (hypothesis, reference, stats) triples: the reference with three
@@ -688,7 +719,6 @@ def test_every_metric_entry_point_rejects_a_name_outside_metrics(name):
     hyp, ref = (4, 5, 6), (4, 5, 7)
     calls = [
         lambda: metrics.line_stats(name, [hyp], [ref], [ref]),
-        lambda: metrics.extractor(name, ref, ref),
         lambda: metrics.pooled(name, [hyp], [ref], [ref]),
         lambda: metrics.score(name, [2, 1, 0, 0, 3, 2, 1, 0, 3, 3]),
     ]
@@ -697,15 +727,15 @@ def test_every_metric_entry_point_rejects_a_name_outside_metrics(name):
             call()
 
 
-def test_ter_extractor_indexes_its_reference_once(monkeypatch):
-    ref, hyps = (4, 5, 6, 4), [(4, 5, 6, 4), (6, 5, 4), (), (4, 4, 5, 6)]
-    expected = [ter_stats(hyp, ref) for hyp in hyps]
+def test_line_stats_indexes_each_distinct_ter_reference_once(monkeypatch):
+    refs = [(4, 5, 6, 4), (6, 5), (4, 5, 6, 4), [6, 5], (4, 5, 6, 4)]
+    hyps = [(4, 5, 6, 4), (6, 5, 4), (), (4, 4, 5, 6), (5,)]
+    expected = [ter_stats(hyp, ref) for hyp, ref in zip(hyps, refs)]
     indexed = []
     index = metrics._reference_index
     monkeypatch.setattr(metrics, "_reference_index", lambda r: indexed.append(r) or index(r))
-    extract = metrics.extractor("ter", ref)
-    assert [extract(hyp) for hyp in hyps] == expected
-    assert indexed == [ref]
+    assert metrics.line_stats("ter", hyps, refs).tolist() == expected
+    assert indexed == [(4, 5, 6, 4), (6, 5)]  # a list and a tuple of one line are one reference
 
 
 def test_shift_search_stops_at_first_block_missing_from_reference(monkeypatch):
@@ -724,20 +754,20 @@ def test_shift_search_stops_at_first_block_missing_from_reference(monkeypatch):
     hyp, ref = tuple(range(100, 148)), tuple(range(48))
     assert ter_stats(hyp, ref) == [48, 48]
     # no hypothesis token is in the reference: one lookup per block start
-    assert lookups == [(tok,) for tok in hyp]
+    assert lookups == list(hyp)
 
 
 def test_shift_search_ends_when_no_shift_lowers_the_edits(monkeypatch):
     # moving either 0 of (0, 0) next to the reference's 0 gives (0, 0) again,
     # with as many edits: the search must stop there, not shift forever
-    distance, calls = metrics._edit_distance, []
+    recurrence, calls = metrics._recurrence, []
 
     def capped(*args):
         calls.append(args)
         assert len(calls) < 100, "the shift search does not end"
-        return distance(*args)
+        return recurrence(*args)
 
-    monkeypatch.setattr(metrics, "_edit_distance", capped)
+    monkeypatch.setattr(metrics, "_recurrence", capped)
     assert ter_stats((0, 0), (0, 1)) == [1, 2]
 
 
@@ -764,14 +794,14 @@ def test_edit_distance_resumed_from_a_recorded_state_equals_the_full_pass(ref_le
         masks = _reference_index(ref)[0]
         hyp = [rng.randrange(vocab) for _ in range(ref_len + 3)]
         states = []
-        full = _edit_distance(hyp, masks, ref_len, None, states)
+        full = edit_distance(hyp, masks, ref_len, None, states)
         assert full == reference_edit_distance(hyp, ref) and len(states) == len(hyp)
         for k in range(len(hyp) + 1):
             own = []  # the states of the prefix's own pass
-            _edit_distance(hyp[:k], masks, ref_len, None, own)
+            edit_distance(hyp[:k], masks, ref_len, None, own)
             assert own == states[:k]
             start = states[k - 1] if k else None  # None: the state before any token
-            assert _edit_distance(hyp[k:], masks, ref_len, start) == full
+            assert edit_distance(hyp[k:], masks, ref_len, start) == full
 
 
 def test_shift_candidates_are_aligned_from_their_first_changed_token(monkeypatch):

@@ -24,6 +24,23 @@ def cfg_for(mode, kind, n=4, max_len=2, estimator="raw", alpha=5e-3):
     )
 
 
+ARRAY_HOLDERS = {
+    "ModelParams": lambda: model.init_params(5, 2, 2, seed=0),
+    "RiskEstimate": lambda: mrt.RiskEstimate(risk=0.5, grad=np.zeros(3), n_used=2),
+    "SampleSet": lambda: sampling.SampleSet(
+        batch=tiny_batch(), grid=[[model.ScoredHypothesis((4,), -0.5)] * 2] * 2,
+        costs=np.zeros((2, 2)), cost_kind=CostKind.SENT_TER,
+    ),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_by_identity(build):
+    # field-wise == would ask numpy for the truth value of an array
+    a, b = build(), build()
+    assert a == a and a != b and not a == b
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(mode="nope").validate()

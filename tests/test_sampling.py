@@ -390,7 +390,7 @@ def test_duplicate_heavy_grid_equals_per_cell_extraction(monkeypatch):
         distinct = sum(len(set(row)) for row in rows)
         assert len(extracted) == distinct <= 15  # at most five per row of 8
         stats = [
-            [metrics.extractor(kind.metric, ref, src)(hyp) for hyp in row]
+            [metrics.line_stats(kind.metric, [hyp], [ref], [src])[0].tolist() for hyp in row]
             for src, ref, row in zip(batch.sources, batch.references, rows)
         ]
         sentence_kind = kind.as_sentence_kind()
@@ -410,8 +410,8 @@ def test_candidate_stats_equal_per_cell_extraction_on_enumerated_spaces(metric):
     stats = sampling.candidate_stats(batch, rows, metric)
     assert len(stats) == len(rows)
     for src, ref, row, got in zip(batch.sources, batch.references, rows, stats):
-        extract = metrics.extractor(metric, ref, src)
-        assert got.dtype == np.int64 and got.tolist() == [extract(hyp) for hyp in row]
+        cells = [metrics.line_stats(metric, [hyp], [ref], [src])[0].tolist() for hyp in row]
+        assert got.dtype == np.int64 and got.tolist() == cells
 
 
 @pytest.mark.parametrize("sizes", [[], [3], [2, 3], [3, 1, 2], [4, 2, 3, 2], [2, 0, 3]])

@@ -172,8 +172,8 @@ FORMER_AD_HOC_BOUNDS = [
     pytest.param("pseudo_doc_size", 1, -2, lambda: encode_document_corpus(
         ["a"], ["a"], build_vocab(["a"], max_size=5), pseudo_doc_size=-2),
         id="encode_document_corpus"),
-    pytest.param("max_n", 1, 0, lambda: metrics.extractor("bleu", (4, 5), max_n=0),
-                 id="extractor"),
+    pytest.param("max_n", 1, 0, lambda: metrics.line_stats("bleu", [(4, 5)], [(4, 5)], max_n=0),
+                 id="line_stats"),
     pytest.param("max_len", 1, 0, lambda: model.Decoder(_params(), (4,), 0), id="Decoder"),
     pytest.param("beam_size", 1, 0, lambda: model.Decoder(_params(), (4,), 3).beam(0),
                  id="Decoder.beam"),
