@@ -103,7 +103,10 @@ def _write_log(log: list[dict], path: str | None) -> None:
 
 def _cmd_train_mle(args) -> int:
     cfg = mrt.TrainConfig(mode="mle", **_gather(args, mrt.TrainConfig)).validate()
-    textcore.at_least(1, eval_every=args.eval_every, patience=args.patience)
+    textcore.at_least(
+        1, eval_every=args.eval_every, patience=args.patience, max_updates=cfg.max_updates,
+        emb_dim=args.emb_dim, hidden_dim=args.hidden_dim,
+    )
     vocab, train, valid, _ = load_data_dir(args.data_dir)
     params, log = harness.train_mle_baseline(
         train, valid, len(vocab), args.emb_dim, args.hidden_dim, cfg,

@@ -74,6 +74,8 @@ class TaskSpec:
             )
         if self.style_consistency and self.rule != RULE_CIPHER:
             raise ValueError("style consistency requires the cipher rule")
+        if self.style_consistency:  # two distinct ciphers need two content tokens
+            at_least(6, vocab_size=self.vocab_size)
         for name in ("noise_rate", "style_weight"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
@@ -253,12 +255,6 @@ def train_mle_baseline(
     return best_params, log
 
 
-def _doc_scores(
-    hyps: list[Sentence], srcs: list[Sentence], refs: list[Sentence]
-) -> dict:
-    return {f"doc_{m}": metrics.pooled(m, hyps, refs, srcs).value for m in metrics.METRICS}
-
-
 @dataclass
 class ExperimentReport:
     """Per-mode held-out scores for one experiment run.
@@ -362,12 +358,6 @@ def _coerce(value, like):
     return type(like)(value)  # int, float, str and enums such as CostKind
 
 
-def _fields_in(config: dict, cls) -> dict:
-    """The settings of config named like fields of the dataclass cls, as their types."""
-    names = [f.name for f in dataclasses.fields(cls) if f.name in config]
-    return {name: _coerce(config[name], getattr(cls, name)) for name in names}
-
-
 def resolve_experiment_config(config: dict | str | Path | None) -> dict:
     if config is None:
         config = {}
@@ -395,53 +385,41 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
     started = time.monotonic()
     cfg = resolve_experiment_config(config)
     seed = cfg["seed"]
-    base_task = TaskSpec(
-        **_fields_in(cfg, TaskSpec),
-        num_documents=cfg["train_documents"],
-        style_weight=cfg["baseline_style_weight"],
-    )
-    ft_task = dataclasses.replace(
-        base_task,
-        num_documents=cfg["finetune_documents"],
-        style_weight=cfg["finetune_style_weight"],
-        noise_rate=0.0,
-        seed=seed + 1,
-        cipher_seed=seed,  # same transduction as the baseline task
-    )
+    # every setting is validated before any corpus is generated
     at_least(cfg["len_max"], max_len=cfg["max_len"])  # every reference fits
     at_least(1, **{key: cfg[key] for key in ("mle_eval_every", "mle_patience", "eval_beam")})
     if not cfg["baseline_checkpoint"]:  # a loaded baseline trains nothing
-        at_least(1, mle_max_updates=cfg["mle_max_updates"])
+        at_least(1, **{key: cfg[key] for key in ("mle_max_updates", "emb_dim", "hidden_dim")})
 
-    def validated(settings, keys: dict[str, str]):
-        """settings.validate(); an error about a field of keys (a bound error
-        starts with its field) names that field's config key instead."""
+    def settings(cls, keys: dict[str, str], **fixed):
+        """The validated cls whose fields are the settings of their names, or
+        the settings keys maps them to, or fixed, each overriding the one before.
+        An error about a field (a bound error starts with it) names its config key."""
+        names = {f.name: f.name for f in dataclasses.fields(cls) if f.name in cfg} | keys
+        values = {field: _coerce(cfg[key], getattr(cls, field)) for field, key in names.items()}
         try:
-            return settings.validate()
+            return cls(**{**values, **fixed}).validate()
         except ValueError as exc:
-            name, _, rest = str(exc).partition(" ")
-            raise ValueError(f"{keys.get(name, name)} {rest}") from None
+            field, _, rest = str(exc).partition(" ")
+            raise ValueError(f"{names.get(field, field)} {rest}") from None
 
-    def train_config(rate: str, sizes: str, **fields) -> mrt.TrainConfig:
-        """A validated TrainConfig whose learning_rate and max_updates are the
-        settings rate + field, and batch_size and accum_steps sizes + field."""
-        keys = {field: rate + field for field in ("learning_rate", "max_updates")}
-        keys.update({field: sizes + field for field in ("batch_size", "accum_steps")})
-        return validated(mrt.TrainConfig(**{f: cfg[k] for f, k in keys.items()}, **fields), keys)
-
-    # both tasks and every training run are validated before any corpus is generated
-    for task, documents, style_weight in (
-        (base_task, "train_documents", "baseline_style_weight"),
-        (ft_task, "finetune_documents", "finetune_style_weight"),
-    ):
-        validated(task, {"num_documents": documents, "style_weight": style_weight})
-    mle_cfg = train_config(
-        "mle_", "mle_", mode="mle", seed=seed, max_len=cfg["max_len"], batching="random"
+    base_task = settings(
+        TaskSpec, {"num_documents": "train_documents", "style_weight": "baseline_style_weight"}
     )
-    run_cfgs = [
-        train_config(
-            "mrt_", "mle_" if mode == "mle" else "mrt_",
-            **_fields_in(cfg, mrt.TrainConfig), mode=mode, batching=batching,
+    ft_task = settings(
+        TaskSpec, {"num_documents": "finetune_documents", "style_weight": "finetune_style_weight"},
+        noise_rate=0.0, seed=seed + 1, cipher_seed=seed,  # same transduction as the baseline task
+    )
+    sizes = ("batch_size", "accum_steps")
+    schedule = ("learning_rate", "max_updates", *sizes)
+    mle_cfg = settings(
+        mrt.TrainConfig, {f: "mle_" + f for f in schedule}, mode="mle", batching="random"
+    )
+    run_cfgs = [  # an mle run takes its batch sizes from the mle_ settings
+        settings(
+            mrt.TrainConfig,
+            {f: ("mle_" if mode == "mle" and f in sizes else "mrt_") + f for f in schedule},
+            mode=mode, batching=batching,
         )
         for mode in [m.strip() for m in cfg["modes"].split(",") if m.strip()]
         for batching in [b.strip() for b in cfg["batchings"].split(",") if b.strip()]
@@ -464,30 +442,29 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
     test_srcs = [e[0] for e in ft_test.entries]
     vocab = task_vocabulary(cfg["vocab_size"])
 
-    def save_decodes(name: str, hyps: list[Sentence]) -> None:
-        if not cfg["save_decodes"]:
-            return
-        out_dir = Path(cfg["save_decodes"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # rewritten every time, so a reused directory never pairs these
-        # hypotheses with another run's references
-        textcore.write_document_corpus(ft_test, vocab, out_dir / "test")
-        (out_dir / f"{name}.hyp").write_text(
-            "".join(textcore.decode(h, vocab) + "\n" for h in hyps), encoding="utf-8"
-        )
+    def heldout(name: str, params: model.ModelParams) -> dict:
+        """Document BLEU, TER and GLEU of params' decodes of the shifted test
+        split, which save_decodes, when set, keeps as name.hyp."""
+        hyps = decode_corpus(params, ft_test, cfg["eval_beam"], cfg["max_len"])
+        if cfg["save_decodes"]:
+            out_dir = Path(cfg["save_decodes"])
+            out_dir.mkdir(parents=True, exist_ok=True)
+            # rewritten every time, so a reused directory never pairs these
+            # hypotheses with another run's references
+            textcore.write_document_corpus(ft_test, vocab, out_dir / "test")
+            (out_dir / f"{name}.hyp").write_text(
+                "".join(textcore.decode(h, vocab) + "\n" for h in hyps), encoding="utf-8"
+            )
+        return {
+            f"doc_{m}": metrics.pooled(m, hyps, test_refs, test_srcs).value for m in metrics.METRICS
+        }
 
-    start_hyps = decode_corpus(baseline, ft_test, cfg["eval_beam"], cfg["max_len"])
-    start_scores = _doc_scores(start_hyps, test_srcs, test_refs)
-    save_decodes("start", start_hyps)
-
+    start_scores = heldout("start", baseline)
     rows = []
     for run_cfg in run_cfgs:
         tuned, _ = mrt.finetune(baseline, ft_train, run_cfg)
-        hyps = decode_corpus(tuned, ft_test, cfg["eval_beam"], cfg["max_len"])
         row = {"mode": run_cfg.mode, "batching": run_cfg.batching, "cost_kind": cfg["cost_kind"]}
-        row.update(_doc_scores(hyps, test_srcs, test_refs))
-        rows.append(row)
-        save_decodes(f"{run_cfg.mode}_{run_cfg.batching}", hyps)
+        rows.append({**row, **heldout(f"{run_cfg.mode}_{run_cfg.batching}", tuned)})
 
     return ExperimentReport(
         config=cfg,

@@ -697,7 +697,24 @@ BAD_SETTINGS = [
     ("noise_rate", "1.5", None),
     ("vocab_size", "4", None),
     (None, "-1", ("finetune-mrt", "--eval-every")),
+    (None, "0", ("train-mle", "--max-updates")),
+    ("emb_dim", "0", ("train-mle", "--emb-dim")),
+    ("hidden_dim", "0", ("train-mle", "--hidden-dim")),
+    ("len_min", "0", None),
+    ("len_max", "0", None),
+    ("sentences_per_doc", "0", None),
+    ("tau", "nan", None),
+    ("alpha", "-0.5", None),
 ]
+
+
+def test_bad_settings_cover_every_numeric_experiment_setting():
+    numeric = {
+        key for key, value in harness.EXPERIMENT_DEFAULTS.items()
+        if type(value) in (int, float) and key not in ("seed", "rule")
+    }
+    covered = {key for key, _, _ in BAD_SETTINGS}
+    assert numeric <= covered, sorted(numeric - covered)
 
 
 @pytest.mark.parametrize(
@@ -772,6 +789,27 @@ def test_run_experiment_names_the_config_key_of_a_value_that_does_not_parse(
     assert str(err.value) == f"config key {key!r}: {error}"
 
 
+def test_style_consistency_needs_two_content_tokens(tmp_path, capsys, monkeypatch):
+    # one content token has one cipher: the generator would wait for a second forever
+    message = "vocab_size must be >= 6, got 5"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TaskSpec(vocab_size=5, style_consistency=True).validate()
+    TaskSpec(vocab_size=5).validate()
+    TaskSpec(vocab_size=6, style_consistency=True).validate()
+    monkeypatch.setattr(
+        harness, "generate_synthetic_corpus", lambda *args, **kwargs: pytest.fail("generated")
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_experiment({"vocab_size": 5})  # style consistency is on by default
+    capsys.readouterr()
+    argv = ["gen-data", "--out-dir", str(tmp_path / "data"), "--vocab-size", "5",
+            "--style-consistency", "true"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [("--sentences-per-doc", "0", "sentences_per_doc must be >= 1, got 0"),
@@ -814,6 +852,16 @@ def test_run_experiment_rejects_a_checkpoint_of_another_vocabulary(
     config = {**_tiny_experiment_config(), "baseline_checkpoint": str(ckpt)}
     with pytest.raises(ValueError, match=f"vocabulary size {ckpt_vocab} != data's 8"):
         run_experiment(config)
+
+
+def test_mrt_settings_leave_the_baseline_unchanged():
+    config = _tiny_experiment_config()
+    base = run_experiment(config)
+    for change in ({"tau": 0.5}, {"alpha": 0.5, "estimator": "renormalized"},
+                   {"n_samples": 3}, {"cost_kind": "doc_ter"}):
+        report = run_experiment({**config, **change})
+        assert report.baseline_valid_bleu == base.baseline_valid_bleu, change
+        assert report.start_scores == base.start_scores, change
 
 
 def test_run_experiment_report_schema_and_rows():
