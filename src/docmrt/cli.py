@@ -64,10 +64,7 @@ def load_data_dir(data_dir: str | Path):
     tokens = (data_dir / "vocab.txt").read_text(encoding="utf-8").split()
     vocab = textcore.Vocabulary(list(textcore.RESERVED_TOKENS) + tokens)
     train, valid, test = (
-        textcore.read_document_corpus(
-            data_dir / f"{split}.src", data_dir / f"{split}.ref", vocab, data_dir / f"{split}.docid"
-        )
-        for split in ("train", "valid", "test")
+        textcore.read_document_corpus(data_dir / name, vocab) for name in ("train", "valid", "test")
     )
     return vocab, train, valid, test
 

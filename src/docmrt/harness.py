@@ -271,13 +271,8 @@ class ExperimentReport:
     wall_clock: float
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "seed": self.seed,
-            "baseline_valid_bleu": self.baseline_valid_bleu,
-            "start_scores": self.start_scores,
-            "rows": self.rows,
-        }
+        payload = dataclasses.asdict(self)
+        del payload["wall_clock"]
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -503,7 +498,10 @@ def score_corpus(
         raise ValueError("empty corpus")  # no token in any file
     id_lines = textcore.read_lines(docid_path) if docid_path is not None else None
     aligned(hypotheses=hyp_lines, references=ref_lines, sources=src_lines, doc_ids=id_lines)
-    doc_ids = textcore.document_ids(id_lines, len(hyp_lines), pseudo_doc_size or len(hyp_lines))
+    if id_lines is None:
+        doc_ids = [k // (pseudo_doc_size or len(hyp_lines)) for k in range(len(hyp_lines))]
+    else:
+        doc_ids = textcore.document_ids(id_lines)
     ids: dict[str, int] = {}
 
     def intern(lines: list[str]) -> list[Sentence]:

@@ -171,7 +171,9 @@ def _ter_counts(hyp: Sentence, masks: dict, starts: dict, ref: Sentence) -> list
                 if length == MAX_SHIFT_BLOCK or end == n:
                     break
                 tok = current[end]
-                positions = [k for k in positions if k + length < ref_len and ref[k + length] == tok]
+                positions = [
+                    k for k in positions if k + length < ref_len and ref[k + length] == tok
+                ]
                 length += 1
         if best is None:
             break

@@ -23,14 +23,15 @@ from .textcore import DocumentBatch, aligned, at_least
 @dataclass(eq=False)
 class SampleSet:
     """N scored hypotheses per sentence, their sentence-level costs and the
-    metric stats of every cell; stats and costs not given are computed here."""
+    metric stats of every cell; stats, and costs not given, are computed here."""
 
     batch: DocumentBatch
     grid: list[list[model.ScoredHypothesis]]  # [sentence][sample]
     costs: np.ndarray | None  # shape (S, N); None: costs of cost_kind's sentence kind
     cost_kind: CostKind
-    ranks: list[list[int]] | None = None  # per-sentence sample order, best first
-    stats: np.ndarray | None = None  # shape (S, N, K), K stats per cell
+    # per-sentence sample order, best first; set by order_samples
+    ranks: list[list[int]] | None = field(default=None, init=False)
+    stats: np.ndarray = field(init=False)  # shape (S, N, K), K stats per cell
     # read out of the grid once
     sentences: list[list[tuple]] = field(init=False, repr=False)
     log_probs: np.ndarray = field(init=False, repr=False)  # shape (S, N)
@@ -50,9 +51,7 @@ class SampleSet:
         shape = self.log_probs.shape
         if self.costs is not None and np.shape(self.costs) != shape:
             raise ValueError(f"costs of shape {np.shape(self.costs)} for a grid of shape {shape}")
-        if self.stats is None:
-            stats = candidate_stats(self.batch, self.sentences, self.cost_kind.metric)
-            self.stats = np.array(stats)
+        self.stats = np.array(candidate_stats(self.batch, self.sentences, self.cost_kind.metric))
         if self.costs is None:
             self.costs = np.array(sentence_costs(self.cost_kind, self.stats))
         for name, values in (("costs", self.costs), ("log-probs", self.log_probs)):

@@ -1,4 +1,9 @@
-"""Vocabulary, token-id sentences, n-gram extraction, and document corpus I/O."""
+"""Vocabulary, token-id sentences, n-gram extraction, and document corpus I/O.
+
+A corpus on disk is three line-aligned files under one stem: <stem>.src, <stem>.ref
+and <stem>.docid, whose doc ids are non-decreasing; a document is a run of equal
+ids. read_document_corpus and write_document_corpus are the only code that knows it.
+"""
 
 from __future__ import annotations
 
@@ -140,31 +145,23 @@ def read_lines(path: str | Path) -> list[str]:
         return [line.rstrip("\n") for line in fh]
 
 
-def read_document_corpus(
-    src_path: str | Path,
-    ref_path: str | Path,
-    vocab: Vocabulary,
-    docid_path: str | Path | None = None,
-    pseudo_doc_size: int | None = None,
-) -> DocumentCorpus:
-    """Read parallel source/reference files plus a doc-id sidecar, named in its
-    errors; without one, pseudo_doc_size sets the documents (see document_ids)."""
-    id_lines = read_lines(docid_path) if docid_path is not None else None
-    return encode_document_corpus(
-        read_lines(src_path), read_lines(ref_path), vocab, id_lines, pseudo_doc_size, docid_path
-    )
+def read_document_corpus(stem: str | Path, vocab: Vocabulary) -> DocumentCorpus:
+    """Read <stem>.src, <stem>.ref and <stem>.docid, the files write_document_corpus
+    writes; doc-id errors name <stem>.docid (see document_ids)."""
+    docid_path = f"{stem}.docid"
+    src_lines, ref_lines, id_lines = map(read_lines, (f"{stem}.src", f"{stem}.ref", docid_path))
+    aligned(sources=src_lines, references=ref_lines, doc_ids=id_lines)
+    doc_ids = document_ids(id_lines, docid_path)
+    entries = [
+        (encode(src, vocab), encode(ref, vocab), doc_id)
+        for src, ref, doc_id in zip(src_lines, ref_lines, doc_ids)
+    ]
+    return DocumentCorpus(entries)
 
 
-def document_ids(
-    id_lines: list[str] | None, count: int, pseudo_doc_size: int | None, docid_path=None
-) -> list[int]:
-    """Each of count lines' doc id: id_lines parsed, non-decreasing in file order
-    (errors name the line, and docid_path if given), or blocks of pseudo_doc_size."""
-    if id_lines is None:
-        if pseudo_doc_size is None:
-            raise ValueError("either a doc-id file or pseudo_doc_size is required")
-        at_least(1, pseudo_doc_size=pseudo_doc_size)
-        return [i // pseudo_doc_size for i in range(count)]
+def document_ids(id_lines: list[str], docid_path=None) -> list[int]:
+    """Each line's doc id, parsed and non-decreasing in file order; errors name
+    the line, and docid_path if given."""
     of, doc_ids = "" if docid_path is None else f" of {docid_path}", []
     for lineno, line in enumerate(id_lines, start=1):
         try:
@@ -175,24 +172,6 @@ def document_ids(
             bad = f"line {lineno}{of} has {doc_ids[-1]} after {doc_ids[-2]}"
             raise ValueError(f"doc ids must be non-decreasing in file order: {bad}")
     return doc_ids
-
-
-def encode_document_corpus(
-    src_lines: list[str],
-    ref_lines: list[str],
-    vocab: Vocabulary,
-    id_lines: list[str] | None = None,
-    pseudo_doc_size: int | None = None,
-    docid_path: str | Path | None = None,
-) -> DocumentCorpus:
-    """Encode parallel source/reference lines, with their document_ids."""
-    aligned(sources=src_lines, references=ref_lines, doc_ids=id_lines)
-    doc_ids = document_ids(id_lines, len(src_lines), pseudo_doc_size, docid_path)
-    entries = [
-        (encode(src, vocab), encode(ref, vocab), doc_id)
-        for src, ref, doc_id in zip(src_lines, ref_lines, doc_ids)
-    ]
-    return DocumentCorpus(entries)
 
 
 def write_document_corpus(corpus: DocumentCorpus, vocab: Vocabulary, stem: str | Path) -> None:

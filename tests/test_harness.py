@@ -1129,6 +1129,21 @@ def test_cli_doc_id_errors_name_their_file(tmp_path, capsys, line2, error):
     assert not ckpt.exists() and not log.exists()
 
 
+def test_gen_data_reads_back_through_load_data_dir(tmp_path, capsys):
+    # gen-data writes each split by stem; load_data_dir must return exactly what was generated
+    settings = {"vocab_size": 9, "len_min": 1, "num_documents": 5, "valid_documents": 2,
+                "test_documents": 3, "style_consistency": True, "noise_rate": 0.3, "seed": 4}
+    argv = ["gen-data", "--out-dir", str(tmp_path / "data")]
+    for name, value in settings.items():
+        argv += ["--" + name.replace("_", "-"), str(value).lower()]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    task = TaskSpec(**settings).validate()
+    vocab, *splits = cli.load_data_dir(tmp_path / "data")
+    assert splits == list(generate_synthetic_corpus(task))
+    assert vocab.tokens == harness.task_vocabulary(9).tokens
+
+
 def test_cli_train_and_finetune_round_trip(tmp_path, capsys):
     data = tmp_path / "data"
     assert (

@@ -7,6 +7,7 @@ from pathlib import Path
 import docmrt
 
 SOURCES = sorted(Path(docmrt.__file__).parent.glob("*.py"))
+MAX_LINE = 100
 ENUM_HOOK = re.compile(r"^_[a-z]+_$")  # sunder names such as _missing_ that Enum calls
 
 
@@ -49,3 +50,13 @@ def test_every_private_module_name_is_referenced():
             if not any(ref == name and id(node) not in own for ref, node in references):
                 unreferenced.append(f"{module}:{name}")
     assert unreferenced == []
+
+
+def test_no_source_line_is_over_the_length_limit():
+    long_lines = [
+        f"{path.name}:{lineno}: {len(line)} characters"
+        for path in SOURCES
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if len(line) > MAX_LINE
+    ]
+    assert long_lines == []

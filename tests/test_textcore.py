@@ -1,9 +1,13 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from docmrt import metrics, model, sampling
+from docmrt import harness, metrics, model, sampling
 from docmrt.textcore import (
     BOS_ID,
     EOS_ID,
@@ -14,7 +18,6 @@ from docmrt.textcore import (
     build_vocab,
     decode,
     encode,
-    encode_document_corpus,
     ngrams,
     read_document_corpus,
     write_document_corpus,
@@ -104,14 +107,23 @@ def _write(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _write_corpus(stem, src, ref, ids):
+    """<stem>.src, <stem>.ref and <stem>.docid holding the given lines."""
+    for ext, lines in (("src", src), ("ref", ref), ("docid", ids)):
+        _write(Path(f"{stem}.{ext}"), lines)
+
+
+def _read_written(src, ref, ids):
+    """read_document_corpus on a stem written with the given lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_corpus(Path(tmp) / "x", src, ref, ids)
+        return read_document_corpus(Path(tmp) / "x", build_vocab(["a"], max_size=5))
+
+
 def test_read_document_corpus(tmp_path):
     vocab = build_vocab(["a b c"], max_size=10)
-    _write(tmp_path / "x.src", ["a b", "c", "a"])
-    _write(tmp_path / "x.ref", ["b a", "c", "a"])
-    _write(tmp_path / "x.docid", ["0", "0", "1"])
-    corpus = read_document_corpus(
-        tmp_path / "x.src", tmp_path / "x.ref", vocab, tmp_path / "x.docid"
-    )
+    _write_corpus(tmp_path / "x", ["a b", "c", "a"], ["b a", "c", "a"], ["0", "0", "1"])
+    corpus = read_document_corpus(tmp_path / "x", vocab)
     assert [len(d) for d in corpus.documents()] == [2, 1]
     assert corpus.entries[0][0] == encode("a b", vocab)
 
@@ -124,37 +136,31 @@ def test_write_document_corpus_round_trips_and_overwrites(tmp_path):
     write_document_corpus(corpus, vocab, stem)
     assert (tmp_path / "x.src").read_text(encoding="utf-8") == "a b\n\n"
     assert (tmp_path / "x.docid").read_text(encoding="utf-8") == "0\n3\n"
-    paths = (tmp_path / "x.src", tmp_path / "x.ref", vocab, tmp_path / "x.docid")
-    assert read_document_corpus(*paths) == corpus
+    assert read_document_corpus(stem, vocab) == corpus
 
 
 def test_read_document_corpus_mismatch(tmp_path):
     vocab = build_vocab(["a"], max_size=5)
-    _write(tmp_path / "x.src", ["a", "a"])
-    _write(tmp_path / "x.ref", ["a"])
+    _write_corpus(tmp_path / "x", ["a", "a"], ["a"], ["0", "0"])
     with pytest.raises(ValueError, match="mismatch"):
-        read_document_corpus(tmp_path / "x.src", tmp_path / "x.ref", vocab, None, 1)
+        read_document_corpus(tmp_path / "x", vocab)
 
 
 def test_read_document_corpus_bad_docid(tmp_path):
     vocab = build_vocab(["a"], max_size=5)
+    _write_corpus(tmp_path / "x", ["a"], ["a"], ["zero"])
+    path = re.escape(str(tmp_path / "x.docid"))
+    with pytest.raises(ValueError, match=f"^unparseable doc id 'zero' on line 1 of {path}$"):
+        read_document_corpus(tmp_path / "x", vocab)
+
+
+def test_read_document_corpus_requires_its_docid_file(tmp_path):
+    vocab = build_vocab(["a"], max_size=5)
     _write(tmp_path / "x.src", ["a"])
     _write(tmp_path / "x.ref", ["a"])
-    _write(tmp_path / "x.docid", ["zero"])
-    with pytest.raises(ValueError, match="doc id"):
-        read_document_corpus(
-            tmp_path / "x.src", tmp_path / "x.ref", vocab, tmp_path / "x.docid"
-        )
-
-
-def test_read_document_corpus_pseudo_docs(tmp_path):
-    vocab = build_vocab(["a"], max_size=5)
-    _write(tmp_path / "x.src", ["a", "a", "a"])
-    _write(tmp_path / "x.ref", ["a", "a", "a"])
-    corpus = read_document_corpus(
-        tmp_path / "x.src", tmp_path / "x.ref", vocab, None, pseudo_doc_size=2
-    )
-    assert [e[2] for e in corpus.entries] == [0, 0, 1]
+    with pytest.raises(OSError) as caught:
+        read_document_corpus(tmp_path / "x", vocab)
+    assert caught.value.filename == f"{tmp_path / 'x'}.docid"
 
 
 def _params():
@@ -169,9 +175,8 @@ def _batch():
 FORMER_AD_HOC_BOUNDS = [
     pytest.param("max_size", 5, 4, lambda: build_vocab(["a"], max_size=4), id="build_vocab"),
     pytest.param("n", 1, 0, lambda: ngrams((4, 5), 0), id="ngrams"),
-    pytest.param("pseudo_doc_size", 1, -2, lambda: encode_document_corpus(
-        ["a"], ["a"], build_vocab(["a"], max_size=5), pseudo_doc_size=-2),
-        id="encode_document_corpus"),
+    pytest.param("pseudo_doc_size", 1, -2, lambda: harness.score_corpus(
+        "no-such-dir/hyp.txt", "no-such-dir/ref.txt", pseudo_doc_size=-2), id="score_corpus"),
     pytest.param("max_n", 1, 0, lambda: metrics.line_stats("bleu", [(4, 5)], [(4, 5)], max_n=0),
                  id="line_stats"),
     pytest.param("max_len", 1, 0, lambda: model.Decoder(_params(), (4,), 0), id="Decoder"),
@@ -193,12 +198,10 @@ def test_every_lower_bound_names_its_setting_and_value(name, low, value, call):
 
 # (a call with one column a line short or long, the message naming both columns), by site
 MISALIGNED_COLUMNS = [
-    pytest.param(lambda: encode_document_corpus(
-        ["a", "a"], ["a"], build_vocab(["a"], max_size=5), None, 1),
-        "2 sources vs 1 references", id="encode_document_corpus-references"),
-    pytest.param(lambda: encode_document_corpus(
-        ["a"], ["a"], build_vocab(["a"], max_size=5), ["0", "0"]),
-        "1 sources vs 2 doc ids", id="encode_document_corpus-doc_ids"),
+    pytest.param(lambda: _read_written(["a", "a"], ["a"], ["0", "0"]),
+                 "2 sources vs 1 references", id="reader-references"),
+    pytest.param(lambda: _read_written(["a"], ["a"], ["0", "0"]),
+                 "1 sources vs 2 doc ids", id="reader-doc_ids"),
     pytest.param(lambda: metrics.line_stats("bleu", [(4,), (5,)], [(4,)]),
                  "2 hypotheses vs 1 references", id="line_stats-references"),
     pytest.param(lambda: metrics.line_stats("gleu", [(4,)], [(4,)], [(4,), (5,)]),
