@@ -21,7 +21,6 @@ from .model import (
     log_prob,
     log_prob_grad,
     mle_loss_grad,
-    sample,
     save_checkpoint,
     weighted_log_prob_grad,
 )
@@ -41,7 +40,6 @@ from .sampling import (
     build_documents_ordered,
     build_documents_random,
     draw_sample_set,
-    enumerate_documents,
     order_samples,
 )
 from .harness import (
@@ -60,7 +58,6 @@ from .textcore import (
     build_vocab,
     decode,
     encode,
-    ngrams,
     read_document_corpus,
 )
 

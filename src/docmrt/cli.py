@@ -121,8 +121,7 @@ def _cmd_finetune_mrt(args) -> int:
     textcore.at_least(0, eval_every=args.eval_every)
     vocab, train, valid, _ = load_data_dir(args.data_dir)
     params = harness.load_baseline(args.ckpt, len(vocab))
-    kind = cfg.cost_kind.as_document_kind()
-    evaluate = lambda p: harness.evaluate_corpus(p, valid, kind, 4, cfg.max_len).value
+    evaluate = lambda p: harness.evaluate_corpus(p, valid, cfg.cost_kind, 4, cfg.max_len).value
     tuned, log = mrt.finetune(params, train, cfg, eval_every=args.eval_every, eval_fn=evaluate)
     model.save_checkpoint(tuned, args.out_ckpt)
     _write_log(log, args.log)

@@ -67,6 +67,7 @@ class TaskSpec:
                   "test_documents")
         at_least(1, **{name: getattr(self, name) for name in counts})
         at_least(self.len_min, len_max=self.len_max)
+        at_least(0, seed=self.seed, cipher_seed=self.cipher_seed or 0)  # None: the corpus seed
         if self.rule not in (RULE_COPY, RULE_REVERSE, RULE_CIPHER):
             raise ValueError(
                 f"invalid rule id {self.rule} (expected {RULE_COPY} copy, "
@@ -405,6 +406,11 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
         TaskSpec, {"num_documents": "finetune_documents", "style_weight": "finetune_style_weight"},
         noise_rate=0.0, seed=seed + 1, cipher_seed=seed,  # same transduction as the baseline task
     )
+    runs = {}  # the modes and batchings whose product is fine-tuned
+    for key in ("modes", "batchings"):
+        runs[key] = [item.strip() for item in cfg[key].split(",") if item.strip()]
+        if not runs[key]:
+            raise ValueError(f"{key} must name at least one {key[:-1]}, got {cfg[key]!r}")
     sizes = ("batch_size", "accum_steps")
     schedule = ("learning_rate", "max_updates", *sizes)
     mle_cfg = settings(
@@ -416,8 +422,8 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
             {f: ("mle_" if mode == "mle" and f in sizes else "mrt_") + f for f in schedule},
             mode=mode, batching=batching,
         )
-        for mode in [m.strip() for m in cfg["modes"].split(",") if m.strip()]
-        for batching in [b.strip() for b in cfg["batchings"].split(",") if b.strip()]
+        for mode in runs["modes"]
+        for batching in runs["batchings"]
     ]
     train, valid, _ = generate_synthetic_corpus(base_task)
     ft_train, _, ft_test = generate_synthetic_corpus(ft_task)
@@ -537,6 +543,7 @@ def grad_check(corrupt: bool = False, seed: int = 0) -> dict:
     corrupt=True perturbs one analytic-gradient coordinate by 1e-3 and must
     make the report fail (fault injection for the checker itself).
     """
+    at_least(0, seed=seed)
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -606,6 +613,7 @@ def enum_check(
 ) -> dict:
     """Output-space normalization check over random parameter draws."""
     at_least(1, trials=trials)
+    at_least(0, seed=seed)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):

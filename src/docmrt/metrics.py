@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,19 +73,15 @@ class CostKind(Enum):
     def as_sentence_kind(self) -> "CostKind":
         return _SENTENCE_KIND[self]
 
-    def as_document_kind(self) -> "CostKind":
-        return _DOCUMENT_KIND[self]
 
-
-# (sentence kind, document kind) of each metric; the lookups above read these
-# maps, built once, because costs ask for them once per scored row
+# (sentence kind, document kind) of each metric; the lookups above read the map
+# built from it once, because costs ask for it once per scored row
 _LEVELS = [
     (CostKind.ONE_MINUS_SBLEU, CostKind.ONE_MINUS_DOCBLEU),
     (CostKind.SENT_TER, CostKind.DOC_TER),
     (CostKind.ONE_MINUS_SENT_GLEU, CostKind.ONE_MINUS_DOC_GLEU),
 ]
 _SENTENCE_KIND = {kind: sent for sent, doc in _LEVELS for kind in (sent, doc)}
-_DOCUMENT_KIND = {kind: doc for sent, doc in _LEVELS for kind in (sent, doc)}
 _METRIC = {kind: next(m for m in METRICS if kind.value.endswith(m)) for kind in CostKind}
 
 
@@ -399,22 +395,3 @@ def doc_cost(
         raise ValueError(f"{kind.value} is a sentence-level cost")
     return cost_from_stats(kind, line_stats(kind.metric, hyps, refs, srcs).sum(axis=0))
 
-
-DocCostFn = Callable[
-    [Sequence[Sentence], Sequence[Sentence], "Sequence[Sentence] | None"], float
-]
-
-
-def document_cost_fn(kind: "CostKind | DocCostFn") -> DocCostFn:
-    """Resolve a cost selector (or custom callable) to a document cost function.
-
-    Sentence-level selectors extend additively: the cost of a document is the
-    sum of per-sentence costs, matching the sentence-level risk objective.
-    """
-    if callable(kind) and not isinstance(kind, CostKind):
-        return kind
-    if kind.is_document_level:
-        return lambda hyps, refs, srcs=None: doc_cost(kind, hyps, refs, srcs)
-    return lambda hyps, refs, srcs=None: sum(
-        cost_from_stats(kind, row) for row in line_stats(kind.metric, hyps, refs, srcs)
-    )

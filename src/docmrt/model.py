@@ -85,16 +85,11 @@ class ScoredHypothesis:
     log_prob: float
 
 
-def init_params(
-    vocab_size: int, emb_dim: int, hidden_dim: int, seed: int, zero: bool = False
-) -> ModelParams:
-    """Uniform [-0.1, 0.1] initialization from a seeded RNG, or all zeros."""
+def init_params(vocab_size: int, emb_dim: int, hidden_dim: int, seed: int) -> ModelParams:
+    """Uniform [-0.1, 0.1] initialization from a seeded RNG."""
     _check_sizes(vocab_size, emb_dim, hidden_dim)
     n = param_count(vocab_size, emb_dim, hidden_dim)
-    if zero:
-        theta = np.zeros(n)
-    else:
-        theta = np.random.default_rng(seed).uniform(-0.1, 0.1, size=n)
+    theta = np.random.default_rng(seed).uniform(-0.1, 0.1, size=n)
     return ModelParams(vocab_size, emb_dim, hidden_dim, theta)
 
 
@@ -194,6 +189,7 @@ class Decoder:
         return total
 
     def sample(self, tau: float, rng: np.random.Generator) -> ScoredHypothesis:
+        """Ancestral sample at temperature tau; its log_prob is the tau = 1 one."""
         if tau <= 0:
             raise ValueError("temperature must be positive")
         tokens: list[int] = []
@@ -335,21 +331,6 @@ def log_prob_grad(
 ) -> np.ndarray:
     """Exact analytic gradient of log_prob, in the flat parameter layout."""
     return weighted_log_prob_grad(params, [src], [tgt], [1.0], max_len)[1]
-
-
-def sample(
-    params: ModelParams,
-    src: Sentence,
-    tau: float,
-    rng: np.random.Generator,
-    max_len: int,
-) -> ScoredHypothesis:
-    """Left-to-right ancestral sample from the tau-tempered distribution.
-
-    The recorded log_prob is the true model log-probability (tau = 1) of the
-    sampled sentence.
-    """
-    return Decoder(params, src, max_len).sample(tau, rng)
 
 
 def beam_decode(

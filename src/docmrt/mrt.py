@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import metrics, model, sampling
+from . import model, sampling
 from .metrics import CostKind
 from .textcore import DocumentBatch, DocumentCorpus, at_least
 
@@ -62,7 +62,7 @@ class TrainConfig:
             raise ValueError(f"unknown cost_kind {self.cost_kind!r} (expected one of {kinds})")
         sizes = ("n_samples", "batch_size", "accum_steps", "max_len")
         at_least(1, **{name: getattr(self, name) for name in sizes})
-        at_least(0, max_updates=self.max_updates)
+        at_least(0, max_updates=self.max_updates, seed=self.seed)
         # NaN fails every comparison, so each check states what a good value is
         for name in ("tau", "alpha", "learning_rate"):
             if not 0 < getattr(self, name) < math.inf:
@@ -153,7 +153,7 @@ def doc_mrt_grad(
     return RiskEstimate(risk=risk, grad=grad, n_used=len(cells))
 
 
-CostLike = "CostKind | metrics.DocCostFn"
+CostLike = "CostKind | Callable"  # or a callable (hyps, refs, srcs) -> document cost
 
 
 def _enumerated_risk(

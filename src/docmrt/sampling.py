@@ -67,7 +67,6 @@ class SampledDocument:
     hyps: list[model.ScoredHypothesis]
     log_prob: float  # sum of member log-probs (sentences are independent)
     cost: float
-    weight: float | None = None  # set by enumerate_documents
 
 
 def candidate_stats(batch: DocumentBatch, candidates, metric: str) -> list[np.ndarray]:
@@ -205,10 +204,3 @@ def build_documents_random(
     """Assign samples to documents by an independent uniform permutation per sentence."""
     return _build(sample_set, random_cells(sample_set, rng))
 
-
-def enumerate_documents(sample_set: SampleSet) -> list[SampledDocument]:
-    """All N^S assignments, each carrying the uniform weight 1 / N^S."""
-    docs = _build(sample_set, product_cells([sample_set.n_samples] * sample_set.n_sentences))
-    for doc in docs:
-        doc.weight = 1.0 / len(docs)
-    return docs

@@ -133,13 +133,6 @@ def decode(sentence: Sentence, vocab: Vocabulary) -> str:
     return " ".join(vocab.token_of(i) for i in sentence)
 
 
-def ngrams(sentence: Sentence, n: int) -> Counter:
-    """Multiset of all contiguous length-n subsequences."""
-    at_least(1, n=n)
-    seq = tuple(sentence)
-    return Counter(seq[i : i + n] for i in range(len(seq) - n + 1))
-
-
 def read_lines(path: str | Path) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh]

@@ -705,13 +705,14 @@ BAD_SETTINGS = [
     ("sentences_per_doc", "0", None),
     ("tau", "nan", None),
     ("alpha", "-0.5", None),
+    ("seed", "-1", ("train-mle", "--seed")),
 ]
 
 
 def test_bad_settings_cover_every_numeric_experiment_setting():
     numeric = {
         key for key, value in harness.EXPERIMENT_DEFAULTS.items()
-        if type(value) in (int, float) and key not in ("seed", "rule")
+        if type(value) in (int, float) and key != "rule"
     }
     covered = {key for key, _, _ in BAD_SETTINGS}
     assert numeric <= covered, sorted(numeric - covered)
@@ -764,6 +765,16 @@ def test_run_experiment_quotes_a_bad_value_unchanged(monkeypatch, key, value, se
     for name in ("generate_synthetic_corpus", "train_mle_baseline"):
         monkeypatch.setattr(harness, name, lambda *args, name=name, **kw: pytest.fail(name))
     with pytest.raises(ValueError, match=f"^unknown {setting} '{value}' \\(expected one of "):
+        run_experiment({**_tiny_experiment_config(), key: value})
+
+
+@pytest.mark.parametrize("key, value", [("modes", ""), ("modes", " , "), ("batchings", "")])
+def test_run_experiment_rejects_an_empty_list_before_any_work(monkeypatch, key, value):
+    # no fine-tuning run would be left, so a baseline would be trained for nothing
+    for name in ("generate_synthetic_corpus", "train_mle_baseline"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name, **kw: pytest.fail(name))
+    error = f"{key} must name at least one {key[:-1]}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         run_experiment({**_tiny_experiment_config(), key: value})
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -15,14 +16,12 @@ from docmrt.metrics import (
     corpus_bleu,
     doc_cost,
     doc_ter,
-    document_cost_fn,
     gleu,
     sentence_bleu_smoothed,
     seq_cost,
     ter,
     ter_stats,
 )
-from docmrt.textcore import ngrams
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -369,20 +368,6 @@ def test_gleu_cost_requires_source():
 def test_kind_conversions_round_trip():
     for kind in CostKind:
         assert kind.as_sentence_kind().is_sentence_level
-        assert kind.as_document_kind().is_document_level
-        assert kind.as_sentence_kind().as_document_kind() == kind.as_document_kind()
-
-
-def test_document_cost_fn_additive_extension():
-    fn = document_cost_fn(CostKind.SENT_TER)
-    hyps = [(1, 9, 3, 4), (5, 6)]
-    refs = [(1, 2, 3, 4), (5, 6)]
-    assert fn(hyps, refs, None) == 0.25
-
-
-def test_document_cost_fn_accepts_callable():
-    fn = document_cost_fn(lambda h, r, s=None: 0.7)
-    assert fn([(1,)], [(1,)], None) == 0.7
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +400,12 @@ def test_pooled_metrics_are_permutation_covariant():
 # ---------------------------------------------------------------------------
 # summed sufficient statistics against the per-metric loops they replaced
 # ---------------------------------------------------------------------------
+
+
+def ngrams(sentence, n):
+    """Multiset of all contiguous length-n subsequences."""
+    seq = tuple(sentence)
+    return Counter(seq[i : i + n] for i in range(len(seq) - n + 1))
 
 
 def reference_clipped_matches(hyp, ref, n):

@@ -81,8 +81,14 @@ def test_init_params_deterministic_per_seed():
     assert np.abs(a.theta).max() <= 0.1
 
 
+def zero_params(vocab_size, emb_dim, hidden_dim):
+    """All-zero parameters: every decoding step is uniform over the vocabulary."""
+    theta = np.zeros(model.param_count(vocab_size, emb_dim, hidden_dim))
+    return model.ModelParams(vocab_size, emb_dim, hidden_dim, theta)
+
+
 def test_init_params_zero_flag_and_layout():
-    p = model.init_params(6, 3, 4, seed=0, zero=True)
+    p = zero_params(6, 3, 4)
     assert not p.theta.any()
     assert p.theta.size == model.param_count(6, 3, 4)
     assert p.src_emb.shape == (6, 3)
@@ -129,13 +135,13 @@ def test_init_params_validation():
 
 
 def test_log_prob_uniform_at_zero_theta():
-    p = model.init_params(5, 2, 2, seed=0, zero=True)
+    p = zero_params(5, 2, 2)
     assert math.isclose(model.log_prob(p, (4,), (4, 4), 3), 3 * math.log(1 / 5), abs_tol=1e-12)
     assert math.isclose(model.log_prob(p, (4,), (), 3), math.log(1 / 5), abs_tol=1e-12)
 
 
 def test_log_prob_forced_eos_at_cap():
-    p = model.init_params(5, 2, 2, seed=0, zero=True)
+    p = zero_params(5, 2, 2)
     assert math.isclose(model.log_prob(p, (4,), (4, 4, 4), 3), 3 * math.log(1 / 5), abs_tol=1e-12)
 
 
@@ -170,7 +176,7 @@ def test_log_prob_grad_finite_differences():
 
 
 def test_log_prob_grad_output_bias_at_zero_theta():
-    p = model.init_params(5, 2, 2, seed=0, zero=True)
+    p = zero_params(5, 2, 2)
     grad = p.like(model.log_prob_grad(p, (4,), (4,), 3))
     expected = np.full(5, -2 / 5)
     expected[4] += 1.0
@@ -322,8 +328,8 @@ def test_log_prob_rejects_nonpositive_max_len():
 
 def test_sample_deterministic_per_seed():
     p = model.init_params(6, 3, 3, seed=8)
-    a = model.sample(p, (4, 5), 1.0, np.random.default_rng(3), 5)
-    b = model.sample(p, (4, 5), 1.0, np.random.default_rng(3), 5)
+    a = model.Decoder(p, (4, 5), 5).sample(1.0, np.random.default_rng(3))
+    b = model.Decoder(p, (4, 5), 5).sample(1.0, np.random.default_rng(3))
     assert a == b
 
 
@@ -349,14 +355,14 @@ def test_sample_greedy_matches_beam_one():
 def test_sample_rejects_nonpositive_temperature():
     p = model.init_params(5, 2, 2, seed=0)
     with pytest.raises(ValueError):
-        model.sample(p, (4,), 0.0, np.random.default_rng(0), 3)
+        model.Decoder(p, (4,), 3).sample(0.0, np.random.default_rng(0))
 
 
 def test_sample_scoring_consistency_exact():
     rng = np.random.default_rng(31)
     p = model.init_params(6, 3, 3, seed=13)
     for _ in range(50):
-        hyp = model.sample(p, (4, 5), 0.7, rng, 5)
+        hyp = model.Decoder(p, (4, 5), 5).sample(0.7, rng)
         assert hyp.log_prob == model.log_prob(p, (4, 5), hyp.sentence, 5)
         assert hyp.log_prob <= 0.0
 
@@ -520,7 +526,7 @@ class ReplayRng:
 
 def test_sample_draw_equal_to_a_table_entry_goes_right():
     # zero theta: every row of the cumulative table is 0.2, 0.4, ..., 1.0
-    decoder = model.Decoder(model.init_params(5, 2, 2, seed=0, zero=True), (4,), 3)
+    decoder = model.Decoder(zero_params(5, 2, 2), (4,), 3)
     row = np.cumsum(np.full(5, 0.2)).tolist()
     for k, u in enumerate(row):
         hyp = decoder.sample(1.0, ReplayRng([u] * 3))
@@ -530,7 +536,7 @@ def test_sample_draw_equal_to_a_table_entry_goes_right():
 
 
 def test_sample_uniform_token_frequencies_at_zero_theta():
-    p = model.init_params(5, 2, 2, seed=0, zero=True)
+    p = zero_params(5, 2, 2)
     decoder = model.Decoder(p, (4,), 3)
     rng = np.random.default_rng(99)
     draws = 100_000
@@ -601,7 +607,7 @@ def rounding_tie_params():
     """Zero theta but for the output bias of tokens 3 and 4, one ulp apart:
     every row holds two different log-probs that the same prefix log-prob
     can round to one sum, which the beam must then rank by token."""
-    p = model.init_params(5, 2, 2, seed=0, zero=True)
+    p = zero_params(5, 2, 2)
     p.b_out[3], p.b_out[4] = 1.0, math.nextafter(1.0, 2.0)
     return p
 
@@ -663,7 +669,7 @@ def test_mle_loss_single_pair_reduction():
 
 
 def test_mle_loss_at_zero_theta_is_log_vocab():
-    p = model.init_params(5, 2, 2, seed=0, zero=True)
+    p = zero_params(5, 2, 2)
     # (4, 4, 4, 4) sits at the max_len cap: 4 scored steps, no EOS step
     for refs in ([(4, 4), (4,)], [(4, 4, 4, 4), (4,)]):
         batch = DocumentBatch([(4,), (4, 4)], refs, [0, 0])
@@ -690,7 +696,7 @@ def test_mle_loss_empty_batch():
 
 
 def test_enumerate_hand_tree_at_zero_theta():
-    p = model.init_params(5, 2, 2, seed=0, zero=True)
+    p = zero_params(5, 2, 2)
     space = dict(model.enumerate_output_space(p, (4,), 2))
     assert math.isclose(space[()], 1 / 5, abs_tol=1e-15)
     for tok in (0, 1, 3, 4):
@@ -718,7 +724,7 @@ def test_enumerate_probabilities_match_log_prob():
 def test_enumerate_argmax_matches_greedy_on_peaked_model():
     # per-step greedy only equals the global argmax when steps are decisive;
     # a model with a strong output bias toward one token chain is.
-    p = model.init_params(5, 3, 3, seed=0, zero=True)
+    p = zero_params(5, 3, 3)
     p.b_out[4] = 4.0
     space = model.enumerate_output_space(p, (4, 4), 3)
     best = max(space, key=lambda sp: sp[1])[0]

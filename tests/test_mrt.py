@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docmrt import metrics, model, mrt, sampling
-from docmrt.metrics import CostKind, seq_cost
+from docmrt.metrics import CostKind, doc_cost, seq_cost
 from docmrt.mrt import TrainConfig, doc_mrt_grad, exact_risk, exact_risk_grad, fd_gradient_check, seq_mrt_grad
 from docmrt.textcore import DocumentBatch
 
@@ -282,7 +282,7 @@ def test_exact_risk_complement_of_singled_out_document():
 def test_exact_risk_hand_instance():
     # V=5, max_len=1, zero parameters: five equiprobable outputs per sentence,
     # one of which matches the one-token reference -> pooled TER risk 0.8
-    params = model.init_params(5, 2, 2, seed=0, zero=True)
+    params = model.ModelParams(5, 2, 2, np.zeros(model.param_count(5, 2, 2)))
     batch = DocumentBatch(sources=[(4,), (3,)], references=[(4,), (3,)], doc_ids=[0, 0])
     risk = exact_risk(params, batch, CostKind.DOC_TER, 1)
     assert math.isclose(risk, 0.8, abs_tol=1e-12)
@@ -291,9 +291,9 @@ def test_exact_risk_hand_instance():
 def test_exact_risk_grad_linear_in_costs():
     params = model.init_params(5, 3, 3, seed=12)
     batch = tiny_batch()
-    base = mrt.metrics.document_cost_fn(CostKind.ONE_MINUS_DOCBLEU)
+    base = lambda h, r, s: reference_document_cost(CostKind.ONE_MINUS_DOCBLEU, h, r, s)
     g1 = exact_risk_grad(params, batch, base, 2)
-    g2 = exact_risk_grad(params, batch, lambda h, r, s=None: 2.0 * base(h, r, s), 2)
+    g2 = exact_risk_grad(params, batch, lambda h, r, s: 2.0 * base(h, r, s), 2)
     assert np.allclose(g2, 2.0 * g1, atol=1e-12)
 
 
@@ -345,11 +345,20 @@ def test_exact_risk_scores_each_distinct_sentence_stats_row_once(monkeypatch):
     assert sorted(calls) == sorted(distinct) and len(distinct) < sum(map(len, stats))
 
 
+def reference_document_cost(cost_kind, hyps, refs, srcs):
+    """A callable's value, the pooled cost of a document-level kind, or the sum
+    of the sentence costs of a sentence-level one."""
+    if not isinstance(cost_kind, CostKind):
+        return cost_kind(hyps, refs, srcs)
+    if cost_kind.is_document_level:
+        return doc_cost(cost_kind, hyps, refs, srcs)
+    return sum(seq_cost(cost_kind, h, r, s) for h, r, s in zip(hyps, refs, srcs))
+
+
 def reference_enumerated_risk(params, batch, cost_kind, max_len):
     """The per-document enumeration loop, the oracle of mrt._enumerated_risk:
-    every document is costed from its sentences by metrics.document_cost_fn."""
+    every document is costed from its sentences by reference_document_cost."""
     spaces = [model.enumerate_output_space(params, src, max_len) for src in batch.sources]
-    cost_fn = metrics.document_cost_fn(cost_kind)
     risk = 0.0
     coeffs = [np.zeros(len(space)) for space in spaces]
     for combo_idx in itertools.product(*(range(len(sp)) for sp in spaces)):
@@ -359,7 +368,7 @@ def reference_enumerated_risk(params, batch, cost_kind, max_len):
             sent, prob = spaces[s][i]
             p *= prob
             hyps.append(sent)
-        dp = p * cost_fn(hyps, batch.references, batch.sources)
+        dp = p * reference_document_cost(cost_kind, hyps, batch.references, batch.sources)
         risk += dp
         for s, i in enumerate(combo_idx):
             coeffs[s][i] += dp
@@ -468,7 +477,7 @@ def heldout_evaluator(heldout, cfg):
     from docmrt.harness import evaluate_corpus
 
     return lambda p: evaluate_corpus(
-        p, heldout, cfg.cost_kind.as_document_kind(), beam=4, max_len=cfg.max_len
+        p, heldout, cfg.cost_kind, beam=4, max_len=cfg.max_len
     ).value
 
 
@@ -796,7 +805,7 @@ def tied_sample_sets(draw):
 
 
 def _bitwise(docs):
-    return [(d.assignment, d.hyps, d.log_prob.hex(), d.cost.hex(), d.weight) for d in docs]
+    return [(d.assignment, d.hyps, d.log_prob.hex(), d.cost.hex()) for d in docs]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -813,6 +822,8 @@ def test_ranks_and_document_views_equal_their_reference_loops(case):
     assert _bitwise(got) == _bitwise(reference_documents(sample_set, cells))
     sizes = [range(sample_set.n_samples)] * sample_set.n_sentences
     expected = reference_documents(sample_set, np.array(list(itertools.product(*sizes))))
-    for doc in expected:
-        doc.weight = 1.0 / len(expected)
-    assert _bitwise(sampling.enumerate_documents(sample_set)) == _bitwise(expected)
+    cells = sampling.product_cells([sample_set.n_samples] * sample_set.n_sentences)
+    costs, log_probs = sampling.assemble(sample_set, cells)
+    assert [tuple(row) for row in cells.tolist()] == [d.assignment for d in expected]
+    assert [c.hex() for c in costs.tolist()] == [d.cost.hex() for d in expected]
+    assert [lp.hex() for lp in log_probs.tolist()] == [d.log_prob.hex() for d in expected]

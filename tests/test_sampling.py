@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from docmrt import metrics, model, sampling
-from docmrt.metrics import CostKind, doc_cost, document_cost_fn, seq_cost
+from docmrt.metrics import CostKind, doc_cost, seq_cost
 from docmrt.model import ScoredHypothesis
 from docmrt.sampling import (
     SampleSet,
+    assemble,
     build_documents_ordered,
     build_documents_random,
     document_costs,
     draw_sample_set,
-    enumerate_documents,
     order_samples,
     product_cells,
 )
@@ -92,7 +92,7 @@ def test_draw_sample_set_single_cell():
 
 def test_draw_sample_set_mean_cost_matches_enumeration():
     # zero parameters: sampled costs average to the enumeration expectation
-    params = model.init_params(5, 2, 2, seed=0, zero=True)
+    params = model.ModelParams(5, 2, 2, np.zeros(model.param_count(5, 2, 2)))
     src, ref = (4,), (4, 4)
     batch = DocumentBatch(sources=[src], references=[ref], doc_ids=[0])
     space = model.enumerate_output_space(params, src, 2)
@@ -247,29 +247,26 @@ def test_ordered_scheme_maximizes_cost_spread():
 
 
 def test_enumerate_documents_counts_and_weights():
+    # the product space holds each of the N^S assignments once, so the uniform
+    # weight of a document is 1 / len(cells)
     params = model.init_params(6, 3, 3, seed=9)
     ss = draw_sample_set(params, small_batch(), 2, 1.0, np.random.default_rng(7), 4, CostKind.SENT_TER)
-    docs = enumerate_documents(ss)
-    assert len(docs) == 4
-    assert math.isclose(sum(d.weight for d in docs), 1.0, abs_tol=1e-12)
-    assert sorted(d.assignment for d in docs) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    cells = product_cells([ss.n_samples] * ss.n_sentences)
+    costs, log_probs = assemble(ss, cells)
+    assert len(costs) == len(log_probs) == 4
+    assert sorted(map(tuple, cells.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_enumerate_documents_mean_matches_random_scheme_average():
     ss = fabricated_sample_set()
-    enum_mean = np.mean([d.cost for d in enumerate_documents(ss)])
+    enum_mean = np.mean(assemble(ss, product_cells([ss.n_samples] * ss.n_sentences))[0])
     _, all_doc_costs = _exhaustive_pairings(ss.costs.tolist())
     assert math.isclose(enum_mean, np.mean(all_doc_costs), abs_tol=1e-12)
 
 
 def test_enumerate_documents_guard():
-    grid = [[ScoredHypothesis((4,), -1.0)] * 40 for _ in range(4)]
-    batch = DocumentBatch(
-        sources=[(4,)] * 4, references=[(4,)] * 4, doc_ids=[0] * 4
-    )
-    ss = SampleSet(batch=batch, grid=grid, costs=np.zeros((4, 40)), cost_kind=CostKind.SENT_TER)
     with pytest.raises(ValueError, match="guard"):
-        enumerate_documents(ss)
+        product_cells([40] * 4)
 
 
 def test_document_costs_equal_costs_recomputed_from_sentences():
@@ -284,18 +281,24 @@ def test_document_costs_equal_costs_recomputed_from_sentences():
         )
         for kind in CostKind:
             ss = draw_sample_set(params, batch, 3, 1.0, rng, 4, kind)
+            cells = product_cells([ss.n_samples] * ss.n_sentences)
+            exhaustive = [
+                ([ss.grid[s][n] for s, n in enumerate(row)], cost)
+                for row, cost in zip(cells.tolist(), assemble(ss, cells)[0].tolist())
+            ]
             for docs in (
-                build_documents_ordered(order_samples(ss)),
-                build_documents_random(ss, rng),
-                enumerate_documents(ss),
+                [(d.hyps, d.cost) for d in build_documents_ordered(order_samples(ss))],
+                [(d.hyps, d.cost) for d in build_documents_random(ss, rng)],
+                exhaustive,
             ):
-                for doc in docs:
-                    hyps = [h.sentence for h in doc.hyps]
+                for members, cost in docs:
+                    hyps = [h.sentence for h in members]
                     if kind.is_document_level:
-                        assert doc.cost == doc_cost(kind, hyps, batch.references, batch.sources)
+                        assert cost == doc_cost(kind, hyps, batch.references, batch.sources)
                     else:
-                        fn = document_cost_fn(kind)
-                        assert abs(doc.cost - fn(hyps, batch.references, batch.sources)) <= 1e-12
+                        refs, srcs = batch.references, batch.sources
+                        recomputed = sum(seq_cost(kind, *line) for line in zip(hyps, refs, srcs))
+                        assert abs(cost - recomputed) <= 1e-12
 
 
 def test_sample_set_without_stats_extracts_them():
@@ -363,7 +366,7 @@ def test_sampling_from_a_non_finite_model_raises():
         params = model.init_params(6, 3, 3, seed=1)
         params.b_out[4] = bad
         with pytest.raises(ValueError, match="non-finite decoding table"):
-            model.sample(params, (4,), 1.0, np.random.default_rng(0), 4)
+            model.Decoder(params, (4,), 4).sample(1.0, np.random.default_rng(0))
         with pytest.raises(ValueError, match="non-finite decoding table"):
             draw_sample_set(
                 params, small_batch(), 2, 1.0, np.random.default_rng(0), 4, CostKind.ONE_MINUS_DOCBLEU
@@ -372,7 +375,7 @@ def test_sampling_from_a_non_finite_model_raises():
 
 def test_duplicate_heavy_grid_equals_per_cell_extraction(monkeypatch):
     # zero theta, V=5, max_len 1: each cell is one of five sentences
-    params = model.init_params(5, 2, 2, seed=0, zero=True)
+    params = model.ModelParams(5, 2, 2, np.zeros(model.param_count(5, 2, 2)))
     batch = DocumentBatch(sources=[(3, 4), (), (4,)], references=[(3,), (4, 3), (4,)], doc_ids=[0] * 3)
     extracted = []
     line_stats = metrics.line_stats

@@ -6,7 +6,18 @@ from pathlib import Path
 
 import docmrt
 
-SOURCES = sorted(Path(docmrt.__file__).parent.glob("*.py"))
+PACKAGE = Path(docmrt.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+# what uses the package outside the unit tests: its own modules (the package
+# file only re-exports), the benchmark, the scripts and the acceptance criteria
+USERS = [
+    *(path for path in SOURCES if path.name != "__init__.py"),
+    *sorted(ROOT.glob("perfbench/*.py")),
+    *sorted(ROOT.glob("perfbench/tests/*.py")),
+    *sorted(ROOT.glob("scripts/*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
 MAX_LINE = 100
 ENUM_HOOK = re.compile(r"^_[a-z]+_$")  # sunder names such as _missing_ that Enum calls
 
@@ -50,6 +61,51 @@ def test_every_private_module_name_is_referenced():
             if not any(ref == name and id(node) not in own for ref, node in references):
                 unreferenced.append(f"{module}:{name}")
     assert unreferenced == []
+
+
+def _qualified_references(tree: ast.Module, own_module: str | None):
+    """(module, name, node) of each module-qualified reference in tree:
+    `module.name`, `from ...module import name`, a `(module, "name", ...)` trace
+    target, and, inside own_module itself, a bare name that is read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield _referenced_name(node.value), node.attr, node
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                yield node.module.rpartition(".")[2], alias.name, node
+        elif isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            target, name = node.elts[:2]
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                yield _referenced_name(target), name.value, node
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and own_module:
+            yield own_module, node.id, node
+
+
+def test_every_public_name_is_used_outside_the_unit_tests():
+    # a public function or class that only unit tests call is API that the lab,
+    # its benchmark and its acceptance gate do not need
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in USERS}
+    references = [
+        (module, name, node)
+        for path, tree in trees.items()
+        for module, name, node in _qualified_references(
+            tree, path.stem if path.parent == PACKAGE else None
+        )
+    ]
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            if not any(
+                (module, name) == (path.stem, node.name) and id(ref) not in own
+                for module, name, ref in references
+            ):
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
 
 
 def test_no_source_line_is_over_the_length_limit():

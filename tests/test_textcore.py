@@ -18,7 +18,6 @@ from docmrt.textcore import (
     build_vocab,
     decode,
     encode,
-    ngrams,
     read_document_corpus,
     write_document_corpus,
 )
@@ -75,19 +74,6 @@ def test_encode_decode_round_trip_in_vocab(tokens):
     vocab = build_vocab(["a b c"], max_size=10)
     text = " ".join(tokens)
     assert decode(encode(text, vocab), vocab) == text
-
-
-def test_ngrams_enumeration():
-    assert ngrams((4, 5, 4), 2) == {(4, 5): 1, (5, 4): 1}
-    assert ngrams((), 1) == {}
-    assert ngrams((4, 5), 3) == {}
-    assert ngrams((4, 4, 4), 2) == {(4, 4): 2}
-
-
-@given(st.lists(st.integers(0, 6), max_size=15), st.integers(1, 6))
-def test_ngram_total_multiplicity(tokens, n):
-    grams = ngrams(tuple(tokens), n)
-    assert sum(grams.values()) == max(len(tokens) - n + 1, 0)
 
 
 def test_document_batch_alignment_checked():
@@ -174,7 +160,6 @@ def _batch():
 # (setting, its lower bound, the bad value, a call that passes the bad value), by site
 FORMER_AD_HOC_BOUNDS = [
     pytest.param("max_size", 5, 4, lambda: build_vocab(["a"], max_size=4), id="build_vocab"),
-    pytest.param("n", 1, 0, lambda: ngrams((4, 5), 0), id="ngrams"),
     pytest.param("pseudo_doc_size", 1, -2, lambda: harness.score_corpus(
         "no-such-dir/hyp.txt", "no-such-dir/ref.txt", pseudo_doc_size=-2), id="score_corpus"),
     pytest.param("max_n", 1, 0, lambda: metrics.line_stats("bleu", [(4, 5)], [(4, 5)], max_n=0),
@@ -187,6 +172,10 @@ FORMER_AD_HOC_BOUNDS = [
     pytest.param("n_samples", 1, 0, lambda: sampling.draw_sample_set(
         _params(), _batch(), 0, 1.0, np.random.default_rng(0), 3,
         metrics.CostKind.ONE_MINUS_SBLEU), id="draw_sample_set"),
+    pytest.param("cipher_seed", 0, -1, lambda: harness.TaskSpec(cipher_seed=-1).validate(),
+                 id="TaskSpec"),
+    pytest.param("seed", 0, -1, lambda: harness.grad_check(seed=-1), id="grad_check"),
+    pytest.param("seed", 0, -1, lambda: harness.enum_check(seed=-1), id="enum_check"),
 ]
 
 
