@@ -8,8 +8,10 @@ sufficient statistics. line_stats is the one way to them: it extracts one row
 per line, and each sentence, document and corpus score sums the rows and scores
 the sum (a sentence's is row 0 of a one-line call). BLEU and GLEU rows come from
 one numpy pass per n-gram order over every line of a call (BLEU is GLEU with an
-empty source); TER rows from one shift search per line, against each distinct
-reference indexed once per call.
+empty source); TER rows from one shift search over the lines of a call, each
+step aligning every still-shifting line's hypothesis and shift candidates in
+packed bit-parallel passes, against each distinct reference indexed once per
+call.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ DEFAULT_MAX_N = 4
 
 # Longest hypothesis block considered by the TER shift search.
 MAX_SHIFT_BLOCK = 10
+
+# Match-mask bytes (lanes x columns x bytes per lane) of one _recurrence pass of
+# the TER shift search: a step whose candidates need more takes several passes,
+# so memory does not grow with a frequent token's candidate count.
+PASS_BYTES = 1 << 19
 
 METRICS = ("bleu", "ter", "gleu")
 
@@ -90,7 +97,7 @@ def _reference_index(ref: Sentence) -> tuple[dict, dict]:
     positions of each reference token, keyed by the token.
 
     The shift search finds the positions of longer blocks by extending these
-    in place (see _ter_counts), so no table of every block is built.
+    in place (see _shift_candidates), so no table of every block is built.
     """
     masks, starts = {}, {}
     for k, tok in enumerate(ref):
@@ -99,23 +106,27 @@ def _reference_index(ref: Sentence) -> tuple[dict, dict]:
     return masks, starts
 
 
-def _recurrence(eqs: Iterable[int], full: int, state: tuple, states: list | None = None) -> int:
-    """Myers' (1999) bit-vector DP in Hyyrö's (2003) global form, fed each token's
-    match mask: bit k of vp/vn is the +1/-1 step from row k to k + 1 of the column
-    (full masks the rows), so the last row is row 0 + vp.bit_count() -
-    vn.bit_count(). Resumes from state (vp, vn, distance) and returns the last
-    column's distance; states, when given, receives each column's state."""
-    vp, vn, dist = state
-    row = dist - vp.bit_count() + vn.bit_count()  # row 0: hypothesis tokens so far
+def _recurrence(eqs: Iterable[int], full: int, lows: int) -> tuple[int, int]:
+    """Myers' (1999) bit-vector DP in Hyyrö's (2003) global form, for lanes packed
+    side by side in one int, fed each column's match masks (bit k of a lane set
+    where row k of its reference matches its token there). Bit k of vp/vn is the
+    +1/-1 step from row k to k + 1 of a lane's column; full sets each lane's rows,
+    and lows each lane's row 0, which grows by one per column. From the empty
+    hypothesis (every step +1) it returns the last column's (vp, vn), so a lane's
+    distance is the column count plus its vp bits less its vn bits.
+
+    The rows outside full, a lane's unused rows and the carry bit on top that
+    keeps its carries out of the next lane, keep steps of 0, and a row's step
+    depends only on the rows below it, so they change no distance. Complements
+    are taken within full, so every int stays non-negative.
+    """
+    vp, vn = full, 0
     for eq in eqs:
         d0 = (((eq & vp) + vp) ^ vp) | eq | vn
-        hp = (vn | ~(d0 | vp)) << 1 | 1  # row 0 grows by one per hypothesis token
-        vp = ((vp & d0) << 1 | ~(d0 | hp)) & full
-        vn = hp & d0  # needs no mask: a carry past the last row needs vp's top bit, clearing hp's
-        row += 1
-        if states is not None:
-            states.append((vp, vn, row + vp.bit_count() - vn.bit_count()))
-    return row + vp.bit_count() - vn.bit_count()
+        hp = (vn | (d0 | vp) ^ full) << 1 | lows
+        vp = ((vp & d0) << 1 | (d0 | hp) ^ full) & full
+        vn = hp & d0  # no mask: a carry past a lane's last row needs its vp bit, clearing hp's
+    return vp, vn
 
 
 def ter_stats(hyp: Sentence, ref: Sentence) -> list[int]:
@@ -130,57 +141,134 @@ def ter_stats(hyp: Sentence, ref: Sentence) -> list[int]:
     return line_stats("ter", [hyp], [ref])[0].tolist()
 
 
-def _ter_counts(hyp: Sentence, masks: dict, starts: dict, ref: Sentence) -> list[int]:
-    """ter_stats of hyp against ref, indexed by _reference_index.
+def _ter_rows(hyps: Sequence[Sentence], refs: list[tuple], index: dict) -> list[list[int]]:
+    """ter_stats of each aligned line, its reference a key of index, which maps it
+    to its _reference_index. Each shift step aligns every still-shifting line's
+    current hypothesis and all its shift candidates together (_align), over the
+    columns and lane width that _pack fixes for all steps; a line applies its first
+    candidate of fewest edits while that is below its current hypothesis's edits.
+    """
+    cols, width, rows, fulls = _pack(hyps, refs, index)
+    currents, starts = [list(hyp) for hyp in hyps], [index[ref][1] for ref in refs]
+    stats, shifts, live = [None] * len(hyps), [0] * len(hyps), range(len(hyps))
+    while live:
+        shapes = [_shift_candidates(currents[i], refs[i], starts[i]) for i in live]
+        lanes = [(rows[i], fulls[i], shape) for i, shape in zip(live, shapes)]
+        dists, still, end = _align(lanes, cols, width), [], 0
+        for i, shape in zip(live, shapes):
+            edits = dists[end : end + len(shape) // 3]
+            end += len(edits)
+            best = min(edits)
+            if best < edits[0]:
+                k = 3 * edits.index(best)
+                lo, mid, hi = shape[k : k + 3]
+                currents[i] = _swap(currents[i], lo, mid, hi)
+                rows[i] = _swap(rows[i], lo * width, mid * width, hi * width)
+                shifts[i] += 1
+                if best:
+                    still.append(i)
+                    continue
+            stats[i] = [best + shifts[i], len(refs[i])]
+        live = still
+    return stats
+
+
+def _pack(hyps: Sequence[Sentence], refs: list[tuple], index: dict) -> tuple:
+    """(cols, width, rows, fulls) of aligned lines, each reference a key of index
+    as in _ter_rows: a line's rows are the match masks of its cols columns, width
+    bytes each, and its full sets its reference's rows.
+
+    Every hypothesis is cols columns: its tokens, then as many sentinel tokens as
+    bring it to the longest one's length, and its reference ends with as many
+    sentinels. A common suffix leaves the edit distance as it is, so all lanes run
+    the same columns from the same start. Width fits each padded reference and
+    one bit more, which keeps a lane's carry out of the next lane.
+    """
+    cols = max(map(len, hyps))
+    heights = [len(ref) + cols - len(hyp) for hyp, ref in zip(hyps, refs)]
+    width = max(heights) // 8 + 1
+    tables = {  # each distinct reference's match masks as bytes
+        ref: {tok: mask.to_bytes(width, "little") for tok, mask in index[ref][0].items()}
+        for ref in set(refs)
+    }
+    rows, fulls, zero = [], [], bytes(width)
+    for hyp, ref, height in zip(hyps, refs, heights):
+        sentinel = ((1 << height) - (1 << len(ref))).to_bytes(width, "little")
+        tokens = b"".join([tables[ref].get(tok, zero) for tok in hyp])
+        rows.append(tokens + sentinel * (cols - len(hyp)))
+        fulls.append(((1 << height) - 1).to_bytes(width, "little"))
+    return cols, width, rows, fulls
+
+
+def _swap(seq, lo: int, mid: int, hi: int):
+    """seq with its adjacent runs [lo, mid) and [mid, hi) swapped."""
+    return seq[:lo] + seq[mid:hi] + seq[lo:mid] + seq[hi:]
+
+
+def _shift_candidates(current: list, ref: Sentence, starts: dict) -> list[int]:
+    """The shapes to align for current: (0, 0, 0), current itself, then every
+    shift of a block to where ref has the same tokens, in scan order (block start,
+    length, destination), as the (lo, mid, hi) of the two runs it swaps; flat.
 
     A block from i grows one token at a time: the positions of the longer block
     are those k of the shorter one where ref[k + length - 1] is the new token,
-    and the block stops growing at the first length with none. Moving it to j
-    swaps two adjacent runs [lo, mid) and [mid, hi), so the candidate is aligned
-    from states[lo], the DP state after lo tokens, on its tail's match masks.
-    Each step computes the masks once and realigns the current hypothesis from
-    the accepted shift's lo (all of it at the first step), recording its states.
+    and the block stops growing at the first length with none.
     """
-    ref_len, n, full = len(ref), len(hyp), (1 << len(ref)) - 1
-    current, states, lo, shifts = list(hyp), [(full, 0, ref_len)], 0, 0
-    while True:
-        eqs = [masks.get(tok, 0) for tok in current]
-        del states[lo + 1 :]
-        edits = _recurrence(eqs[lo:], full, states[lo], states)
-        if edits == 0:
-            break
-        best, bound = None, edits
-        for i in range(n):
-            positions = starts.get(current[i])
-            length = 1
-            while positions:
-                end = i + length
-                for j in positions:
-                    if j > n - length:
-                        break
-                    if j == i:
-                        continue  # reinserting in place is a no-op
-                    lo, mid, hi = (j, i, end) if j < i else (i, end, j + length)
-                    e = _recurrence(chain(eqs[mid:hi], eqs[lo:mid], eqs[hi:]), full, states[lo])
-                    if e < bound:
-                        bound, best = e, (lo, mid, hi)
-                if length == MAX_SHIFT_BLOCK or end == n:
+    n, ref_len, shapes = len(current), len(ref), [0, 0, 0]
+    for i, tok in enumerate(current):
+        positions, length = starts.get(tok), 1
+        while positions:
+            end, last = i + length, n - length
+            for j in positions:
+                if j > last:
                     break
-                tok = current[end]
-                positions = [
-                    k for k in positions if k + length < ref_len and ref[k + length] == tok
-                ]
-                length += 1
-        if best is None:
-            break
-        lo, mid, hi = best
-        current[lo:hi] = current[mid:hi] + current[lo:mid]
-        shifts += 1
-    return [edits + shifts, ref_len]
+                if j != i:  # reinserting in place is a no-op
+                    shapes += (j, i, end) if j < i else (i, end, j + length)
+            if length == MAX_SHIFT_BLOCK or end == n:
+                break
+            tok = current[end]
+            positions = [k for k in positions if k + length < ref_len and ref[k + length] == tok]
+            length += 1
+    return shapes
 
 
-# Lines per n-gram pass of line_stats: it bounds the pass's temporaries, and
-# keeps its int64 keys below the square of one chunk's token count.
+def _align(lanes: list[tuple], cols: int, width: int) -> list[int]:
+    """The edit distance of every shape of every (rows, full, shapes) of lanes, in
+    order: rows with the runs of the shape swapped, against the reference rows
+    that full sets. A _recurrence pass aligns as many shapes as fit PASS_BYTES
+    of match masks, and at least one.
+    """
+    per_pass, dists, parts, fulls = max(1, PASS_BYTES // (max(cols, 1) * width)), [], [], []
+    for rows, full, shapes in lanes:
+        for k in range(0, len(shapes), 3):
+            lo, mid, hi = shapes[k] * width, shapes[k + 1] * width, shapes[k + 2] * width
+            parts += (rows[:lo], rows[mid:hi], rows[lo:mid], rows[hi:])  # _swap's runs
+            fulls.append(full)
+            if len(fulls) == per_pass:
+                dists += _distances(parts, fulls, cols, width)
+                parts, fulls = [], []
+    return dists + _distances(parts, fulls, cols, width) if fulls else dists
+
+
+def _distances(parts: list[bytes], fulls: list[bytes], cols: int, width: int) -> list[int]:
+    """One _recurrence pass: the edit distance of each lane whose cols match masks
+    parts hold, against the reference rows of its full."""
+    n = len(fulls)
+    masks = np.frombuffer(b"".join(parts), np.uint8).reshape(n, cols, width)
+    eqs = (int.from_bytes(eq, "little") for eq in masks.transpose(1, 0, 2).copy())
+    lows = int.from_bytes((b"\x01" + bytes(width - 1)) * n, "little")
+    vp, vn = _recurrence(eqs, int.from_bytes(b"".join(fulls), "little"), lows)
+    steps = (vp.to_bytes(n * width, "little") + vn.to_bytes(n * width, "little")).translate(_ONES)
+    ones = np.frombuffer(steps, np.uint8).reshape(2, n, width).sum(2, dtype=np.int64)
+    return (cols + ones[0] - ones[1]).tolist()
+
+
+# The number of set bits of each byte value, for bytes.translate.
+_ONES = bytes(byte.bit_count() for byte in range(256))
+
+# Lines per n-gram pass, and per TER shift search, of line_stats: it bounds the
+# n-gram pass's temporaries and keeps its int64 keys below the square of one
+# chunk's token count.
 LINE_CHUNK = 64
 
 
@@ -198,8 +286,13 @@ def line_stats(
     if not hyps:
         raise ValueError("empty corpus")
     if metric == "ter":
-        index = {ref: _reference_index(ref) for ref in dict.fromkeys(map(tuple, refs))}
-        rows = [_ter_counts(hyp, *index[tuple(ref)], ref) for hyp, ref in zip(hyps, refs)]
+        keys = [tuple(ref) for ref in refs]
+        index = {key: _reference_index(key) for key in dict.fromkeys(keys)}
+        rows = [
+            row
+            for k in range(0, len(hyps), LINE_CHUNK)
+            for row in _ter_rows(hyps[k : k + LINE_CHUNK], keys[k : k + LINE_CHUNK], index)
+        ]
         return np.array(rows, dtype=np.int64)
     if metric == "gleu" and srcs is None:
         raise ValueError("GLEU requires a source sentence")

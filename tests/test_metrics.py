@@ -494,13 +494,12 @@ def reference_edit_distance(a, b):
     return prev[-1]
 
 
-def edit_distance(hyp, masks, ref_len, state=None, states=None):
-    """Word-level Levenshtein distance from hyp to the reference of masks, by
-    metrics._recurrence on hyp's match masks. state resumes the DP after a prefix,
-    so the result is the distance of that prefix followed by hyp; states
-    receives each token's."""
-    full, eqs = (1 << ref_len) - 1, [masks.get(tok, 0) for tok in hyp]
-    return metrics._recurrence(eqs, full, state or (full, 0, ref_len), states)
+def edit_distance(hyp, masks, ref_len):
+    """Word-level Levenshtein distance from hyp to the reference of masks, by a
+    metrics._recurrence pass of one lane on hyp's match masks."""
+    eqs = [masks.get(tok, 0) for tok in hyp]
+    vp, vn = metrics._recurrence(eqs, (1 << ref_len) - 1, 1)
+    return len(hyp) + vp.bit_count() - vn.bit_count()
 
 
 def reference_best_shift(hyp, ref, edits):
@@ -656,6 +655,27 @@ def test_ter_line_stats_equal_reference_search_on_every_row(corpus):
     assert metrics.line_stats("ter", hyps, refs).tolist() == expected
 
 
+@st.composite
+def ter_chunk_corpora(draw):
+    """Aligned (hyps, refs) of 1-60 lines over 1-4 tokens, drawn from a pool of
+    1-8 pairs of 0-10 tokens, so that references repeat across chunks."""
+    line = st.lists(st.integers(0, draw(st.integers(1, 4)) - 1), max_size=10).map(tuple)
+    pool = draw(st.lists(st.tuples(line, line), min_size=1, max_size=8))
+    return tuple(map(list, zip(*draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60)))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(corpus=ter_chunk_corpora(), chunk=st.integers(1, 70), pass_bytes=st.integers(1, 2000))
+def test_ter_rows_equal_reference_search_across_chunks_and_passes(corpus, chunk, pass_bytes):
+    hyps, refs = corpus
+    expected = [list(reference_ter_counts(hyp, ref)) for hyp, ref in zip(hyps, refs)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(metrics, "LINE_CHUNK", chunk)  # 1-70 lines a chunk: one or many
+        m.setattr(metrics, "PASS_BYTES", pass_bytes)  # from one lane a pass to whole steps
+        rows = metrics.line_stats("ter", hyps, refs)
+    assert rows.dtype == np.int64 and rows.tolist() == expected
+
+
 @pytest.mark.parametrize("ref_len", [1, 63, 64, 65, 130])
 def test_bit_parallel_edit_distance_equals_plain_dp(ref_len):
     rng = random.Random(ref_len)
@@ -702,6 +722,33 @@ PINNED_TER = [
 @pytest.mark.parametrize("hyp, ref, expected", PINNED_TER, ids=["vocab50", "vocab8", "vocab3"])
 def test_ter_stats_pinned_on_length_48_pairs(hyp, ref, expected):
     hyp, ref = tuple(map(int, hyp.split())), tuple(map(int, ref.split()))
+    assert ter_stats(hyp, ref) == expected
+
+
+# A 120-token reference in which token 0 is 72 of the words (43 types, drawn from
+# 200 with token 0 given half the mass), and a hypothesis made from it by the
+# benchmark's score-file edit pattern: a substitution per 2 tokens, a deletion per
+# 5, one block move. Its lanes are several 64-bit words wide, and its frequent
+# token gives every step thousands of candidates. The stats were computed once
+# with the per-candidate shift search that the packed passes replaced.
+PINNED_FREQUENT_TOKEN_TER = (
+    "0 0 0 0 130 18 0 191 41 123 0 32 24 0 153 0 0 0 0 0 0 43 51 0 114 0 69 0 0 "
+    "0 0 100 0 0 66 29 156 68 188 0 0 106 0 193 71 123 172 0 0 151 73 0 40 130 "
+    "0 147 0 171 109 0 63 145 0 0 0 51 190 0 0 0 0 0 0 0 0 0 0 0 0 0 14 0 110 "
+    "15 0 0 0 0 0 8 0 0 0 31 66 0",
+    "141 0 0 62 31 25 18 0 191 58 0 0 0 0 24 0 8 0 0 149 0 0 0 0 157 43 51 0 "
+    "110 0 0 166 69 0 0 0 0 0 0 0 0 0 66 29 119 156 141 68 188 0 34 0 0 193 49 "
+    "123 0 0 0 0 151 73 70 84 0 40 130 0 147 106 0 109 0 0 0 63 119 0 0 98 139 "
+    "0 0 0 0 0 0 0 0 0 8 0 0 0 0 0 0 0 0 0 14 123 0 0 44 15 0 0 0 0 136 0 0 0 0 "
+    "0 0 31 66 0",
+    [43, 120],
+)
+
+
+def test_ter_stats_pinned_on_a_frequent_token_pair_of_120_tokens():
+    hyp, ref, expected = PINNED_FREQUENT_TOKEN_TER
+    hyp, ref = tuple(map(int, hyp.split())), tuple(map(int, ref.split()))
+    assert (len(hyp), len(ref), ref.count(0)) == (96, 120, 72)
     assert ter_stats(hyp, ref) == expected
 
 
@@ -779,35 +826,65 @@ def test_doc_cost_pools_empty_reference_lines():
 
 @pytest.mark.parametrize("ref_len", [0, 1, 63, 64, 65, 130])
 def test_edit_distance_resumed_from_a_recorded_state_equals_the_full_pass(ref_len):
+    # _pack pads every prefix of hyp to hyp's columns with sentinels that its
+    # reference ends with: after its own columns the lane holds the state the
+    # prefix's own pass records, and the sentinel columns resume from it without
+    # changing the distance
     rng = random.Random(ref_len)
+    full = (1 << ref_len) - 1
     for vocab in (2, 5, 300):
-        ref = [rng.randrange(vocab) for _ in range(ref_len)]
-        masks = _reference_index(ref)[0]
-        hyp = [rng.randrange(vocab) for _ in range(ref_len + 3)]
-        states = []
-        full = edit_distance(hyp, masks, ref_len, None, states)
-        assert full == reference_edit_distance(hyp, ref) and len(states) == len(hyp)
+        ref = tuple(rng.randrange(vocab) for _ in range(ref_len))
+        index = {ref: _reference_index(ref)}
+        hyp = tuple(rng.randrange(vocab) for _ in range(ref_len + 3))
         for k in range(len(hyp) + 1):
-            own = []  # the states of the prefix's own pass
-            edit_distance(hyp[:k], masks, ref_len, None, own)
-            assert own == states[:k]
-            start = states[k - 1] if k else None  # None: the state before any token
-            assert edit_distance(hyp[k:], masks, ref_len, start) == full
+            own = metrics._recurrence([index[ref][0].get(tok, 0) for tok in hyp[:k]], full, 1)
+            cols, width, rows, fulls = metrics._pack([hyp[:k], hyp], [ref, ref], index)
+            eqs = [int.from_bytes(rows[0][c * width : (c + 1) * width], "little") for c in range(k)]
+            recorded = metrics._recurrence(eqs, int.from_bytes(fulls[0], "little"), 1)
+            assert [step & full for step in recorded] == [step & full for step in own]
+            expected = [reference_edit_distance(hyp[:k], ref), reference_edit_distance(hyp, ref)]
+            assert metrics._distances(rows, fulls, cols, width) == expected
+            assert edit_distance(hyp[:k], index[ref][0], ref_len) == expected[0]
+
+
+def test_one_packed_pass_aligns_lanes_of_mixed_lengths(monkeypatch):
+    # references of 0-130 tokens (across the 64-bit word boundaries), empty and
+    # longer hypotheses, each also with two of its runs swapped: all in one pass
+    rng, lines = random.Random(5), []
+    for ref_len in (0, 1, 63, 64, 65, 130):
+        for vocab in (3, 300):
+            ref = tuple(rng.randrange(vocab) for _ in range(ref_len))
+            for hyp_len in (0, 1, ref_len + 3):
+                lines.append((tuple(rng.randrange(vocab) for _ in range(hyp_len)), ref))
+    hyps, refs = zip(*lines)
+    index = {ref: _reference_index(ref) for ref in refs}
+    cols, width, rows, fulls = metrics._pack(hyps, refs, index)
+    swapped = [sorted(rng.sample(range(len(hyp) + 1), 3)) if len(hyp) > 1 else [] for hyp in hyps]
+    shapes = [[0, 0, 0] + runs for runs in swapped]  # (0, 0, 0): the hypothesis itself
+    expected = [
+        reference_edit_distance(metrics._swap(list(hyp), *shape[k : k + 3]), ref)
+        for hyp, ref, shape in zip(hyps, refs, shapes)
+        for k in range(0, len(shape), 3)
+    ]
+    recurrence, passes = metrics._recurrence, []
+    monkeypatch.setattr(metrics, "_recurrence", lambda *a: passes.append(a) or recurrence(*a))
+    monkeypatch.setattr(metrics, "PASS_BYTES", 1 << 24)
+    assert metrics._align(list(zip(rows, fulls, shapes)), cols, width) == expected
+    assert len(passes) == 1 and passes[0][2].bit_count() == len(expected)  # one lane each
 
 
 def test_shift_candidates_are_aligned_from_their_first_changed_token(monkeypatch):
-    # a full realignment would feed every candidate's 14 tokens
-    recurrence, calls = metrics._recurrence, []
+    # every candidate of a shift step is a lane of one packed pass, after the
+    # current hypothesis's lane
+    recurrence, lanes = metrics._recurrence, []
 
-    def counted(eqs, *rest):
-        calls.append((eqs := list(eqs), *rest))  # a candidate's masks come as an iterator
-        return recurrence(eqs, *rest)
+    def counted(eqs, full, lows):
+        lanes.append(lows.bit_count())  # one row-0 bit per lane
+        return recurrence(eqs, full, lows)
 
     monkeypatch.setattr(metrics, "_recurrence", counted)
     hyp = (2, 0, 1, 1, 0, 2, 2, 1, 0, 1, 2, 0, 0, 1)
     ref = (0, 1, 2, 0, 1, 1, 2, 2, 0, 1, 0, 2, 1, 0)
     assert ter_stats(hyp, ref) == [3, 14]
-    candidates = [args for args in calls if len(args) == 3]  # the others record states
-    fed = sum(len(args[0]) for args in calls)
-    assert len(candidates) == 252 and fed == 2659
-    assert fed < len(candidates) * len(hyp)
+    assert len(lanes) == 3  # two accepted shifts, then the step that finds none
+    assert sum(lanes) - len(lanes) == 252
