@@ -24,9 +24,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .textcore import Sentence, aligned, at_least
+from .textcore import Sentence, aligned
 
-DEFAULT_MAX_N = 4
+# n-gram orders of BLEU and GLEU.
+MAX_N = 4
 
 # Longest hypothesis block considered by the TER shift search.
 MAX_SHIFT_BLOCK = 10
@@ -48,7 +49,6 @@ def check_metric(metric: str) -> None:
 @dataclass
 class MetricScore:
     value: float
-    kind: str  # "BLEU" | "TER" | "GLEU"
 
 
 class CostKind(Enum):
@@ -72,10 +72,6 @@ class CostKind(Enum):
     @property
     def is_sentence_level(self) -> bool:
         return _SENTENCE_KIND[self] is self
-
-    @property
-    def is_document_level(self) -> bool:
-        return _SENTENCE_KIND[self] is not self
 
     def as_sentence_kind(self) -> "CostKind":
         return _SENTENCE_KIND[self]
@@ -277,7 +273,6 @@ def line_stats(
     hyps: Sequence[Sentence],
     refs: Sequence[Sentence],
     srcs: Sequence[Sentence] | None = None,
-    max_n: int = DEFAULT_MAX_N,
 ) -> np.ndarray:
     """One stats row per aligned line, shape (lines, K); sources only for GLEU.
     Each distinct TER reference is indexed once per call."""
@@ -296,13 +291,12 @@ def line_stats(
         return np.array(rows, dtype=np.int64)
     if metric == "gleu" and srcs is None:
         raise ValueError("GLEU requires a source sentence")
-    at_least(1, max_n=max_n)
     sides = (hyps, refs, srcs) if metric == "gleu" else (hyps, refs)
     chunks = [[side[k : k + LINE_CHUNK] for side in sides] for k in range(0, len(hyps), LINE_CHUNK)]
-    return np.concatenate([_ngram_rows(chunk, max_n) for chunk in chunks])
+    return np.concatenate([_ngram_rows(chunk) for chunk in chunks])
 
 
-def _ngram_rows(sides: list[Sequence[Sentence]], max_n: int) -> np.ndarray:
+def _ngram_rows(sides: list[Sequence[Sentence]]) -> np.ndarray:
     """BLEU/GLEU rows of aligned hypotheses, references and (GLEU) sources:
     [matches per order, hypothesis n-grams per order, hypothesis length,
     reference length]. Per order n, a line's copies of an n-gram share a key
@@ -319,10 +313,10 @@ def _ngram_rows(sides: list[Sequence[Sentence]], max_n: int) -> np.ndarray:
     room = lens.cumsum()[seg] - pos  # tokens from each position to its sentence's end
     line, side = np.divmod(seg, roles)
     key = np.fromiter(chain.from_iterable(sentences), np.int64, len(seg))
-    out = np.zeros((lines, 2 * max_n + 2), dtype=np.int64)
-    out[:, max_n:-2] = (lens[::roles, None] - np.arange(max_n)).clip(0)
+    out = np.zeros((lines, 2 * MAX_N + 2), dtype=np.int64)
+    out[:, MAX_N:-2] = (lens[::roles, None] - np.arange(MAX_N)).clip(0)
     out[:, -2], out[:, -1] = lens[::roles], lens[1::roles]
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         if n > 1:
             keep = live[group] & (room[pos] >= n)
             pos = pos[keep]
@@ -395,41 +389,34 @@ def pooled(
     hyps: Sequence[Sentence],
     refs: Sequence[Sentence],
     srcs: Sequence[Sentence] | None = None,
-    max_n: int = DEFAULT_MAX_N,
-    smoothed: bool = False,
 ) -> MetricScore:
-    """The metric on the summed stats of every line."""
-    stats = line_stats(metric, hyps, refs, srcs, max_n).sum(axis=0)
-    return MetricScore(score(metric, stats, smoothed), metric.upper())
+    """The metric, unsmoothed, on the summed stats of every line."""
+    stats = line_stats(metric, hyps, refs, srcs).sum(axis=0)
+    return MetricScore(score(metric, stats))
 
 
-def sentence_bleu_smoothed(hyp: Sentence, ref: Sentence, max_n: int = DEFAULT_MAX_N) -> MetricScore:
+def sentence_bleu_smoothed(hyp: Sentence, ref: Sentence) -> MetricScore:
     """Sentence BLEU with add-one smoothing on every order's counts.
 
-    p_n = (matches_n + 1) / (total_n + 1), geometric mean over n = 1..max_n,
+    p_n = (matches_n + 1) / (total_n + 1), geometric mean over n = 1..MAX_N,
     times the brevity penalty. Always positive for a non-empty hypothesis.
     """
-    stats = line_stats("bleu", [hyp], [ref], None, max_n)[0]
-    return MetricScore(score("bleu", stats, smoothed=True), "BLEU")
+    stats = line_stats("bleu", [hyp], [ref])[0]
+    return MetricScore(score("bleu", stats, smoothed=True))
 
 
-def corpus_bleu(
-    hyps: Sequence[Sentence],
-    refs: Sequence[Sentence],
-    max_n: int = DEFAULT_MAX_N,
-    smoothed: bool = False,
-) -> MetricScore:
+def corpus_bleu(hyps: Sequence[Sentence], refs: Sequence[Sentence]) -> MetricScore:
     """Corpus BLEU: clipped matches and totals pooled over all pairs before p_n.
 
-    Unsmoothed by default; pooled orders with zero total n-grams are excluded
-    from the geometric mean, and any remaining zero-match order gives 0.
+    Pooled orders with zero total n-grams are excluded from the geometric mean,
+    and any remaining zero-match order gives 0.
     """
-    return pooled("bleu", hyps, refs, None, max_n, smoothed)
+    return pooled("bleu", hyps, refs)
 
 
 def ter(hyp: Sentence, ref: Sentence) -> MetricScore:
     """Translation edit rate of one pair: (edits + shifts) / |ref|; see ter_stats."""
-    return MetricScore(score("ter", ter_stats(hyp, ref)), "TER")
+    return MetricScore(score("ter", ter_stats(hyp, ref)))
 
 
 def doc_ter(hyps: Sequence[Sentence], refs: Sequence[Sentence]) -> MetricScore:
@@ -444,11 +431,7 @@ def doc_ter(hyps: Sequence[Sentence], refs: Sequence[Sentence]) -> MetricScore:
 
 
 def gleu(
-    hyps: Sequence[Sentence],
-    sources: Sequence[Sentence],
-    refs: Sequence[Sentence],
-    max_n: int = DEFAULT_MAX_N,
-    smoothed: bool = False,
+    hyps: Sequence[Sentence], sources: Sequence[Sentence], refs: Sequence[Sentence]
 ) -> MetricScore:
     """Single-reference GLEU pooled over the corpus.
 
@@ -458,7 +441,7 @@ def gleu(
     orders with the BLEU brevity penalty. Zero-total orders follow the same
     rules as corpus_bleu.
     """
-    return pooled("gleu", hyps, refs, sources, max_n, smoothed)
+    return pooled("gleu", hyps, refs, sources)
 
 
 def cost_from_stats(kind: CostKind, stats: Sequence[int]) -> float:
@@ -484,7 +467,7 @@ def doc_cost(
     srcs: Sequence[Sentence] | None = None,
 ) -> float:
     """Document-level cost for an aligned hypothesis document; lower is better."""
-    if not kind.is_document_level:
+    if kind.is_sentence_level:
         raise ValueError(f"{kind.value} is a sentence-level cost")
     return cost_from_stats(kind, line_stats(kind.metric, hyps, refs, srcs).sum(axis=0))
 

@@ -176,11 +176,6 @@ class Decoder:
         self.words = [w for w in range(params.vocab_size) if w != EOS_ID]  # extensions
         self._tables, self._index = tables, i
 
-    def _sampling_rows(self, tau: float) -> list[list[float]]:
-        """The tau-tempered cumulative table as nested lists, cached per tau
-        for the whole batch."""
-        return self._tables.cumulative(tau)[self._index]
-
     def score(self, tgt: Sentence) -> float:
         prevs, targets, _ = _steps([tgt], self.max_len)
         total = 0.0
@@ -194,7 +189,7 @@ class Decoder:
             raise ValueError("temperature must be positive")
         tokens: list[int] = []
         prev = BOS_ID
-        cum, rows = self._sampling_rows(tau), self.rows
+        cum, rows = self._tables.cumulative(tau)[self._index], self.rows
         last = self.params.vocab_size - 1
         # one uniform per token; bisect_right is searchsorted(side="right"), and
         # the log-prob adds up in score's order, EOS step included below the cap

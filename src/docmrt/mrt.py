@@ -33,7 +33,6 @@ BATCHINGS = ("random", "document")
 class RiskEstimate:
     risk: float
     grad: np.ndarray
-    n_used: int  # documents (doc modes) or samples (seq mode)
 
 
 @dataclass
@@ -120,7 +119,7 @@ def seq_mrt_grad(
     sample_set = _sample_set(params, batch, cfg, rng, sample_set)
     weights, risk = _weigh(cfg, sample_set.costs, sample_set.log_probs)
     grad = _weighted_grad(params, sample_set.batch, sample_set.sentences, weights, cfg.max_len)
-    return RiskEstimate(risk=risk, grad=grad, n_used=weights.size)
+    return RiskEstimate(risk=risk, grad=grad)
 
 
 def doc_mrt_grad(
@@ -150,7 +149,7 @@ def doc_mrt_grad(
     weights, risk = _weigh(cfg, costs[None], log_probs[None])
     per_sample = _scatter(cells, weights[0], [sample_set.n_samples] * sample_set.n_sentences)
     grad = _weighted_grad(params, sample_set.batch, sample_set.sentences, per_sample, cfg.max_len)
-    return RiskEstimate(risk=risk, grad=grad, n_used=len(cells))
+    return RiskEstimate(risk=risk, grad=grad)
 
 
 CostLike = "CostKind | Callable"  # or a callable (hyps, refs, srcs) -> document cost
@@ -172,7 +171,7 @@ def _enumerated_risk(
     if isinstance(cost_kind, CostKind):
         candidates = [[sent for sent, _ in space] for space in spaces]
         stats = sampling.candidate_stats(batch, candidates, cost_kind.metric)
-        costs = None if cost_kind.is_document_level else sampling.sentence_costs(cost_kind, stats)
+        costs = sampling.sentence_costs(cost_kind, stats) if cost_kind.is_sentence_level else None
         cost = sampling.document_costs(cost_kind, stats, costs, cells)
     else:
         docs = ([spaces[s][i][0] for s, i in enumerate(row)] for row in cells.tolist())
@@ -249,7 +248,7 @@ def _micro_batch_estimate(
 ) -> RiskEstimate:
     if cfg.mode == "mle":
         loss, grad = model.mle_loss_grad(params, batch, cfg.max_len)
-        return RiskEstimate(risk=loss, grad=grad, n_used=len(batch))
+        return RiskEstimate(risk=loss, grad=grad)
     if cfg.mode == "seq_mrt":
         return seq_mrt_grad(params, batch, cfg, rng=rng)
     return doc_mrt_grad(params, batch, cfg, rng=rng)

@@ -109,7 +109,7 @@ def document_costs(kind: CostKind, stats, costs, cells: np.ndarray) -> list[floa
     if cells.shape[1] == 0:
         raise ValueError("empty batch: a document needs at least one sentence")
     sentences = range(cells.shape[1])
-    if not kind.is_document_level:
+    if kind.is_sentence_level:
         return sum(costs[s][cells[:, s]] for s in sentences).tolist()
     memo: dict = {}
     out: list[float] = []

@@ -1,4 +1,4 @@
-"""Vocabulary, token-id sentences, n-gram extraction, and document corpus I/O.
+"""Vocabulary, token-id sentences, and document corpus I/O.
 
 A corpus on disk is three line-aligned files under one stem: <stem>.src, <stem>.ref
 and <stem>.docid, whose doc ids are non-decreasing; a document is a run of equal

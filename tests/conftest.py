@@ -24,6 +24,6 @@ def overflowing_gradients(monkeypatch):
     def overflowing(*args):
         est = estimate(*args)
         grad = np.full_like(est.grad, sys.float_info.max)
-        return mrt.RiskEstimate(est.risk, grad, est.n_used)
+        return mrt.RiskEstimate(est.risk, grad)
 
     monkeypatch.setattr(mrt, "_micro_batch_estimate", overflowing)

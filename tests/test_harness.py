@@ -1346,7 +1346,7 @@ def test_cli_finetune_reuses_the_last_heldout_evaluation(tmp_path, capsys, monke
         report = {
             "checkpoint": str(tuned), "mode": "doc_mrt_ordered", "updates": 4,
             "final_risk": last["risk"],
-            "valid_metric": {"kind": final.kind, "value": final.value},
+            "valid_metric": {"kind": "BLEU", "value": final.value},
         }
         assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 

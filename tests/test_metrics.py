@@ -192,15 +192,15 @@ def test_corpus_bleu_length_mismatch():
 
 
 def test_corpus_bleu_pools_not_averages():
-    # pooled counts differ from the mean of sentence scores when lengths differ
-    hyps = [(1, 2), (3, 9, 9)]
-    refs = [(1, 2), (3, 4, 5)]
-    pooled = corpus_bleu(hyps, refs, max_n=1).value
-    mean = np.mean(
-        [corpus_bleu([h], [r], max_n=1).value for h, r in zip(hyps, refs)]
-    )
-    assert pooled == 3 / 5
-    assert mean == 2 / 3
+    # pooled counts differ from the mean of sentence scores when lengths differ:
+    # per order, the second line matches 4/6, 3/5, 2/4 and 1/3, pooled 8/10,
+    # 6/8, 4/6 and 2/4
+    hyps = [(1, 2, 3, 4), (1, 2, 3, 4, 5, 5)]
+    refs = [(1, 2, 3, 4), (1, 2, 3, 4, 6, 6)]
+    pooled = corpus_bleu(hyps, refs).value
+    mean = np.mean([corpus_bleu([h], [r]).value for h, r in zip(hyps, refs)])
+    assert pooled == pytest.approx((1 / 5) ** (1 / 4), rel=1e-12)
+    assert mean == pytest.approx((1 + (1 / 15) ** (1 / 4)) / 2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -559,25 +559,31 @@ def corpora(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(corpus=corpora(), max_n=st.integers(1, 4), smoothed=st.booleans())
-def test_summed_stats_equal_reference_loops_bitwise(corpus, max_n, smoothed):
+@given(corpus=corpora())
+def test_summed_stats_equal_reference_loops_bitwise(corpus):
     hyps, srcs, refs = corpus
-    got = corpus_bleu(hyps, refs, max_n, smoothed).value
-    assert got == reference_corpus_bleu(hyps, refs, max_n, smoothed)
-    got = gleu(hyps, srcs, refs, max_n, smoothed).value
-    assert got == reference_gleu(hyps, srcs, refs, max_n, smoothed)
+    orders = metrics.MAX_N
+    assert corpus_bleu(hyps, refs).value == reference_corpus_bleu(hyps, refs, orders, False)
+    assert gleu(hyps, srcs, refs).value == reference_gleu(hyps, srcs, refs, orders, False)
+    # a smoothed pooled score is score(..., smoothed=True) on the summed stats
+    stats = metrics.line_stats("bleu", hyps, refs).sum(axis=0)
+    got = metrics.score("bleu", stats, smoothed=True)
+    assert got == reference_corpus_bleu(hyps, refs, orders, True)
+    stats = metrics.line_stats("gleu", hyps, refs, srcs).sum(axis=0)
+    got = metrics.score("gleu", stats, smoothed=True)
+    assert got == reference_gleu(hyps, srcs, refs, orders, True)
     assert doc_ter(hyps, refs).value == reference_doc_ter(hyps, refs)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(hyp=sentences, src=sentences, ref=sentences, max_n=st.integers(1, 5))
-def test_ngram_rows_equal_per_order_counters(hyp, src, ref, max_n):
-    orders = range(1, max_n + 1)
+@given(hyp=sentences, src=sentences, ref=sentences)
+def test_ngram_rows_equal_per_order_counters(hyp, src, ref):
+    orders = range(1, metrics.MAX_N + 1)
     for metric, per_order in (
         ("bleu", [reference_clipped_matches(hyp, ref, n) for n in orders]),
         ("gleu", [reference_gleu_sentence_stats(hyp, src, ref, n) for n in orders]),
     ):
-        row = metrics.line_stats(metric, [hyp], [ref], [src], max_n)[0].tolist()
+        row = metrics.line_stats(metric, [hyp], [ref], [src])[0].tolist()
         matches = [m for m, _ in per_order]
         totals = [max(len(hyp) - n + 1, 0) for n in orders]
         assert row == matches + totals + [len(hyp), len(ref)]
@@ -597,10 +603,10 @@ def ngram_corpora(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(corpus=ngram_corpora(), max_n=st.integers(1, 5), chunk=st.integers(1, 70))
-def test_line_stats_rows_equal_per_order_counters(corpus, max_n, chunk):
+@given(corpus=ngram_corpora(), chunk=st.integers(1, 70))
+def test_line_stats_rows_equal_per_order_counters(corpus, chunk):
     hyps, refs, srcs = corpus
-    orders = range(1, max_n + 1)
+    orders = range(1, metrics.MAX_N + 1)
     for metric, oracle in (
         ("bleu", lambda hyp, src, ref, n: reference_clipped_matches(hyp, ref, n)),
         ("gleu", reference_gleu_sentence_stats),
@@ -613,7 +619,7 @@ def test_line_stats_rows_equal_per_order_counters(corpus, max_n, chunk):
             expected.append(matches + totals + [len(hyp), len(ref)])
         with pytest.MonkeyPatch.context() as m:
             m.setattr(metrics, "LINE_CHUNK", chunk)  # 1-70 lines a chunk: one or many
-            rows = metrics.line_stats(metric, hyps, refs, srcs if metric == "gleu" else None, max_n)
+            rows = metrics.line_stats(metric, hyps, refs, srcs if metric == "gleu" else None)
         assert rows.dtype == np.int64 and rows.tolist() == expected
 
 

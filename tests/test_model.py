@@ -424,7 +424,7 @@ def test_sample_equals_searchsorted_reference_on_the_same_stream(make_rng, case)
 
 
 def reference_tables(params, src):
-    """Decoder.__init__ and _sampling_rows before tables were built per batch
+    """Decoder.__init__ and its sampling table before tables were built per batch
     of sources: (logits, logprobs, rows, cumulative) of one source, where
     cumulative(tau) is the tau-tempered cumulative table as nested lists."""
     v = params.vocab_size
@@ -470,7 +470,7 @@ def test_stacked_tables_equal_per_source_reference_tables(case):
         assert decoder.logprobs.tobytes() == logprobs.tobytes()
         assert decoder.rows == rows
         for tau in (0.5, 1.0, 2.0):
-            assert decoder._sampling_rows(tau) == cumulative(tau)
+            assert decoder._tables.cumulative(tau)[decoder._index] == cumulative(tau)
 
 
 def reference_draw(params, sources, n_samples, tau, rng, max_len):

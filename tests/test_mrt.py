@@ -26,7 +26,7 @@ def cfg_for(mode, kind, n=4, max_len=2, estimator="raw", alpha=5e-3):
 
 ARRAY_HOLDERS = {
     "ModelParams": lambda: model.init_params(5, 2, 2, seed=0),
-    "RiskEstimate": lambda: mrt.RiskEstimate(risk=0.5, grad=np.zeros(3), n_used=2),
+    "RiskEstimate": lambda: mrt.RiskEstimate(risk=0.5, grad=np.zeros(3)),
     "SampleSet": lambda: sampling.SampleSet(
         batch=tiny_batch(), grid=[[model.ScoredHypothesis((4,), -0.5)] * 2] * 2,
         costs=np.zeros((2, 2)), cost_kind=CostKind.SENT_TER,
@@ -146,7 +146,6 @@ def test_doc_mrt_single_document_formula():
         for src, h in zip(batch.sources, doc.hyps)
     )
     assert np.allclose(est.grad, expected, atol=1e-12)
-    assert est.n_used == 1
 
 
 def test_doc_mrt_reduction_to_seq_is_bit_identical():
@@ -350,9 +349,9 @@ def reference_document_cost(cost_kind, hyps, refs, srcs):
     of the sentence costs of a sentence-level one."""
     if not isinstance(cost_kind, CostKind):
         return cost_kind(hyps, refs, srcs)
-    if cost_kind.is_document_level:
-        return doc_cost(cost_kind, hyps, refs, srcs)
-    return sum(seq_cost(cost_kind, h, r, s) for h, r, s in zip(hyps, refs, srcs))
+    if cost_kind.is_sentence_level:
+        return sum(seq_cost(cost_kind, h, r, s) for h, r, s in zip(hyps, refs, srcs))
+    return doc_cost(cost_kind, hyps, refs, srcs)
 
 
 def reference_enumerated_risk(params, batch, cost_kind, max_len):
@@ -627,7 +626,7 @@ def test_non_finite_risk_names_its_update_across_mle_chunks(monkeypatch):
     def poisoned(*args):
         calls.append(args)
         est = estimate(*args)
-        return est if len(calls) != 4 else mrt.RiskEstimate(math.nan, est.grad, est.n_used)
+        return est if len(calls) != 4 else mrt.RiskEstimate(math.nan, est.grad)
 
     monkeypatch.setattr(mrt, "_micro_batch_estimate", poisoned)
     cfg = TrainConfig(mode="mle", batch_size=2, accum_steps=1, max_updates=6, max_len=4)
@@ -676,7 +675,7 @@ def reference_seq_mrt_grad(params, batch, cfg, rng):
     _, grad = model.weighted_log_prob_grad(
         params, *_grid_rows(sample_set), weights.ravel(), cfg.max_len
     )
-    return mrt.RiskEstimate(risk=risk, grad=grad, n_used=n * sample_set.n_sentences)
+    return mrt.RiskEstimate(risk=risk, grad=grad)
 
 
 def reference_order_samples(sample_set):
@@ -740,7 +739,7 @@ def reference_doc_mrt_grad(params, batch, cfg, scheme, rng):
     _, grad = model.weighted_log_prob_grad(
         params, *_grid_rows(sample_set), weights.ravel(), cfg.max_len
     )
-    return mrt.RiskEstimate(risk=risk, grad=grad, n_used=len(docs))
+    return mrt.RiskEstimate(risk=risk, grad=grad)
 
 
 @st.composite
@@ -780,7 +779,7 @@ def test_estimators_equal_their_reference_loops(case):
         est = doc_mrt_grad(params, batch, cfg, scheme=scheme, rng=np.random.default_rng(seed))
         ref = reference_doc_mrt_grad(params, batch, cfg, scheme, np.random.default_rng(seed))
         assert _ulps(est.risk, ref.risk) <= 4
-    assert np.array_equal(est.grad, ref.grad) and est.n_used == ref.n_used
+    assert np.array_equal(est.grad, ref.grad)
 
 
 @st.composite

@@ -293,12 +293,12 @@ def test_document_costs_equal_costs_recomputed_from_sentences():
             ):
                 for members, cost in docs:
                     hyps = [h.sentence for h in members]
-                    if kind.is_document_level:
-                        assert cost == doc_cost(kind, hyps, batch.references, batch.sources)
-                    else:
+                    if kind.is_sentence_level:
                         refs, srcs = batch.references, batch.sources
                         recomputed = sum(seq_cost(kind, *line) for line in zip(hyps, refs, srcs))
                         assert abs(cost - recomputed) <= 1e-12
+                    else:
+                        assert cost == doc_cost(kind, hyps, batch.references, batch.sources)
 
 
 def test_sample_set_without_stats_extracts_them():
@@ -380,9 +380,9 @@ def test_duplicate_heavy_grid_equals_per_cell_extraction(monkeypatch):
     extracted = []
     line_stats = metrics.line_stats
 
-    def counting_line_stats(metric, hyps, refs, srcs=None, max_n=metrics.DEFAULT_MAX_N):
+    def counting_line_stats(metric, hyps, refs, srcs=None):
         extracted.extend(hyps)
-        return line_stats(metric, hyps, refs, srcs, max_n)
+        return line_stats(metric, hyps, refs, srcs)
 
     for kind in CostKind:
         extracted.clear()

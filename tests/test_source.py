@@ -108,6 +108,70 @@ def test_every_public_name_is_used_outside_the_unit_tests():
     assert unused == []
 
 
+def _public_functions(tree: ast.Module):
+    """(node, offset) of each public module-level function and public method;
+    offset is 1 where a call's positional arguments start after self or cls."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node, 0
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    decorators = {_referenced_name(d) for d in method.decorator_list}
+                    yield method, 0 if "staticmethod" in decorators else 1
+
+
+def _passed(call: ast.Call, args: ast.arguments, offset: int) -> set[str]:
+    """The parameter names that call sets: by keyword, by position (a `*` splat
+    sets every later positional parameter), or all of them through a `**` splat."""
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if any(keyword.arg is None for keyword in call.keywords):
+        return {*positional, *(a.arg for a in args.kwonlyargs)}
+    names = {keyword.arg for keyword in call.keywords}
+    for k, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return names | set(positional[offset + k :])
+        if offset + k < len(positional):
+            names.add(positional[offset + k])
+    return names
+
+
+def test_every_public_parameter_is_set_outside_the_unit_tests():
+    # a defaulted parameter that only unit tests pass is a setting the lab, its
+    # benchmark and its acceptance gate never change; a function that none of
+    # them calls by name is left to the public-name check above
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in USERS}
+    calls = [
+        call
+        for tree in trees.values()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and _referenced_name(call.func) is not None
+    ]
+    unset = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for function, offset in _public_functions(tree):
+            own = {id(inner) for inner in ast.walk(function)}
+            mine = [
+                c for c in calls if _referenced_name(c.func) == function.name and id(c) not in own
+            ]
+            if not mine:
+                continue
+            args = function.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults) :] + [
+                a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default
+            ]
+            passed = set().union(*(_passed(call, args, offset) for call in mine))
+            unset += [
+                f"{path.stem}.{function.name}({name})"
+                for name in defaulted
+                if not name.startswith("_") and name not in passed
+            ]
+    assert unset == []
+
+
 def test_no_source_line_is_over_the_length_limit():
     long_lines = [
         f"{path.name}:{lineno}: {len(line)} characters"

@@ -162,8 +162,6 @@ FORMER_AD_HOC_BOUNDS = [
     pytest.param("max_size", 5, 4, lambda: build_vocab(["a"], max_size=4), id="build_vocab"),
     pytest.param("pseudo_doc_size", 1, -2, lambda: harness.score_corpus(
         "no-such-dir/hyp.txt", "no-such-dir/ref.txt", pseudo_doc_size=-2), id="score_corpus"),
-    pytest.param("max_n", 1, 0, lambda: metrics.line_stats("bleu", [(4, 5)], [(4, 5)], max_n=0),
-                 id="line_stats"),
     pytest.param("max_len", 1, 0, lambda: model.Decoder(_params(), (4,), 0), id="Decoder"),
     pytest.param("beam_size", 1, 0, lambda: model.Decoder(_params(), (4,), 3).beam(0),
                  id="Decoder.beam"),
