@@ -1,8 +1,9 @@
 """Command-line surface: gen-data, train-mle, finetune-mrt, score, grad-check, enum-check.
 
 Every subcommand accepts --config pointing at a flat key=value file whose keys
-match the flag names; explicit flags override config values. Reports are JSON
-to stdout or --out. Exit codes: 0 success, 2 validation failure, 1 error.
+match the flag names; explicit flags override config values. A # starts a comment
+only at a line's start or after whitespace, and a repeated key is an error. Reports
+are JSON to stdout or --out. Exit codes: 0 success, 2 validation failure, 1 error.
 """
 
 from __future__ import annotations

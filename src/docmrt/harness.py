@@ -6,6 +6,7 @@ import dataclasses
 import json
 import numbers
 import os
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -232,19 +233,19 @@ def train_mle_baseline(
     bad_evals = 0
     log: list[dict] = []
     done = 0
+    evaluate = lambda p: baseline_bleu(p, valid, cfg.max_len)
     while done < cfg.max_updates:
         chunk = min(eval_every, cfg.max_updates - done)
         chunk_cfg = dataclasses.replace(cfg, max_updates=chunk, seed=cfg.seed + done)
         try:
-            params, chunk_log = mrt.finetune(params, train, chunk_cfg)
+            params, chunk_log = mrt.finetune(params, train, chunk_cfg, chunk, evaluate)
         except mrt.NonFiniteTraining as exc:  # number the update across chunks
             raise mrt.NonFiniteTraining(exc.update + done, exc.risk) from None
         for rec in chunk_log:
             rec["update"] += done
         log.extend(chunk_log)
         done += chunk
-        score = baseline_bleu(params, valid, cfg.max_len)
-        log[-1]["heldout_metric"] = score
+        score = log[-1]["heldout_metric"]
         if score > best_score + 1e-9:
             best_score = score
             best_params = params.copy()
@@ -320,17 +321,22 @@ EXPERIMENT_DEFAULTS: dict = {
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments ignored."""
+    """Flat key=value lines; blank lines are ignored, a # at a line's start or after
+    whitespace starts a comment, and a key given twice is an error naming both lines."""
     out: dict[str, str] = {}
+    first: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in first:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first[key]}")
+            first[key], out[key] = lineno, value.strip()
     return out
 
 

@@ -42,7 +42,8 @@ def param_count(vocab_size: int, emb_dim: int, hidden_dim: int) -> int:
 
 @dataclass(eq=False)
 class ModelParams:
-    """Flat parameter vector theta in the block layout of _layout."""
+    """Flat parameter vector theta and, per _layout block, an attribute view of
+    it (params.src_emb, ...); theta is updated in place and never rebound."""
 
     vocab_size: int
     emb_dim: int
@@ -51,25 +52,13 @@ class ModelParams:
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
-        self._blocks: dict[str, tuple[slice, tuple]] = {}
+        n = param_count(self.vocab_size, self.emb_dim, self.hidden_dim)
+        if self.theta.shape != (n,):
+            raise ValueError(f"theta has length {self.theta.size}, layout requires {n}")
         stop = 0
         for name, shape in _layout(self.vocab_size, self.emb_dim, self.hidden_dim).items():
             start, stop = stop, stop + math.prod(shape)
-            self._blocks[name] = slice(start, stop), shape
-        if self.theta.shape != (stop,):
-            raise ValueError(f"theta has length {self.theta.size}, layout requires {stop}")
-
-    def _view(self, name: str) -> np.ndarray:
-        """Block name of theta; writing through the view mutates theta."""
-        block, shape = self._blocks[name]
-        return self.theta[block].reshape(shape)
-
-    src_emb = property(lambda self: self._view("src_emb"))
-    tgt_emb = property(lambda self: self._view("tgt_emb"))
-    w_hidden = property(lambda self: self._view("w_hidden"))
-    b_hidden = property(lambda self: self._view("b_hidden"))
-    w_out = property(lambda self: self._view("w_out"))
-    b_out = property(lambda self: self._view("b_out"))
+            setattr(self, name, self.theta[start:stop].reshape(shape))
 
     def like(self, flat: np.ndarray) -> "ModelParams":
         """Wrap another flat vector in the same layout (e.g. a gradient)."""
@@ -160,8 +149,9 @@ class _Tables:
 class Decoder:
     """Per-(params, source) decoding table, one source's slice of a _Tables.
 
-    Scoring, sampling and beam search add up the same floats from its one list
-    of log-probability rows, so their log-probabilities are bitwise equal.
+    sample, log_prob, beam_decode and enumerate_output_space read its tables;
+    the first three add up the same floats from its one list of log-probability
+    rows, so their log-probabilities are bitwise equal.
     """
 
     def __init__(self, params: ModelParams, src: Sentence, max_len: int, *, _table=None):
@@ -176,13 +166,6 @@ class Decoder:
         self.words = [w for w in range(params.vocab_size) if w != EOS_ID]  # extensions
         self._tables, self._index = tables, i
 
-    def score(self, tgt: Sentence) -> float:
-        prevs, targets, _ = _steps([tgt], self.max_len)
-        total = 0.0
-        for prev, tok in zip(prevs, targets):
-            total += self.rows[prev][tok]
-        return total
-
     def sample(self, tau: float, rng: np.random.Generator) -> ScoredHypothesis:
         """Ancestral sample at temperature tau; its log_prob is the tau = 1 one."""
         if tau <= 0:
@@ -192,7 +175,7 @@ class Decoder:
         cum, rows = self._tables.cumulative(tau)[self._index], self.rows
         last = self.params.vocab_size - 1
         # one uniform per token; bisect_right is searchsorted(side="right"), and
-        # the log-prob adds up in score's order, EOS step included below the cap
+        # the log-prob adds up in log_prob's order, EOS step included below the cap
         total = 0.0
         for _ in range(self.max_len):
             tok = min(bisect_right(cum[prev], rng.random()), last)
@@ -202,47 +185,6 @@ class Decoder:
             tokens.append(tok)
             prev = tok
         return ScoredHypothesis(tuple(tokens), total)
-
-    def beam(self, beam_size: int) -> list[ScoredHypothesis]:
-        at_least(1, beam_size=beam_size)
-        # (logp, tokens, done), ranked by (-logp, tokens); EOS competes for beam
-        # slots like any other extension, so beam_size 1 is greedy decoding.
-        beams: list[tuple[float, Sentence, bool]] = [(0.0, (), False)]
-        for _ in range(self.max_len):
-            if all(done for _, _, done in beams):
-                break
-            candidates = []
-            for logp, toks, done in beams:
-                if done:
-                    candidates.append((logp, toks, True))
-                    continue
-                sums = [logp + x for x in self.rows[toks[-1] if toks else BOS_ID]]
-                candidates.append((sums[EOS_ID], toks, True))
-                # only its beam_size best extensions by that key can enter, ranked by
-                # the sum (adding logp can tie two row values), ties in token order
-                for w in sorted(self.words, key=sums.__getitem__, reverse=True)[:beam_size]:
-                    candidates.append((sums[w], toks + (w,), False))
-            candidates.sort(key=lambda c: (-c[0], c[1]))
-            beams = candidates[:beam_size]
-        # alive at the cap: forced EOS, no term; logp is score's sum, bitwise
-        return [ScoredHypothesis(toks, logp) for logp, toks, _ in beams]
-
-    def enumerate(self) -> list[tuple[Sentence, float]]:
-        if self.params.vocab_size**self.max_len > ENUMERATION_GUARD:
-            raise ValueError("output space exceeds the enumeration guard")
-        probs = np.exp(self.logprobs).tolist()
-        out: list[tuple[Sentence, float]] = []
-
-        def walk(prefix: Sentence, prev: int, p: float):
-            if len(prefix) == self.max_len:
-                out.append((prefix, p))
-                return
-            out.append((prefix, p * probs[prev][EOS_ID]))
-            for w in self.words:
-                walk(prefix + (w,), w, p * probs[prev][w])
-
-        walk((), BOS_ID, 1.0)
-        return out
 
 
 def decoders(params: ModelParams, sources: list[Sentence], max_len: int) -> list[Decoder]:
@@ -258,7 +200,12 @@ def log_prob(params: ModelParams, src: Sentence, tgt: Sentence, max_len: int) ->
     Reads the same decoding table as sampling and beam search, so their
     recorded log-probabilities equal this value bitwise.
     """
-    return Decoder(params, src, max_len).score(tgt)
+    rows = Decoder(params, src, max_len).rows
+    prevs, targets, _ = _steps([tgt], max_len)
+    total = 0.0
+    for prev, tok in zip(prevs, targets):
+        total += rows[prev][tok]
+    return total
 
 
 def weighted_log_prob_grad(
@@ -332,7 +279,29 @@ def beam_decode(
     params: ModelParams, src: Sentence, beam: int, max_len: int
 ) -> list[ScoredHypothesis]:
     """Length-unnormalized beam search; unique hypotheses sorted by log_prob."""
-    return Decoder(params, src, max_len).beam(beam)
+    decoder = Decoder(params, src, max_len)
+    at_least(1, beam=beam)
+    # (logp, tokens, done), ranked by (-logp, tokens); EOS competes for beam
+    # slots like any other extension, so beam 1 is greedy decoding.
+    beams: list[tuple[float, Sentence, bool]] = [(0.0, (), False)]
+    for _ in range(max_len):
+        if all(done for _, _, done in beams):
+            break
+        candidates = []
+        for logp, toks, done in beams:
+            if done:
+                candidates.append((logp, toks, True))
+                continue
+            sums = [logp + x for x in decoder.rows[toks[-1] if toks else BOS_ID]]
+            candidates.append((sums[EOS_ID], toks, True))
+            # only its beam best extensions by that key can enter, ranked by the
+            # sum (adding logp can tie two row values), ties in token order
+            for w in sorted(decoder.words, key=sums.__getitem__, reverse=True)[:beam]:
+                candidates.append((sums[w], toks + (w,), False))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        beams = candidates[:beam]
+    # alive at the cap: forced EOS, no term; logp is log_prob's sum, bitwise
+    return [ScoredHypothesis(toks, logp) for logp, toks, _ in beams]
 
 
 def enumerate_output_space(
@@ -343,7 +312,22 @@ def enumerate_output_space(
     Guarded by ENUMERATION_GUARD on vocab_size ** max_len; the returned
     probabilities sum to 1 because termination is forced at the cap.
     """
-    return Decoder(params, src, max_len).enumerate()
+    decoder = Decoder(params, src, max_len)
+    if params.vocab_size**max_len > ENUMERATION_GUARD:
+        raise ValueError("output space exceeds the enumeration guard")
+    probs = np.exp(decoder.logprobs).tolist()
+    out: list[tuple[Sentence, float]] = []
+
+    def walk(prefix: Sentence, prev: int, p: float):
+        if len(prefix) == max_len:
+            out.append((prefix, p))
+            return
+        out.append((prefix, p * probs[prev][EOS_ID]))
+        for w in decoder.words:
+            walk(prefix + (w,), w, p * probs[prev][w])
+
+    walk((), BOS_ID, 1.0)
+    return out
 
 
 def mle_loss_grad(

@@ -166,7 +166,7 @@ def _enumerated_risk(
     Documents are the rows of sampling.product_cells; products and sums run
     row by row in that order.
     """
-    spaces = [decoder.enumerate() for decoder in model.decoders(params, batch.sources, max_len)]
+    spaces = [model.enumerate_output_space(params, src, max_len) for src in batch.sources]
     cells = sampling.product_cells([len(space) for space in spaces])
     if isinstance(cost_kind, CostKind):
         candidates = [[sent for sent, _ in space] for space in spaces]
@@ -278,7 +278,8 @@ def finetune(
     heldout_metric is eval_fn of the updated parameters.
     Deterministic per cfg.seed. Returns the trained parameters and a training
     log with one record per update. Raises NonFiniteTraining, naming the
-    update, when an update's risk or the updated theta is not finite.
+    update, when an update's risk or the updated theta is not finite, and, before
+    any update, ValueError naming the first empty reference line of a TER MRT run.
     """
     from .harness import make_batches  # cyclic at module level
 
@@ -286,6 +287,11 @@ def finetune(
     at_least(0, eval_every=eval_every or 0)
     if len(corpus) == 0:
         raise ValueError("empty corpus")
+    if cfg.mode != "mle" and cfg.cost_kind.metric == "ter":  # before any update draws it
+        for line, (_, ref, _) in enumerate(corpus.entries, start=1):
+            if not ref:
+                kind = cfg.cost_kind.value
+                raise ValueError(f"{kind} needs a non-empty reference: corpus line {line} is empty")
     params = params0.copy()
     rng = np.random.default_rng(cfg.seed)
 

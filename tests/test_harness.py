@@ -1011,6 +1011,30 @@ def test_experiment_config_file_parsing(tmp_path):
     assert resolved["modes"] == "mle"
 
 
+def test_config_file_keeps_a_hash_inside_a_value(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        "# a comment line\nsave_baseline = run#1.ckpt\t# a comment\n", encoding="utf-8"
+    )
+    assert harness.resolve_experiment_config(cfg_path)["save_baseline"] == "run#1.ckpt"
+    out = tmp_path / "r#1.json"
+    cfg_path.write_text(f"out = {out}\n", encoding="utf-8")
+    assert cli.main(["grad-check", "--config", str(cfg_path)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["passed"]
+    assert not (tmp_path / "r").exists()
+
+
+def test_config_file_repeated_key_names_both_lines(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("seed = 1\n\nmodes = mle\nseed = 2\n", encoding="utf-8")
+    message = f"{cfg_path}:4: key 'seed' repeats line 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        harness.resolve_experiment_config(cfg_path)
+    cfg_path.write_text("corrupt = true\ncorrupt = false\n", encoding="utf-8")
+    assert cli.main(["grad-check", "--config", str(cfg_path)]) == 2
+    assert f"{cfg_path}:2: key 'corrupt' repeats line 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 # ---------------------------------------------------------------------------
@@ -1257,6 +1281,28 @@ def tiny_data_and_checkpoint(tmp_path):
     ckpt = tmp_path / "base.ckpt"
     model.save_checkpoint(model.init_params(len(vocab), 4, 6, seed=0), ckpt)
     return data, ckpt
+
+
+@pytest.mark.parametrize("cost_kind", ["sent_ter", "doc_ter"])
+def test_cli_ter_finetune_names_an_empty_reference_line_without_writing(
+    tmp_path, capsys, cost_kind
+):
+    data, ckpt = tiny_data_and_checkpoint(tmp_path)
+    refs = (data / "train.ref").read_text(encoding="utf-8").splitlines()
+    refs[1] = ""
+    (data / "train.ref").write_text("\n".join(refs) + "\n", encoding="utf-8")
+    out, log = tmp_path / "out.ckpt", tmp_path / "log.jsonl"
+    argv = [
+        "finetune-mrt", "--data-dir", str(data), "--ckpt", str(ckpt), "--out-ckpt", str(out),
+        "--log", str(log), "--max-updates", "2", "--batch-size", "2", "--max-len", "5",
+        "--n-samples", "2", "--batching", "random", "--cost-kind", cost_kind,
+    ]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{cost_kind} needs a non-empty reference: corpus line 2 is empty" in captured.err
+    assert captured.out == ""
+    assert not out.exists() and not log.exists()
 
 
 @pytest.mark.parametrize("command", ["train-mle", "finetune-mrt"])

@@ -9,9 +9,9 @@ from scipy import stats
 
 from docmrt import model
 from docmrt.metrics import CostKind
-from docmrt.mrt import fd_gradient_check
+from docmrt.mrt import TrainConfig, fd_gradient_check, finetune
 from docmrt.sampling import draw_sample_set
-from docmrt.textcore import BOS_ID, EOS_ID, DocumentBatch
+from docmrt.textcore import BOS_ID, EOS_ID, DocumentBatch, DocumentCorpus
 
 
 def oracle_log_prob(params, src, tgt, max_len):
@@ -125,6 +125,29 @@ def test_block_views_are_the_reference_offsets_and_write_through(v, d, h, seed):
         getattr(written, name)[...] = 7.0
         reference_blocks(expected)[name][...] = 7.0
         assert np.array_equal(written.theta, expected.theta)
+
+
+def test_every_block_is_a_view_of_theta_and_moves_with_a_finetune_update(tmp_path):
+    params = model.init_params(6, 2, 3, seed=0)
+    model.save_checkpoint(params, tmp_path / "p.ckpt")
+    made = {
+        "init_params": params,
+        "like": params.like(np.zeros_like(params.theta)),
+        "copy": params.copy(),
+        "load_checkpoint": model.load_checkpoint(tmp_path / "p.ckpt"),
+    }
+    names = list(model._layout(6, 2, 3))
+    for how, p in made.items():
+        for name in names:
+            assert np.shares_memory(getattr(p, name), p.theta), (how, name)
+    corpus = DocumentCorpus([((4, 5), (5, 4), 0), ((5,), (4, 4), 0)])
+    cfg = TrainConfig(mode="mle", batch_size=2, max_updates=1, max_len=4)
+    tuned, _ = finetune(params, corpus, cfg)
+    for name in names:
+        view = getattr(tuned, name)
+        assert np.shares_memory(view, tuned.theta)
+        assert view.tobytes() == reference_blocks(tuned)[name].tobytes()
+        assert not np.array_equal(view, getattr(params, name)), name
 
 
 def test_init_params_validation():
@@ -343,7 +366,7 @@ def greedy_walk(p, src, max_len):
             break
         tokens.append(tok)
         prev = tok
-    return model.ScoredHypothesis(tuple(tokens), decoder.score(tuple(tokens)))
+    return model.ScoredHypothesis(tuple(tokens), model.log_prob(p, src, tuple(tokens), max_len))
 
 
 def test_sample_greedy_matches_beam_one():
@@ -367,7 +390,7 @@ def test_sample_scoring_consistency_exact():
         assert hyp.log_prob <= 0.0
 
 
-def reference_sample(decoder, tau, rng):
+def reference_sample(decoder, src, tau, rng):
     """The per-token searchsorted loop over the tempered cumulative table that
     Decoder.sample replaced: one rng.random() per token, then rescoring."""
     z = decoder.logits / tau
@@ -385,7 +408,9 @@ def reference_sample(decoder, tau, rng):
         tokens.append(tok)
         prev = tok
     sentence = tuple(tokens)
-    return model.ScoredHypothesis(sentence, decoder.score(sentence))
+    return model.ScoredHypothesis(
+        sentence, model.log_prob(decoder.params, src, sentence, decoder.max_len)
+    )
 
 
 @st.composite
@@ -417,9 +442,11 @@ def test_sample_equals_searchsorted_reference_on_the_same_stream(make_rng, case)
     rng, ref_rng = make_rng(seed), make_rng(seed)
     for _ in range(6):
         hyp = decoder.sample(tau, rng)
-        expected = reference_sample(decoder, tau, ref_rng)
+        expected = reference_sample(decoder, src, tau, ref_rng)
         assert hyp.sentence == expected.sentence
-        assert hyp.log_prob == expected.log_prob == decoder.score(hyp.sentence)
+        assert hyp.log_prob == expected.log_prob == model.log_prob(
+            params, src, hyp.sentence, max_len
+        )
     assert rng.random() == ref_rng.random()
 
 
@@ -530,7 +557,7 @@ def test_sample_draw_equal_to_a_table_entry_goes_right():
     row = np.cumsum(np.full(5, 0.2)).tolist()
     for k, u in enumerate(row):
         hyp = decoder.sample(1.0, ReplayRng([u] * 3))
-        assert hyp == reference_sample(decoder, 1.0, ReplayRng([u] * 3))
+        assert hyp == reference_sample(decoder, (4,), 1.0, ReplayRng([u] * 3))
         first = hyp.sentence[0] if hyp.sentence else EOS_ID
         assert first == min(k + 1, 4)  # searchsorted(side="right"), clipped
 
@@ -576,8 +603,8 @@ def test_beam_sorted_unique_and_rescored():
         assert h.log_prob == model.log_prob(p, (4, 5, 4), h.sentence, 5)
 
 
-def reference_beam(decoder, beam_size):
-    """Decoder.beam before it kept its own sums: every one of the V extensions
+def reference_beam(decoder, src, beam_size):
+    """beam_decode before it kept its own sums: every one of the V extensions
     of every live hypothesis is a candidate, and the beam is rescored and
     sorted at the end."""
     v = decoder.params.vocab_size
@@ -598,7 +625,10 @@ def reference_beam(decoder, beam_size):
                 candidates.append((logp + float(row[w]), toks + (w,), w, False))
         candidates.sort(key=lambda c: (-c[0], c[1]))
         beams = candidates[:beam_size]
-    out = [model.ScoredHypothesis(toks, decoder.score(toks)) for _, toks, _, _ in beams]
+    out = [
+        model.ScoredHypothesis(toks, model.log_prob(decoder.params, src, toks, decoder.max_len))
+        for _, toks, _, _ in beams
+    ]
     out.sort(key=lambda hyp: (-hyp.log_prob, hyp.sentence))
     return out
 
@@ -613,11 +643,11 @@ def rounding_tie_params():
 
 
 def test_rounding_tie_params_tie_sums_of_different_log_probs():
-    decoder = model.Decoder(rounding_tie_params(), (), 3)
-    row = decoder.rows[4]
+    params = rounding_tie_params()
+    row = model.Decoder(params, (), 3).rows[4]
     logp = row[4] + row[4]  # after the greedy prefix (4, 4)
     assert row[3] < row[4] and logp + row[3] == logp + row[4]
-    assert decoder.beam(1)[0].sentence == (4, 4, 3)
+    assert model.beam_decode(params, (), 1, 3)[0].sentence == (4, 4, 3)
 
 
 @st.composite
@@ -642,9 +672,8 @@ def beam_cases(draw):
 @example(case=(rounding_tie_params(), (4,), 2, 8))
 def test_beam_equals_reference_beam(case):
     params, src, beam_size, max_len = case
-    decoder = model.Decoder(params, src, max_len)
-    hyps = decoder.beam(beam_size)
-    expected = reference_beam(decoder, beam_size)
+    hyps = model.beam_decode(params, src, beam_size, max_len)
+    expected = reference_beam(model.Decoder(params, src, max_len), src, beam_size)
     assert hyps == expected
     for hyp, ref in zip(hyps, expected):
         assert hyp.log_prob == ref.log_prob

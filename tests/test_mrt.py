@@ -602,6 +602,34 @@ def test_finetune_rejects_invalid_config_and_empty_corpus():
         mrt.finetune(params, DocumentCorpus([]), TrainConfig(max_len=4))
 
 
+@pytest.mark.parametrize("kind", [CostKind.SENT_TER, CostKind.DOC_TER])
+@pytest.mark.parametrize("mode", ["seq_mrt", "doc_mrt_ordered", "doc_mrt_random"])
+def test_finetune_with_a_ter_cost_names_an_empty_reference_before_sampling(
+    monkeypatch, mode, kind
+):
+    from docmrt.textcore import DocumentCorpus
+
+    train, _, _ = small_corpus(seed=9)
+    entries = list(train.entries)
+    entries[2] = (entries[2][0], (), entries[2][2])
+    corpus = DocumentCorpus(entries)
+    params = model.init_params(8, 3, 3, seed=1)
+    draws = []
+    real_draw = sampling.draw_sample_set
+    monkeypatch.setattr(
+        sampling, "draw_sample_set", lambda *a, **kw: draws.append(1) or real_draw(*a, **kw)
+    )
+    cfg = TrainConfig(
+        mode=mode, cost_kind=kind, n_samples=2, batch_size=2, max_updates=2, max_len=4
+    )
+    message = f"^{kind.value} needs a non-empty reference: corpus line 3 is empty$"
+    with pytest.raises(ValueError, match=message):
+        mrt.finetune(params, corpus, cfg)
+    assert draws == []
+    # MLE draws no samples and computes no cost, so it trains on the same corpus
+    mrt.finetune(params, corpus, TrainConfig(mode="mle", cost_kind=kind, max_updates=1, max_len=4))
+
+
 @pytest.mark.parametrize("mode", ["mle", "doc_mrt_ordered"])
 def test_finetune_stops_when_the_updated_parameters_are_not_finite(overflowing_gradients, mode):
     train, _, _ = small_corpus(seed=8)

@@ -163,8 +163,8 @@ FORMER_AD_HOC_BOUNDS = [
     pytest.param("pseudo_doc_size", 1, -2, lambda: harness.score_corpus(
         "no-such-dir/hyp.txt", "no-such-dir/ref.txt", pseudo_doc_size=-2), id="score_corpus"),
     pytest.param("max_len", 1, 0, lambda: model.Decoder(_params(), (4,), 0), id="Decoder"),
-    pytest.param("beam_size", 1, 0, lambda: model.Decoder(_params(), (4,), 3).beam(0),
-                 id="Decoder.beam"),
+    pytest.param("beam", 1, 0, lambda: model.beam_decode(_params(), (4,), 0, 3),
+                 id="beam_decode"),
     pytest.param("max_len", 1, -1, lambda: model.weighted_log_prob_grad(
         _params(), [(4,)], [(4,)], [1.0], -1), id="weighted_log_prob_grad"),
     pytest.param("n_samples", 1, 0, lambda: sampling.draw_sample_set(
