@@ -10,13 +10,18 @@ assembled document each sample belongs to. With the random assignment scheme
 each document is marginally a true model sample, so the raw document estimator
 is unbiased for the exact risk gradient. The renormalized variant reweights the
 sample pool by probability**alpha instead of 1/N; it is consistent but biased.
+
+A fine-tuning update draws every micro-batch's samples in turn, scores all of
+them with one metric pass (sampling.score_grids), then weighs each micro-batch
+on its own; its gradients and risks equal those of the per-micro-batch
+estimators drawing from the same rng.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,17 +74,6 @@ class TrainConfig:
         return self
 
 
-def _sample_set(params, batch, cfg, rng, sample_set) -> sampling.SampleSet:
-    """The given sample set, or N fresh samples per sentence drawn with rng."""
-    if sample_set is not None:
-        return sample_set
-    if rng is None:
-        raise ValueError("need an rng to draw samples")
-    return sampling.draw_sample_set(
-        params, batch, cfg.n_samples, cfg.tau, rng, cfg.max_len, cfg.cost_kind
-    )
-
-
 def _weigh(cfg: TrainConfig, costs: np.ndarray, logps: np.ndarray) -> tuple[np.ndarray, float]:
     """Weights and risk of rows of N documents, costs and logps of shape (rows, N):
     raw cost / N, or cost times the row's softmax of alpha * log-prob."""
@@ -111,14 +105,12 @@ def seq_mrt_grad(
     params: model.ModelParams,
     batch: DocumentBatch,
     cfg: TrainConfig,
-    rng: np.random.Generator | None = None,
-    sample_set: sampling.SampleSet | None = None,
+    sample_set: sampling.SampleSet,
 ) -> RiskEstimate:
-    """Sequence-level risk gradient over N samples per sentence: each sentence
-    is a row of N one-sample documents."""
-    sample_set = _sample_set(params, batch, cfg, rng, sample_set)
+    """Sequence-level risk gradient over sample_set's N samples per sentence of
+    batch: each sentence is a row of N one-sample documents."""
     weights, risk = _weigh(cfg, sample_set.costs, sample_set.log_probs)
-    grad = _weighted_grad(params, sample_set.batch, sample_set.sentences, weights, cfg.max_len)
+    grad = _weighted_grad(params, batch, sample_set.sentences, weights, cfg.max_len)
     return RiskEstimate(risk=risk, grad=grad)
 
 
@@ -138,13 +130,25 @@ def doc_mrt_grad(
             raise ValueError(f"cannot infer document scheme from mode {cfg.mode!r}")
     if scheme not in ("ordered", "random"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    sample_set = _sample_set(params, batch, cfg, rng, sample_set)
+    if sample_set is None:
+        if rng is None:
+            raise ValueError("need an rng to draw samples")
+        sample_set = sampling.draw_sample_set(
+            params, batch, cfg.n_samples, cfg.tau, rng, cfg.max_len, cfg.cost_kind
+        )
     if scheme == "ordered":
         cells = sampling.ordered_cells(sampling.order_samples(sample_set))
     elif rng is None:
         raise ValueError("the random scheme needs an rng")
     else:
-        cells = sampling.random_cells(sample_set, rng)
+        cells = sampling.random_cells(sample_set.grid, rng)
+    return _document_estimate(params, cfg, sample_set, cells)
+
+
+def _document_estimate(
+    params: model.ModelParams, cfg: TrainConfig, sample_set: sampling.SampleSet, cells: np.ndarray
+) -> RiskEstimate:
+    """doc_mrt_grad of the N documents that the rows of cells assemble."""
     costs, log_probs = sampling.assemble(sample_set, cells)
     weights, risk = _weigh(cfg, costs[None], log_probs[None])
     per_sample = _scatter(cells, weights[0], [sample_set.n_samples] * sample_set.n_sentences)
@@ -240,18 +244,38 @@ def fd_gradient_check(
     return worst
 
 
-def _micro_batch_estimate(
+def _update_estimates(
     params: model.ModelParams,
-    batch: DocumentBatch,
+    batches: Iterator[DocumentBatch],
     cfg: TrainConfig,
     rng: np.random.Generator,
-) -> RiskEstimate:
+) -> Iterator[RiskEstimate]:
+    """The estimates of one update's accum_steps micro-batches, taken from batches
+    in turn, one at a time. MRT draws each micro-batch's samples, then the random
+    scheme's permutations, from rng in that order; one sampling.score_grids call
+    scores every micro-batch's samples; each micro-batch is then weighed on its
+    own."""
     if cfg.mode == "mle":
-        loss, grad = model.mle_loss_grad(params, batch, cfg.max_len)
-        return RiskEstimate(risk=loss, grad=grad)
+        for _ in range(cfg.accum_steps):
+            loss, grad = model.mle_loss_grad(params, next(batches), cfg.max_len)
+            yield RiskEstimate(risk=loss, grad=grad)
+        return
+    micro, grids, cells = [], [], []
+    for _ in range(cfg.accum_steps):
+        batch = next(batches)
+        micro.append(batch)
+        grids.append(sampling.draw_grid(params, batch, cfg.n_samples, cfg.tau, rng, cfg.max_len))
+        if cfg.mode == "doc_mrt_random":
+            cells.append(sampling.random_cells(grids[-1], rng))
+    sample_sets = sampling.score_grids(micro, grids, cfg.cost_kind)
     if cfg.mode == "seq_mrt":
-        return seq_mrt_grad(params, batch, cfg, rng=rng)
-    return doc_mrt_grad(params, batch, cfg, rng=rng)
+        for ss in sample_sets:
+            yield seq_mrt_grad(params, ss.batch, cfg, ss)
+        return
+    if cfg.mode == "doc_mrt_ordered":
+        cells = [sampling.ordered_cells(sampling.order_samples(ss)) for ss in sample_sets]
+    for ss, documents in zip(sample_sets, cells):
+        yield _document_estimate(params, cfg, ss, documents)
 
 
 class NonFiniteTraining(ValueError):
@@ -274,6 +298,7 @@ def finetune(
 
     Every accum_steps micro-batch gradients are averaged, all evaluated at the
     pre-update parameters, then applied in one step: theta -= lr * mean(grads).
+    An MRT update scores the samples of all its micro-batches together.
     After every eval_every-th update (never if it is 0 or None), the record's
     heldout_metric is eval_fn of the updated parameters.
     Deterministic per cfg.seed. Returns the trained parameters and a training
@@ -305,8 +330,7 @@ def finetune(
     for update in range(cfg.max_updates):
         acc = np.zeros_like(params.theta)
         risks = []
-        for _ in range(cfg.accum_steps):
-            est = _micro_batch_estimate(params, next(batches), cfg, rng)
+        for est in _update_estimates(params, batches, cfg, rng):
             acc += est.grad
             risks.append(est.risk)
         params.theta -= cfg.learning_rate * acc / cfg.accum_steps

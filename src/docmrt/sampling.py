@@ -5,13 +5,18 @@ row of (documents, S) cells, one sample per sentence: by cost rank (the n-th
 document takes each sentence's rank-n sample, giving diverse document scores)
 or by a random permutation per sentence, each cell used once across N documents.
 assemble gives every row its cost and log-prob; the document views share it.
+
+Drawing and scoring are two steps: draw_grid uses the rng, and score_grids
+checks many grids and then scores them all with one stats extraction and one
+sentence-cost memo. An MRT update draws its micro-batches' grids in turn and
+scores them together; draw_sample_set is the one-batch case.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -23,7 +28,8 @@ from .textcore import DocumentBatch, aligned, at_least
 @dataclass(eq=False)
 class SampleSet:
     """N scored hypotheses per sentence, their sentence-level costs and the
-    metric stats of every cell; stats, and costs not given, are computed here."""
+    metric stats of every cell; stats, and costs not given, are computed here,
+    or by score_grids for many sets at once."""
 
     batch: DocumentBatch
     grid: list[list[model.ScoredHypothesis]]  # [sentence][sample]
@@ -37,8 +43,10 @@ class SampleSet:
     log_probs: np.ndarray = field(init=False, repr=False)  # shape (S, N)
     n_sentences: int = field(init=False, repr=False)
     n_samples: int = field(init=False, repr=False)
+    # True leaves stats and costs to score_grids, which scores the set with others
+    _unscored: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _unscored: bool):
         if not self.grid:
             raise ValueError("empty batch: a sample set needs at least one sentence")
         aligned(sentences=self.batch.sources, sample_rows=self.grid)
@@ -51,12 +59,12 @@ class SampleSet:
         shape = self.log_probs.shape
         if self.costs is not None and np.shape(self.costs) != shape:
             raise ValueError(f"costs of shape {np.shape(self.costs)} for a grid of shape {shape}")
-        self.stats = np.array(candidate_stats(self.batch, self.sentences, self.cost_kind.metric))
-        if self.costs is None:
-            self.costs = np.array(sentence_costs(self.cost_kind, self.stats))
+        # computed costs are never NaN: a TER cost of an empty reference raises
         for name, values in (("costs", self.costs), ("log-probs", self.log_probs)):
-            if np.isnan(values).any():
+            if values is not None and np.isnan(values).any():
                 raise ValueError(f"NaN sample {name}: a sample set ranks and weighs by them")
+        if not _unscored:
+            _score([self])
 
 
 @dataclass
@@ -129,6 +137,52 @@ def _row_costs(kind: CostKind, rows: list[tuple], memo: dict) -> list[float]:
     return [memo[row] for row in rows]
 
 
+def draw_grid(
+    params: model.ModelParams,
+    batch: DocumentBatch,
+    n_samples: int,
+    tau: float,
+    rng: np.random.Generator,
+    max_len: int,
+) -> list[list[model.ScoredHypothesis]]:
+    """N independent ancestral samples per sentence, drawn with rng sentence by
+    sentence. Duplicates are kept and the gold reference is never injected."""
+    return [
+        [decoder.sample(tau, rng) for _ in range(n_samples)]
+        for decoder in model.decoders(params, batch.sources, max_len)
+    ]
+
+
+def score_grids(
+    batches: list[DocumentBatch], grids: list, cost_kind: CostKind
+) -> list[SampleSet]:
+    """The SampleSet of every (batch, grid) pair. Every set is checked first; then
+    one candidate_stats call over all their distinct (sentence, candidate) pairs
+    and one sentence-cost memo score them all."""
+    sets = [SampleSet(b, g, None, cost_kind, _unscored=True) for b, g in zip(batches, grids)]
+    _score(sets)
+    return sets
+
+
+def _score(sets: list[SampleSet]) -> None:
+    """Set the stats of every set, and the costs not given, from one
+    candidate_stats call and one sentence_costs call over all their sentences."""
+    kind = sets[0].cost_kind
+    stacked = DocumentBatch(
+        [src for ss in sets for src in ss.batch.sources],
+        [ref for ss in sets for ref in ss.batch.references],
+        [doc for ss in sets for doc in ss.batch.doc_ids],
+    )
+    candidates = [row for ss in sets for row in ss.sentences]
+    stats = iter(candidate_stats(stacked, candidates, kind.metric))
+    for ss in sets:
+        ss.stats = np.array([next(stats) for _ in ss.grid])
+    unscored = [ss for ss in sets if ss.costs is None]
+    costs = iter(sentence_costs(kind, [rows for ss in unscored for rows in ss.stats]))
+    for ss in unscored:
+        ss.costs = np.array([next(costs) for _ in ss.grid])
+
+
 def draw_sample_set(
     params: model.ModelParams,
     batch: DocumentBatch,
@@ -138,20 +192,17 @@ def draw_sample_set(
     max_len: int,
     cost_kind: CostKind,
 ) -> SampleSet:
-    """Draw N independent ancestral samples per sentence and score their costs.
+    """Draw N independent ancestral samples per sentence and score their costs:
+    score_grids of one draw_grid.
 
-    Duplicates are kept and the gold reference is never injected. Costs use the
-    sentence-level version of cost_kind, which is also the ranking metric for
-    ordered document assembly.
+    Costs use the sentence-level version of cost_kind, which is also the ranking
+    metric for ordered document assembly.
     """
     at_least(1, n_samples=n_samples)
     if not isinstance(cost_kind, CostKind):
         raise ValueError("a CostKind is required; exact_risk takes custom cost callables")
-    grid = [
-        [decoder.sample(tau, rng) for _ in range(n_samples)]
-        for decoder in model.decoders(params, batch.sources, max_len)
-    ]
-    return SampleSet(batch=batch, grid=grid, costs=None, cost_kind=cost_kind)
+    grid = draw_grid(params, batch, n_samples, tau, rng, max_len)
+    return score_grids([batch], [grid], cost_kind)[0]
 
 
 def order_samples(sample_set: SampleSet) -> SampleSet:
@@ -171,9 +222,10 @@ def ordered_cells(sample_set: SampleSet) -> np.ndarray:
     return np.array(sample_set.ranks).T
 
 
-def random_cells(sample_set: SampleSet, rng: np.random.Generator) -> np.ndarray:
-    """Documents by an independent uniform permutation of the samples per sentence."""
-    return np.array([rng.permutation(sample_set.n_samples) for _ in sample_set.grid]).T
+def random_cells(grid: list, rng: np.random.Generator) -> np.ndarray:
+    """Documents by an independent uniform permutation of each sentence's row of
+    the grid, drawn with rng row by row."""
+    return np.array([rng.permutation(len(row)) for row in grid]).T
 
 
 def assemble(sample_set: SampleSet, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,5 +254,5 @@ def build_documents_random(
     sample_set: SampleSet, rng: np.random.Generator
 ) -> list[SampledDocument]:
     """Assign samples to documents by an independent uniform permutation per sentence."""
-    return _build(sample_set, random_cells(sample_set, rng))
+    return _build(sample_set, random_cells(sample_set.grid, rng))
 

@@ -16,14 +16,15 @@ settings.load_profile("docmrt")
 
 @pytest.fixture
 def overflowing_gradients(monkeypatch):
-    """Every micro-batch estimate keeps its finite risk but gets the gradient
-    sys.float_info.max in every coordinate, so an update at learning rate 2
-    leaves theta infinite while the risk stays finite."""
-    estimate = mrt._micro_batch_estimate
+    """Every micro-batch estimate of an update keeps its finite risk but gets the
+    gradient sys.float_info.max in every coordinate, so an update at learning
+    rate 2 leaves theta infinite while the risk stays finite."""
+    estimates = mrt._update_estimates
 
     def overflowing(*args):
-        est = estimate(*args)
-        grad = np.full_like(est.grad, sys.float_info.max)
-        return mrt.RiskEstimate(est.risk, grad)
+        return [
+            mrt.RiskEstimate(est.risk, np.full_like(est.grad, sys.float_info.max))
+            for est in estimates(*args)
+        ]
 
-    monkeypatch.setattr(mrt, "_micro_batch_estimate", overflowing)
+    monkeypatch.setattr(mrt, "_update_estimates", overflowing)

@@ -682,6 +682,22 @@ def test_ter_rows_equal_reference_search_across_chunks_and_passes(corpus, chunk,
     assert rows.dtype == np.int64 and rows.tolist() == expected
 
 
+def test_ter_rows_follow_their_lines_in_any_order():
+    # 150 lines of 3-30 tokens fill three chunks, and each permutation gives a
+    # line other chunk-mates, which pad its lanes and share its passes: the rows
+    # must still be the same rows, permuted
+    rng = np.random.default_rng(25)
+    refs = [tuple(rng.integers(0, 8, size=rng.integers(3, 31)).tolist()) for _ in range(150)]
+    hyps = [ref[3:] + ref[:3] if k % 3 else ref[::-1] for k, ref in enumerate(refs)]
+    hyps = [hyp[: max(3, len(hyp) - k % 4)] for k, hyp in enumerate(hyps)]
+    assert len(hyps) > 2 * metrics.LINE_CHUNK and {3, 30} <= set(map(len, hyps))
+    rows = metrics.line_stats("ter", hyps, refs)
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(len(hyps)).tolist()
+        permuted = metrics.line_stats("ter", [hyps[i] for i in perm], [refs[i] for i in perm])
+        assert permuted.dtype == np.int64 and np.array_equal(permuted, rows[perm])
+
+
 @pytest.mark.parametrize("ref_len", [1, 63, 64, 65, 130])
 def test_bit_parallel_edit_distance_equals_plain_dp(ref_len):
     rng = random.Random(ref_len)

@@ -24,6 +24,13 @@ def cfg_for(mode, kind, n=4, max_len=2, estimator="raw", alpha=5e-3):
     )
 
 
+def draw(params, batch, cfg, rng):
+    """cfg's N samples per sentence of batch, drawn with rng and scored."""
+    return sampling.draw_sample_set(
+        params, batch, cfg.n_samples, cfg.tau, rng, cfg.max_len, cfg.cost_kind
+    )
+
+
 ARRAY_HOLDERS = {
     "ModelParams": lambda: model.init_params(5, 2, 2, seed=0),
     "RiskEstimate": lambda: mrt.RiskEstimate(risk=0.5, grad=np.zeros(3)),
@@ -120,12 +127,6 @@ def test_seq_renormalized_alpha_to_zero_recovers_raw():
     )
     assert np.allclose(raw.grad, renorm.grad, atol=1e-9)
     assert math.isclose(raw.risk, renorm.risk, rel_tol=1e-9)
-
-
-def test_seq_mrt_needs_rng_without_sample_set():
-    params = model.init_params(5, 2, 2, seed=0)
-    with pytest.raises(ValueError, match="rng"):
-        seq_mrt_grad(params, tiny_batch(), cfg_for("seq_mrt", CostKind.SENT_TER))
 
 
 # ---------------------------------------------------------------------------
@@ -539,19 +540,34 @@ def test_finetune_is_deterministic_per_seed():
     assert "heldout_metric" in log_a[1]
 
 
-@pytest.mark.parametrize("mode", ["mle", "doc_mrt_random"])
-def test_finetune_reshuffles_each_epoch_on_the_training_stream(mode):
+RESHUFFLE_CASES = [pytest.param("mle", CostKind.ONE_MINUS_DOCBLEU, id="mle")] + [
+    pytest.param(mode, kind, id=f"{mode}-{kind.value}")
+    for mode in ("seq_mrt", "doc_mrt_ordered", "doc_mrt_random")
+    for kind in (CostKind.ONE_MINUS_DOCBLEU, CostKind.DOC_TER, CostKind.ONE_MINUS_DOC_GLEU)
+]
+
+
+@pytest.mark.parametrize("mode, kind", RESHUFFLE_CASES)
+def test_finetune_reshuffles_each_epoch_on_the_training_stream(mode, kind):
     # 3 updates of 2 micro-batches over 3 batches per epoch: the second epoch's
-    # seed is drawn from the training rng between the third and fourth batches
+    # seed is drawn from the training rng between the third and fourth batches,
+    # inside the second update; the oracle estimates one micro-batch at a time
     from docmrt.harness import make_batches
 
     train, _, _ = small_corpus(seed=11)
     params = model.init_params(8, 3, 3, seed=9)
     cfg = TrainConfig(
-        mode=mode, n_samples=2, batch_size=4, learning_rate=0.3, accum_steps=2,
-        max_updates=3, seed=5, max_len=4, batching="random",
+        mode=mode, cost_kind=kind, n_samples=2, batch_size=4, learning_rate=0.3,
+        accum_steps=2, max_updates=3, seed=5, max_len=4, batching="random",
     )
     tuned, _ = mrt.finetune(params, train, cfg)
+
+    def estimate(params, batch, rng):
+        if mode == "mle":
+            return model.mle_loss_grad(params, batch, cfg.max_len)[1]
+        if mode == "seq_mrt":
+            return seq_mrt_grad(params, batch, cfg, draw(params, batch, cfg, rng)).grad
+        return doc_mrt_grad(params, batch, cfg, rng=rng).grad
 
     rng = np.random.default_rng(cfg.seed)
     expected, batches = params.copy(), []
@@ -561,9 +577,23 @@ def test_finetune_reshuffles_each_epoch_on_the_training_stream(mode):
             if not batches:
                 batches = make_batches(train, "random", 4, int(rng.integers(2**31 - 1)))
                 assert len(batches) == 3
-            acc += mrt._micro_batch_estimate(expected, batches.pop(0), cfg, rng).grad
+            acc += estimate(expected, batches.pop(0), rng)
         expected.theta -= cfg.learning_rate * acc / cfg.accum_steps
     assert np.array_equal(tuned.theta, expected.theta)
+
+
+@pytest.mark.parametrize("mode", ["seq_mrt", "doc_mrt_ordered", "doc_mrt_random"])
+def test_an_mrt_update_extracts_the_stats_of_all_its_micro_batches_at_once(monkeypatch, mode):
+    train, _, _ = small_corpus(seed=11)
+    params = model.init_params(8, 3, 3, seed=9)
+    cfg = TrainConfig(
+        mode=mode, n_samples=3, batch_size=2, accum_steps=3, max_updates=2, max_len=4
+    )
+    lines = []
+    line_stats = metrics.line_stats
+    monkeypatch.setattr(metrics, "line_stats", lambda *a: lines.append(len(a[1])) or line_stats(*a))
+    mrt.finetune(params, train, cfg)
+    assert len(lines) == cfg.max_updates  # one call per update, not per micro-batch
 
 
 @pytest.mark.parametrize("eval_every", [None, 0, -1, -3])
@@ -649,14 +679,14 @@ def test_non_finite_risk_names_its_update_across_mle_chunks(monkeypatch):
     from docmrt.harness import train_mle_baseline
 
     train, valid, _ = small_corpus(seed=9)
-    estimate, calls = mrt._micro_batch_estimate, []
+    estimates, calls = mrt._update_estimates, []
 
     def poisoned(*args):
         calls.append(args)
-        est = estimate(*args)
-        return est if len(calls) != 4 else mrt.RiskEstimate(math.nan, est.grad)
+        (est,) = estimates(*args)
+        return [est if len(calls) != 4 else mrt.RiskEstimate(math.nan, est.grad)]
 
-    monkeypatch.setattr(mrt, "_micro_batch_estimate", poisoned)
+    monkeypatch.setattr(mrt, "_update_estimates", poisoned)
     cfg = TrainConfig(mode="mle", batch_size=2, accum_steps=1, max_updates=6, max_len=4)
     # chunks of 2 updates: the fourth update is update 1 of the second chunk
     with pytest.raises(mrt.NonFiniteTraining, match=r"update 3: non-finite risk \(nan\)") as err:
@@ -800,7 +830,8 @@ def _ulps(a, b):
 def test_estimators_equal_their_reference_loops(case):
     params, batch, cfg, scheme, seed = case
     if scheme is None:
-        est = seq_mrt_grad(params, batch, cfg, rng=np.random.default_rng(seed))
+        sample_set = draw(params, batch, cfg, np.random.default_rng(seed))
+        est = seq_mrt_grad(params, batch, cfg, sample_set)
         ref = reference_seq_mrt_grad(params, batch, cfg, np.random.default_rng(seed))
         assert est.risk == ref.risk
     else:

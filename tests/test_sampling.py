@@ -360,6 +360,79 @@ def test_sample_set_rejects_a_malformed_grid(fields, error):
         SampleSet(**fields)
 
 
+def micro_batch_grids():
+    """Three micro-batches, as one update draws them, and their grids: cells come
+    from a pool of five hypotheses, so they repeat within rows, across rows and
+    across micro-batches, and the second micro-batch repeats a sentence pair of
+    the first. Log-probs follow the hypothesis, so ranks meet ties."""
+    batches = [
+        DocumentBatch(sources=[(4, 5), (5,)], references=[(4, 5), (5, 5)], doc_ids=[0, 0]),
+        DocumentBatch(sources=[(6,), (4, 5)], references=[(6, 4), (4, 5)], doc_ids=[1, 0]),
+        DocumentBatch(sources=[(5, 6, 4)], references=[(5, 5, 4)], doc_ids=[2]),
+    ]
+    pool = [(4,), (4, 5), (5, 5, 4), (), (6, 4)]
+    rng = np.random.default_rng(0)
+    cells = lambda: [ScoredHypothesis(pool[k], -0.5 * k) for k in rng.integers(0, 5, 4)]
+    grids = [[cells() for _ in batch.sources] for batch in batches]
+    return batches, grids
+
+
+@pytest.mark.parametrize("kind", list(CostKind), ids=[kind.value for kind in CostKind])
+def test_score_grids_equals_scoring_each_set_alone(monkeypatch, kind):
+    batches, grids = micro_batch_grids()
+    calls = []
+    line_stats = metrics.line_stats
+    monkeypatch.setattr(metrics, "line_stats", lambda *a: calls.append(a) or line_stats(*a))
+    stacked = sampling.score_grids(batches, grids, kind)
+    ((metric, hyps, refs, srcs),) = calls  # one extraction for the three sets
+    rows = [{hyp.sentence for hyp in row} for grid in grids for row in grid]
+    assert len(hyps) == sum(map(len, rows)) < 4 * len(rows)  # each row's distinct cells
+    assert metric == kind.metric
+    assert (srcs is not None) == (metric == "gleu")  # GLEU counts against the sources
+    for batch, grid, got in zip(batches, grids, stacked):
+        alone = SampleSet(batch=batch, grid=grid, costs=None, cost_kind=kind)
+        assert got.batch is batch and got.grid is grid
+        cells = [
+            [metrics.line_stats(kind.metric, [hyp.sentence], [ref], [src])[0].tolist() for hyp in row]
+            for src, ref, row in zip(batch.sources, batch.references, grid)
+        ]
+        costs = [[metrics.cost_from_stats(kind.as_sentence_kind(), c) for c in row] for row in cells]
+        assert got.stats.tolist() == cells and got.costs.tolist() == costs
+        assert got.stats.dtype == alone.stats.dtype and np.array_equal(got.stats, alone.stats)
+        assert np.array_equal(got.costs, alone.costs) and got.costs.dtype == alone.costs.dtype
+        assert order_samples(got).ranks == order_samples(alone).ranks
+
+
+def _ragged(grid):
+    return [grid[0][:-1], *grid[1:]]
+
+
+def _nan_log_prob(grid):
+    return [[ScoredHypothesis(grid[0][0].sentence, math.nan), *grid[0][1:]], *grid[1:]]
+
+
+@pytest.mark.parametrize(
+    "spoil, error",
+    [
+        (_ragged, r"^ragged sample grid: rows of \[3, 4\] samples$"),
+        (lambda grid: grid[:-1], "^line count mismatch: 2 sentences vs 1 sample rows$"),
+        (_nan_log_prob, "^NaN sample log-probs"),
+    ],
+    ids=["ragged", "misaligned", "nan-log-prob"],
+)
+def test_score_grids_checks_every_grid_before_any_extraction(monkeypatch, spoil, error):
+    # the last micro-batch's grid is the bad one, so the sets before it pass
+    # their checks first and still extract nothing
+    batches, grids = micro_batch_grids()
+    batches[-1] = batches[1]
+    grids[-1] = spoil([list(row) for row in grids[1]])
+    calls = []
+    monkeypatch.setattr(metrics, "line_stats", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match=error):
+        sampling.score_grids(batches, grids, CostKind.ONE_MINUS_DOCBLEU)
+    assert calls == []
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the decoder's own table
 def test_sampling_from_a_non_finite_model_raises():
     for bad in (math.nan, math.inf, -math.inf):
