@@ -11,10 +11,8 @@ each document is marginally a true model sample, so the raw document estimator
 is unbiased for the exact risk gradient. The renormalized variant reweights the
 sample pool by probability**alpha instead of 1/N; it is consistent but biased.
 
-A fine-tuning update draws every micro-batch's samples in turn, scores all of
-them with one metric pass (sampling.score_grids), then weighs each micro-batch
-on its own; its gradients and risks equal those of the per-micro-batch
-estimators drawing from the same rng.
+A table maps each MRT mode to its scheme, and _estimate weighs any scheme's rows.
+An update scores all its micro-batches' samples in one sampling.score_grids call.
 """
 
 from __future__ import annotations
@@ -29,7 +27,8 @@ from . import model, sampling
 from .metrics import CostKind
 from .textcore import DocumentBatch, DocumentCorpus, at_least
 
-MODES = ("seq_mrt", "doc_mrt_ordered", "doc_mrt_random", "mle")
+_SCHEMES = {"seq_mrt": "seq", "doc_mrt_ordered": "ordered", "doc_mrt_random": "random"}
+MODES = (*_SCHEMES, "mle")
 ESTIMATORS = ("raw", "renormalized")
 BATCHINGS = ("random", "document")
 
@@ -109,9 +108,9 @@ def seq_mrt_grad(
 ) -> RiskEstimate:
     """Sequence-level risk gradient over sample_set's N samples per sentence of
     batch: each sentence is a row of N one-sample documents."""
-    weights, risk = _weigh(cfg, sample_set.costs, sample_set.log_probs)
-    grad = _weighted_grad(params, batch, sample_set.sentences, weights, cfg.max_len)
-    return RiskEstimate(risk=risk, grad=grad)
+    if sample_set.batch != batch:
+        raise ValueError("sample_set was drawn for another batch")
+    return _estimate(params, cfg, sample_set, "seq", None)
 
 
 def doc_mrt_grad(
@@ -125,44 +124,51 @@ def doc_mrt_grad(
     """Document-level risk gradient over N assembled sample documents: one row
     of N documents, each sample weighted by the document containing it."""
     if scheme is None:
-        scheme = {"doc_mrt_ordered": "ordered", "doc_mrt_random": "random"}.get(cfg.mode)
-        if scheme is None:
-            raise ValueError(f"cannot infer document scheme from mode {cfg.mode!r}")
-    if scheme not in ("ordered", "random"):
-        raise ValueError(f"unknown scheme {scheme!r}")
+        scheme = _SCHEMES.get(cfg.mode)
+    if scheme == "seq" or scheme not in _SCHEMES.values():
+        raise ValueError(f"no document scheme for mode {cfg.mode!r} and scheme {scheme!r}")
     if sample_set is None:
         if rng is None:
             raise ValueError("need an rng to draw samples")
         sample_set = sampling.draw_sample_set(
             params, batch, cfg.n_samples, cfg.tau, rng, cfg.max_len, cfg.cost_kind
         )
-    if scheme == "ordered":
-        cells = sampling.ordered_cells(sampling.order_samples(sample_set))
-    elif rng is None:
+    elif sample_set.batch != batch:
+        raise ValueError("sample_set was drawn for another batch")
+    cells = _draw_cells(scheme, sample_set.grid, rng)
+    return _estimate(params, cfg, sample_set, scheme, cells)
+
+
+def _draw_cells(scheme: str, grid: list, rng: np.random.Generator | None) -> np.ndarray | None:
+    """The cells scheme draws with rng right after grid: random's permutations, else None."""
+    if scheme != "random":
+        return None
+    if rng is None:
         raise ValueError("the random scheme needs an rng")
-    else:
-        cells = sampling.random_cells(sample_set.grid, rng)
-    return _document_estimate(params, cfg, sample_set, cells)
+    return sampling.random_cells(grid, rng)
 
 
-def _document_estimate(
-    params: model.ModelParams, cfg: TrainConfig, sample_set: sampling.SampleSet, cells: np.ndarray
+def _estimate(
+    params: model.ModelParams, cfg: TrainConfig, sample_set: sampling.SampleSet, scheme: str, cells
 ) -> RiskEstimate:
-    """doc_mrt_grad of the N documents that the rows of cells assemble."""
-    costs, log_probs = sampling.assemble(sample_set, cells)
-    weights, risk = _weigh(cfg, costs[None], log_probs[None])
-    per_sample = _scatter(cells, weights[0], [sample_set.n_samples] * sample_set.n_sentences)
-    grad = _weighted_grad(params, sample_set.batch, sample_set.sentences, per_sample, cfg.max_len)
+    """scheme's estimate from sample_set: seq weighs each sentence's N samples as a row;
+    ordered and random weigh the one row of N documents that their cells assemble."""
+    if scheme == "seq":
+        weights, risk = _weigh(cfg, sample_set.costs, sample_set.log_probs)
+    else:
+        if scheme == "ordered":
+            cells = sampling.ordered_cells(sampling.order_samples(sample_set))
+        costs, log_probs = sampling.assemble(sample_set, cells)
+        row, risk = _weigh(cfg, costs[None], log_probs[None])
+        weights = _scatter(cells, row[0], [sample_set.n_samples] * sample_set.n_sentences)
+    grad = _weighted_grad(params, sample_set.batch, sample_set.sentences, weights, cfg.max_len)
     return RiskEstimate(risk=risk, grad=grad)
-
-
-CostLike = "CostKind | Callable"  # or a callable (hyps, refs, srcs) -> document cost
 
 
 def _enumerated_risk(
     params: model.ModelParams,
     batch: DocumentBatch,
-    cost_kind: CostLike,
+    cost_kind: CostKind | Callable,
     max_len: int,
 ) -> tuple[float, list[list[tuple]], list[np.ndarray]]:
     """Exact risk sum_Y D(Y) P(Y) over every output document Y, plus, per
@@ -191,17 +197,18 @@ def _enumerated_risk(
 def exact_risk(
     params: model.ModelParams,
     batch: DocumentBatch,
-    cost_kind: CostLike,
+    cost_kind: CostKind | Callable,
     max_len: int,
 ) -> float:
-    """Exact expected document cost by full enumeration of the output space."""
+    """Exact expected document cost by full enumeration of the output space.
+    cost_kind is a CostKind or a callable (hyps, refs, srcs) -> document cost."""
     return _enumerated_risk(params, batch, cost_kind, max_len)[0]
 
 
 def exact_risk_grad(
     params: model.ModelParams,
     batch: DocumentBatch,
-    cost_kind: CostLike,
+    cost_kind: CostKind | Callable,
     max_len: int,
 ) -> np.ndarray:
     """Exact risk gradient sum_Y D(Y) P(Y) dlog P(Y), by full enumeration.
@@ -250,32 +257,24 @@ def _update_estimates(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> Iterator[RiskEstimate]:
-    """The estimates of one update's accum_steps micro-batches, taken from batches
-    in turn, one at a time. MRT draws each micro-batch's samples, then the random
-    scheme's permutations, from rng in that order; one sampling.score_grids call
-    scores every micro-batch's samples; each micro-batch is then weighed on its
-    own."""
+    """The estimates of one update's accum_steps micro-batches, taken from batches in
+    turn. MRT draws each one's samples, then its scheme's cells, from rng; one
+    sampling.score_grids call scores them all; _estimate then weighs each one."""
     if cfg.mode == "mle":
         for _ in range(cfg.accum_steps):
             loss, grad = model.mle_loss_grad(params, next(batches), cfg.max_len)
             yield RiskEstimate(risk=loss, grad=grad)
         return
+    scheme = _SCHEMES[cfg.mode]
     micro, grids, cells = [], [], []
     for _ in range(cfg.accum_steps):
         batch = next(batches)
         micro.append(batch)
         grids.append(sampling.draw_grid(params, batch, cfg.n_samples, cfg.tau, rng, cfg.max_len))
-        if cfg.mode == "doc_mrt_random":
-            cells.append(sampling.random_cells(grids[-1], rng))
+        cells.append(_draw_cells(scheme, grids[-1], rng))
     sample_sets = sampling.score_grids(micro, grids, cfg.cost_kind)
-    if cfg.mode == "seq_mrt":
-        for ss in sample_sets:
-            yield seq_mrt_grad(params, ss.batch, cfg, ss)
-        return
-    if cfg.mode == "doc_mrt_ordered":
-        cells = [sampling.ordered_cells(sampling.order_samples(ss)) for ss in sample_sets]
     for ss, documents in zip(sample_sets, cells):
-        yield _document_estimate(params, cfg, ss, documents)
+        yield _estimate(params, cfg, ss, scheme, documents)
 
 
 class NonFiniteTraining(ValueError):

@@ -239,11 +239,49 @@ def test_doc_mrt_unbiased_for_exact_risk_gradient():
     assert (dev <= 3.0).mean() >= 0.99
 
 
-def test_doc_mrt_scheme_inference_and_errors():
+DOC_MRT_ERRORS = {  # id: (mode, scheme, what is passed besides them, message)
+    "seq-mode": ("seq_mrt", None, "rng", "mode 'seq_mrt'"),
+    "mle-mode": ("mle", None, "rng", "mode 'mle'"),
+    "seq-scheme": ("doc_mrt_ordered", "seq", "rng", "scheme 'seq'"),
+    "unknown-scheme": ("doc_mrt_ordered", "sideways", "rng", "scheme 'sideways'"),
+    "no-rng-no-samples": ("doc_mrt_ordered", None, "", "need an rng to draw samples"),
+    "random-no-rng": ("doc_mrt_ordered", "random", "sample_set", "random scheme needs an rng"),
+}
+
+
+@pytest.mark.parametrize(
+    "mode, scheme, given, message", DOC_MRT_ERRORS.values(), ids=DOC_MRT_ERRORS.keys()
+)
+def test_doc_mrt_scheme_inference_and_errors(mode, scheme, given, message):
     params = model.init_params(5, 2, 2, seed=0)
-    cfg = cfg_for("seq_mrt", CostKind.SENT_TER)
-    with pytest.raises(ValueError, match="scheme"):
-        doc_mrt_grad(params, tiny_batch(), cfg, rng=np.random.default_rng(0))
+    batch = tiny_batch()
+    cfg = cfg_for(mode, CostKind.ONE_MINUS_DOCBLEU)
+    rng = np.random.default_rng(0) if given == "rng" else None
+    ss = draw(params, batch, cfg, np.random.default_rng(0)) if given == "sample_set" else None
+    with pytest.raises(ValueError, match=re.escape(message)):
+        doc_mrt_grad(params, batch, cfg, scheme=scheme, rng=rng, sample_set=ss)
+
+
+@pytest.mark.parametrize("scheme", [None, "ordered", "random"])  # None: sequence MRT
+def test_estimators_reject_a_sample_set_drawn_for_another_batch(scheme):
+    # the gradient would pair one batch's sources with another's samples and costs
+    params = model.init_params(5, 3, 3, seed=0)
+    batch = tiny_batch()
+    cfg = cfg_for("seq_mrt" if scheme is None else "doc_mrt_ordered", CostKind.ONE_MINUS_DOCBLEU)
+    ss = draw(params, batch, cfg, np.random.default_rng(0))
+
+    def grad(target):
+        if scheme is None:
+            return seq_mrt_grad(params, target, cfg, ss).grad
+        rng = np.random.default_rng(1)
+        return doc_mrt_grad(params, target, cfg, scheme=scheme, rng=rng, sample_set=ss).grad
+
+    other = DocumentBatch(sources=[(1, 4), (4, 0)], references=batch.references, doc_ids=[0, 0])
+    with pytest.raises(ValueError, match="sample_set was drawn for another batch"):
+        grad(other)
+    # an equal batch is the same batch
+    equal = DocumentBatch(list(batch.sources), list(batch.references), list(batch.doc_ids))
+    assert np.array_equal(grad(equal), grad(batch))
 
 
 # ---------------------------------------------------------------------------

@@ -180,3 +180,20 @@ def test_no_source_line_is_over_the_length_limit():
         if len(line) > MAX_LINE
     ]
     assert long_lines == []
+
+
+def test_no_comparison_names_an_mrt_mode():
+    # mrt's scheme table is the one place that says what an MRT mode does, so a
+    # new mode is one entry there; checks against "mle" and default values stay
+    mrt_modes = {mode for mode in docmrt.mrt.MODES if mode != "mle"}
+    compared = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(const, ast.Constant) and const.value in mrt_modes
+            for const in ast.walk(node)
+        )
+    ]
+    assert compared == []
