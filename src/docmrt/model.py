@@ -105,7 +105,7 @@ def _steps(tgts: list[Sentence], max_len: int) -> tuple[list[int], list[int], li
     return prevs, targets, lengths
 
 
-class _Tables:
+class Decoder:
     """The decoding tables of a batch of sources, built in one stacked pass.
 
     Row t of source i's (V, V) tables holds the next-token logits and
@@ -113,15 +113,21 @@ class _Tables:
     the previous target token, so the table covers every decoder step. The
     matmuls stay 3-D, one gemm of V rows per source, because a single gemm over
     all S * V rows blocks its sums differently and changes the last bit.
+
+    sample, log_prob, beam_decode and enumerate_output_space read these tables;
+    the first three add up the same floats from a source's one list of
+    log-probability rows, so their log-probabilities are bitwise equal.
     """
 
-    def __init__(self, params: ModelParams, sources: list[Sentence]):
+    def __init__(self, params: ModelParams, sources: list[Sentence], max_len: int):
+        at_least(1, max_len=max_len)
         v, d = params.vocab_size, params.emb_dim
         inputs = np.empty((len(sources), v, 2 * d))
         for i, src in enumerate(sources):
             inputs[i, :, :d] = params.src_emb[list(src)].mean(axis=0) if len(src) else 0.0
         inputs[:, :, d:] = params.tgt_emb
         hidden = np.tanh(inputs @ params.w_hidden + params.b_hidden)
+        self.max_len = max_len
         self.logits = hidden @ params.w_out + params.b_out
         zmax = self.logits.max(axis=2, keepdims=True)
         self.logprobs = (
@@ -129,10 +135,10 @@ class _Tables:
             - zmax
             - np.log(np.exp(self.logits - zmax).sum(axis=2, keepdims=True))
         )
-        self.rows: list[list[list[float]]] = self.logprobs.tolist()
-        self._cumulative: dict[float, list[list[list[float]]]] = {}
+        self.rows: list[list[list[list[float]]]] = self.logprobs.tolist()
+        self._cumulative: dict[float, list[list[list[list[float]]]]] = {}
 
-    def cumulative(self, tau: float) -> list[list[list[float]]]:
+    def cumulative(self, tau: float) -> list[list[list[list[float]]]]:
         """The tau-tempered cumulative tables as nested lists, cached per tau."""
         key = float(tau)
         if key not in self._cumulative:
@@ -145,35 +151,14 @@ class _Tables:
             self._cumulative[key] = np.cumsum(p, axis=2).tolist()
         return self._cumulative[key]
 
-
-class Decoder:
-    """Per-(params, source) decoding table, one source's slice of a _Tables.
-
-    sample, log_prob, beam_decode and enumerate_output_space read its tables;
-    the first three add up the same floats from its one list of log-probability
-    rows, so their log-probabilities are bitwise equal.
-    """
-
-    def __init__(self, params: ModelParams, src: Sentence, max_len: int, *, _table=None):
-        """_table: (a batch's _Tables, src's index in it); None builds src's own."""
-        at_least(1, max_len=max_len)
-        tables, i = _table if _table is not None else (_Tables(params, [src]), 0)
-        self.params = params
-        self.max_len = max_len
-        self.logits = tables.logits[i]
-        self.logprobs = tables.logprobs[i]
-        self.rows: list[list[float]] = tables.rows[i]
-        self.words = [w for w in range(params.vocab_size) if w != EOS_ID]  # extensions
-        self._tables, self._index = tables, i
-
-    def sample(self, tau: float, rng: np.random.Generator) -> ScoredHypothesis:
-        """Ancestral sample at temperature tau; its log_prob is the tau = 1 one."""
+    def sample(self, i: int, tau: float, rng: np.random.Generator) -> ScoredHypothesis:
+        """Ancestral sample of source i at temperature tau; its log_prob is the tau = 1 one."""
         if tau <= 0:
             raise ValueError("temperature must be positive")
         tokens: list[int] = []
         prev = BOS_ID
-        cum, rows = self._tables.cumulative(tau)[self._index], self.rows
-        last = self.params.vocab_size - 1
+        cum, rows = self.cumulative(tau)[i], self.rows[i]
+        last = self.logits.shape[2] - 1
         # one uniform per token; bisect_right is searchsorted(side="right"), and
         # the log-prob adds up in log_prob's order, EOS step included below the cap
         total = 0.0
@@ -187,11 +172,9 @@ class Decoder:
         return ScoredHypothesis(tuple(tokens), total)
 
 
-def decoders(params: ModelParams, sources: list[Sentence], max_len: int) -> list[Decoder]:
-    """One Decoder per source, their tables built in one stacked pass and their
-    tempered cumulative tables once per batch and temperature."""
-    tables = _Tables(params, sources)
-    return [Decoder(params, src, max_len, _table=(tables, i)) for i, src in enumerate(sources)]
+def _extensions(vocab_size: int) -> list[int]:
+    """The tokens that extend a prefix rather than end it: all but EOS."""
+    return [w for w in range(vocab_size) if w != EOS_ID]
 
 
 def log_prob(params: ModelParams, src: Sentence, tgt: Sentence, max_len: int) -> float:
@@ -200,7 +183,7 @@ def log_prob(params: ModelParams, src: Sentence, tgt: Sentence, max_len: int) ->
     Reads the same decoding table as sampling and beam search, so their
     recorded log-probabilities equal this value bitwise.
     """
-    rows = Decoder(params, src, max_len).rows
+    rows = Decoder(params, [src], max_len).rows[0]
     prevs, targets, _ = _steps([tgt], max_len)
     total = 0.0
     for prev, tok in zip(prevs, targets):
@@ -279,8 +262,9 @@ def beam_decode(
     params: ModelParams, src: Sentence, beam: int, max_len: int
 ) -> list[ScoredHypothesis]:
     """Length-unnormalized beam search; unique hypotheses sorted by log_prob."""
-    decoder = Decoder(params, src, max_len)
+    rows = Decoder(params, [src], max_len).rows[0]
     at_least(1, beam=beam)
+    words = _extensions(params.vocab_size)
     # (logp, tokens, done), ranked by (-logp, tokens); EOS competes for beam
     # slots like any other extension, so beam 1 is greedy decoding.
     beams: list[tuple[float, Sentence, bool]] = [(0.0, (), False)]
@@ -292,11 +276,11 @@ def beam_decode(
             if done:
                 candidates.append((logp, toks, True))
                 continue
-            sums = [logp + x for x in decoder.rows[toks[-1] if toks else BOS_ID]]
+            sums = [logp + x for x in rows[toks[-1] if toks else BOS_ID]]
             candidates.append((sums[EOS_ID], toks, True))
             # only its beam best extensions by that key can enter, ranked by the
             # sum (adding logp can tie two row values), ties in token order
-            for w in sorted(decoder.words, key=sums.__getitem__, reverse=True)[:beam]:
+            for w in sorted(words, key=sums.__getitem__, reverse=True)[:beam]:
                 candidates.append((sums[w], toks + (w,), False))
         candidates.sort(key=lambda c: (-c[0], c[1]))
         beams = candidates[:beam]
@@ -312,10 +296,10 @@ def enumerate_output_space(
     Guarded by ENUMERATION_GUARD on vocab_size ** max_len; the returned
     probabilities sum to 1 because termination is forced at the cap.
     """
-    decoder = Decoder(params, src, max_len)
+    probs = np.exp(Decoder(params, [src], max_len).logprobs[0]).tolist()
     if params.vocab_size**max_len > ENUMERATION_GUARD:
         raise ValueError("output space exceeds the enumeration guard")
-    probs = np.exp(decoder.logprobs).tolist()
+    words = _extensions(params.vocab_size)
     out: list[tuple[Sentence, float]] = []
 
     def walk(prefix: Sentence, prev: int, p: float):
@@ -323,7 +307,7 @@ def enumerate_output_space(
             out.append((prefix, p))
             return
         out.append((prefix, p * probs[prev][EOS_ID]))
-        for w in decoder.words:
+        for w in words:
             walk(prefix + (w,), w, p * probs[prev][w])
 
     walk((), BOS_ID, 1.0)

@@ -172,26 +172,26 @@ def _enumerated_risk(
     max_len: int,
 ) -> tuple[float, list[list[tuple]], list[np.ndarray]]:
     """Exact risk sum_Y D(Y) P(Y) over every output document Y, plus, per
-    sentence s, each output sentence's coefficient sum_{Y: y_s = y} D(Y) P(Y).
+    sentence s, its output sentences and each one's coefficient sum_{Y: y_s = y} D(Y) P(Y).
     Documents are the rows of sampling.product_cells; products and sums run
     row by row in that order.
     """
     spaces = [model.enumerate_output_space(params, src, max_len) for src in batch.sources]
+    candidates = [[sent for sent, _ in space] for space in spaces]
     cells = sampling.product_cells([len(space) for space in spaces])
     if isinstance(cost_kind, CostKind):
-        candidates = [[sent for sent, _ in space] for space in spaces]
         stats = sampling.candidate_stats(batch, candidates, cost_kind.metric)
         costs = sampling.sentence_costs(cost_kind, stats) if cost_kind.is_sentence_level else None
         cost = sampling.document_costs(cost_kind, stats, costs, cells)
     else:
-        docs = ([spaces[s][i][0] for s, i in enumerate(row)] for row in cells.tolist())
+        docs = ([candidates[s][i] for s, i in enumerate(row)] for row in cells.tolist())
         cost = [cost_kind(hyps, batch.references, batch.sources) for hyps in docs]
     p = np.ones(len(cells))
     for s, space in enumerate(spaces):
         p *= np.array([prob for _, prob in space])[cells[:, s]]
     dp = p * np.array(cost, dtype=np.float64)
     risk = float(np.add.accumulate(dp)[-1])
-    return risk, spaces, _scatter(cells, dp, [len(space) for space in spaces])
+    return risk, candidates, _scatter(cells, dp, [len(space) for space in spaces])
 
 
 def exact_risk(
@@ -216,8 +216,7 @@ def exact_risk_grad(
     Since log P(Y) = sum_s log P(y_s), this equals sum over output sentences of
     their coefficient times dlog P(y_s): one weighted pass, each sentence once.
     """
-    _, spaces, coeffs = _enumerated_risk(params, batch, cost_kind, max_len)
-    candidates = [[sent for sent, _ in space] for space in spaces]
+    _, candidates, coeffs = _enumerated_risk(params, batch, cost_kind, max_len)
     return _weighted_grad(params, batch, candidates, coeffs, max_len)
 
 

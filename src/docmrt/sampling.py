@@ -147,10 +147,8 @@ def draw_grid(
 ) -> list[list[model.ScoredHypothesis]]:
     """N independent ancestral samples per sentence, drawn with rng sentence by
     sentence. Duplicates are kept and the gold reference is never injected."""
-    return [
-        [decoder.sample(tau, rng) for _ in range(n_samples)]
-        for decoder in model.decoders(params, batch.sources, max_len)
-    ]
+    decoder = model.Decoder(params, batch.sources, max_len)
+    return [[decoder.sample(i, tau, rng) for _ in range(n_samples)] for i in range(len(batch))]
 
 
 def score_grids(

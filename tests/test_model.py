@@ -351,17 +351,17 @@ def test_log_prob_rejects_nonpositive_max_len():
 
 def test_sample_deterministic_per_seed():
     p = model.init_params(6, 3, 3, seed=8)
-    a = model.Decoder(p, (4, 5), 5).sample(1.0, np.random.default_rng(3))
-    b = model.Decoder(p, (4, 5), 5).sample(1.0, np.random.default_rng(3))
+    a = model.Decoder(p, [(4, 5)], 5).sample(0, 1.0, np.random.default_rng(3))
+    b = model.Decoder(p, [(4, 5)], 5).sample(0, 1.0, np.random.default_rng(3))
     assert a == b
 
 
 def greedy_walk(p, src, max_len):
     """The per-step argmax walk, the oracle of beam size 1."""
-    decoder = model.Decoder(p, src, max_len)
+    logits = model.Decoder(p, [src], max_len).logits[0]
     tokens, prev = [], model.BOS_ID
     for _ in range(max_len):
-        tok = int(np.argmax(decoder.logits[prev]))
+        tok = int(np.argmax(logits[prev]))
         if tok == model.EOS_ID:
             break
         tokens.append(tok)
@@ -378,39 +378,37 @@ def test_sample_greedy_matches_beam_one():
 def test_sample_rejects_nonpositive_temperature():
     p = model.init_params(5, 2, 2, seed=0)
     with pytest.raises(ValueError):
-        model.Decoder(p, (4,), 3).sample(0.0, np.random.default_rng(0))
+        model.Decoder(p, [(4,)], 3).sample(0, 0.0, np.random.default_rng(0))
 
 
 def test_sample_scoring_consistency_exact():
     rng = np.random.default_rng(31)
     p = model.init_params(6, 3, 3, seed=13)
     for _ in range(50):
-        hyp = model.Decoder(p, (4, 5), 5).sample(0.7, rng)
+        hyp = model.Decoder(p, [(4, 5)], 5).sample(0, 0.7, rng)
         assert hyp.log_prob == model.log_prob(p, (4, 5), hyp.sentence, 5)
         assert hyp.log_prob <= 0.0
 
 
-def reference_sample(decoder, src, tau, rng):
+def reference_sample(params, src, max_len, tau, rng):
     """The per-token searchsorted loop over the tempered cumulative table that
     Decoder.sample replaced: one rng.random() per token, then rescoring."""
-    z = decoder.logits / tau
+    z = model.Decoder(params, [src], max_len).logits[0] / tau
     z -= z.max(axis=1, keepdims=True)
     p = np.exp(z)
     p /= p.sum(axis=1, keepdims=True)
     cum = np.cumsum(p, axis=1)
-    last = decoder.params.vocab_size - 1
+    last = params.vocab_size - 1
     tokens = []
     prev = BOS_ID
-    for _ in range(decoder.max_len):
+    for _ in range(max_len):
         tok = min(int(np.searchsorted(cum[prev], rng.random(), side="right")), last)
         if tok == EOS_ID:
             break
         tokens.append(tok)
         prev = tok
     sentence = tuple(tokens)
-    return model.ScoredHypothesis(
-        sentence, model.log_prob(decoder.params, src, sentence, decoder.max_len)
-    )
+    return model.ScoredHypothesis(sentence, model.log_prob(params, src, sentence, max_len))
 
 
 @st.composite
@@ -438,11 +436,11 @@ def sampling_cases(draw):
 @given(case=sampling_cases())
 def test_sample_equals_searchsorted_reference_on_the_same_stream(make_rng, case):
     params, src, tau, max_len, seed = case
-    decoder = model.Decoder(params, src, max_len)
+    decoder = model.Decoder(params, [src], max_len)
     rng, ref_rng = make_rng(seed), make_rng(seed)
     for _ in range(6):
-        hyp = decoder.sample(tau, rng)
-        expected = reference_sample(decoder, src, tau, ref_rng)
+        hyp = decoder.sample(0, tau, rng)
+        expected = reference_sample(params, src, max_len, tau, ref_rng)
         assert hyp.sentence == expected.sentence
         assert hyp.log_prob == expected.log_prob == model.log_prob(
             params, src, hyp.sentence, max_len
@@ -488,16 +486,17 @@ def source_batches(draw):
 @given(case=source_batches())
 def test_stacked_tables_equal_per_source_reference_tables(case):
     params, sources = case
-    stacked = model.decoders(params, sources, 5)
-    alone = model.Decoder(params, sources[-1], 5)  # the one-source case
-    assert len(stacked) == len(sources)
-    for decoder, src in zip(stacked + [alone], sources + sources[-1:]):
+    stacked = model.Decoder(params, sources, 5)
+    alone = model.Decoder(params, sources[-1:], 5)  # one source
+    assert len(stacked.rows) == len(sources)
+    cases = [(stacked, i, src) for i, src in enumerate(sources)] + [(alone, 0, sources[-1])]
+    for decoder, i, src in cases:
         logits, logprobs, rows, cumulative = reference_tables(params, src)
-        assert decoder.logits.tobytes() == logits.tobytes()
-        assert decoder.logprobs.tobytes() == logprobs.tobytes()
-        assert decoder.rows == rows
+        assert decoder.logits[i].tobytes() == logits.tobytes()
+        assert decoder.logprobs[i].tobytes() == logprobs.tobytes()
+        assert decoder.rows[i] == rows
         for tau in (0.5, 1.0, 2.0):
-            assert decoder._tables.cumulative(tau)[decoder._index] == cumulative(tau)
+            assert decoder.cumulative(tau)[i] == cumulative(tau)
 
 
 def reference_draw(params, sources, n_samples, tau, rng, max_len):
@@ -553,23 +552,24 @@ class ReplayRng:
 
 def test_sample_draw_equal_to_a_table_entry_goes_right():
     # zero theta: every row of the cumulative table is 0.2, 0.4, ..., 1.0
-    decoder = model.Decoder(zero_params(5, 2, 2), (4,), 3)
+    params = zero_params(5, 2, 2)
+    decoder = model.Decoder(params, [(4,)], 3)
     row = np.cumsum(np.full(5, 0.2)).tolist()
     for k, u in enumerate(row):
-        hyp = decoder.sample(1.0, ReplayRng([u] * 3))
-        assert hyp == reference_sample(decoder, (4,), 1.0, ReplayRng([u] * 3))
+        hyp = decoder.sample(0, 1.0, ReplayRng([u] * 3))
+        assert hyp == reference_sample(params, (4,), 3, 1.0, ReplayRng([u] * 3))
         first = hyp.sentence[0] if hyp.sentence else EOS_ID
         assert first == min(k + 1, 4)  # searchsorted(side="right"), clipped
 
 
 def test_sample_uniform_token_frequencies_at_zero_theta():
     p = zero_params(5, 2, 2)
-    decoder = model.Decoder(p, (4,), 3)
+    decoder = model.Decoder(p, [(4,)], 3)
     rng = np.random.default_rng(99)
     draws = 100_000
     counts = np.zeros(5)
     for _ in range(draws):
-        hyp = decoder.sample(1.0, rng)
+        hyp = decoder.sample(0, 1.0, rng)
         first = hyp.sentence[0] if hyp.sentence else EOS_ID
         counts[first] += 1
     chi2 = ((counts - draws / 5) ** 2 / (draws / 5)).sum()
@@ -580,12 +580,12 @@ def test_sample_frequencies_match_enumeration():
     p = model.init_params(5, 2, 2, seed=7)
     src = (4, 3)
     space = model.enumerate_output_space(p, src, 2)
-    decoder = model.Decoder(p, src, 2)
+    decoder = model.Decoder(p, [src], 2)
     rng = np.random.default_rng(1234)
     draws = 100_000
     counts = {sent: 0 for sent, _ in space}
     for _ in range(draws):
-        counts[decoder.sample(1.0, rng).sentence] += 1
+        counts[decoder.sample(0, 1.0, rng).sentence] += 1
     for sent, prob in space:
         sigma = math.sqrt(prob * (1 - prob) / draws)
         assert abs(counts[sent] / draws - prob) <= 4 * sigma + 1e-12
@@ -603,13 +603,14 @@ def test_beam_sorted_unique_and_rescored():
         assert h.log_prob == model.log_prob(p, (4, 5, 4), h.sentence, 5)
 
 
-def reference_beam(decoder, src, beam_size):
+def reference_beam(params, src, beam_size, max_len):
     """beam_decode before it kept its own sums: every one of the V extensions
     of every live hypothesis is a candidate, and the beam is rescored and
     sorted at the end."""
-    v = decoder.params.vocab_size
+    v = params.vocab_size
+    logprobs = model.Decoder(params, [src], max_len).logprobs[0]
     beams = [(0.0, (), BOS_ID, False)]
-    for _ in range(decoder.max_len):
+    for _ in range(max_len):
         if all(done for _, _, _, done in beams):
             break
         candidates = []
@@ -617,7 +618,7 @@ def reference_beam(decoder, src, beam_size):
             if done:
                 candidates.append((logp, toks, prev, True))
                 continue
-            row = decoder.logprobs[prev]
+            row = logprobs[prev]
             candidates.append((logp + float(row[EOS_ID]), toks, prev, True))
             for w in range(v):
                 if w == EOS_ID:
@@ -626,7 +627,7 @@ def reference_beam(decoder, src, beam_size):
         candidates.sort(key=lambda c: (-c[0], c[1]))
         beams = candidates[:beam_size]
     out = [
-        model.ScoredHypothesis(toks, model.log_prob(decoder.params, src, toks, decoder.max_len))
+        model.ScoredHypothesis(toks, model.log_prob(params, src, toks, max_len))
         for _, toks, _, _ in beams
     ]
     out.sort(key=lambda hyp: (-hyp.log_prob, hyp.sentence))
@@ -644,7 +645,7 @@ def rounding_tie_params():
 
 def test_rounding_tie_params_tie_sums_of_different_log_probs():
     params = rounding_tie_params()
-    row = model.Decoder(params, (), 3).rows[4]
+    row = model.Decoder(params, [()], 3).rows[0][4]
     logp = row[4] + row[4]  # after the greedy prefix (4, 4)
     assert row[3] < row[4] and logp + row[3] == logp + row[4]
     assert model.beam_decode(params, (), 1, 3)[0].sentence == (4, 4, 3)
@@ -673,7 +674,7 @@ def beam_cases(draw):
 def test_beam_equals_reference_beam(case):
     params, src, beam_size, max_len = case
     hyps = model.beam_decode(params, src, beam_size, max_len)
-    expected = reference_beam(model.Decoder(params, src, max_len), src, beam_size)
+    expected = reference_beam(params, src, beam_size, max_len)
     assert hyps == expected
     for hyp, ref in zip(hyps, expected):
         assert hyp.log_prob == ref.log_prob

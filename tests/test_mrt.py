@@ -436,12 +436,13 @@ def risk_cases(draw):
 @given(case=risk_cases())
 def test_enumerated_risk_equals_reference_loop_bitwise(case):
     params, batch, max_len, cost = case
-    risk, spaces, coeffs = mrt._enumerated_risk(params, batch, cost, max_len)
+    risk, candidates, coeffs = mrt._enumerated_risk(params, batch, cost, max_len)
     ref_risk, ref_spaces, ref_coeffs = reference_enumerated_risk(params, batch, cost, max_len)
-    assert risk == ref_risk and spaces == ref_spaces
+    assert risk == ref_risk
+    assert candidates == [[sent for sent, _ in space] for space in ref_spaces]
     assert all(np.array_equal(c, r) for c, r in zip(coeffs, ref_coeffs, strict=True))
-    srcs = [src for src, space in zip(batch.sources, spaces) for _ in space]
-    tgts = [sent for space in spaces for sent, _ in space]
+    srcs = [src for src, sents in zip(batch.sources, candidates) for _ in sents]
+    tgts = [sent for sents in candidates for sent in sents]
     weights = [c for coeff in ref_coeffs for c in coeff]
     expected = model.weighted_log_prob_grad(params, srcs, tgts, weights, max_len)[1]
     assert np.array_equal(exact_risk_grad(params, batch, cost, max_len), expected)
@@ -542,6 +543,27 @@ def test_finetune_accumulation_matches_single_concatenated_update():
     expected = params.theta - cfg.learning_rate * acc / cfg.accum_steps
     assert np.array_equal(tuned.theta, expected)
     assert len(log) == 1 and log[0]["mode"] == "doc_mrt_ordered"
+
+
+def test_one_decoder_per_micro_batch(monkeypatch):
+    # a micro-batch's decoding tables are built once, for all its sources
+    built = []
+    init = model.Decoder.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(model.Decoder, "__init__", counting_init)
+    params = model.init_params(8, 3, 3, seed=1)
+    batch = DocumentBatch([(4, 5), (5,), (), (6, 4, 7)], [(4,)] * 4, [0, 0, 1, 1])
+    sampling.draw_grid(params, batch, 3, 1.0, np.random.default_rng(0), 4)
+    assert len(built) == 1
+    built.clear()
+    train, _, _ = small_corpus()  # documents of 2 sentences
+    cfg = TrainConfig(n_samples=2, batch_size=2, accum_steps=3, max_updates=1, max_len=4)
+    mrt.finetune(params, train, cfg)
+    assert len(built) == 3
 
 
 def test_finetune_mle_mode_delegates_to_mle_loss():

@@ -162,7 +162,7 @@ FORMER_AD_HOC_BOUNDS = [
     pytest.param("max_size", 5, 4, lambda: build_vocab(["a"], max_size=4), id="build_vocab"),
     pytest.param("pseudo_doc_size", 1, -2, lambda: harness.score_corpus(
         "no-such-dir/hyp.txt", "no-such-dir/ref.txt", pseudo_doc_size=-2), id="score_corpus"),
-    pytest.param("max_len", 1, 0, lambda: model.Decoder(_params(), (4,), 0), id="Decoder"),
+    pytest.param("max_len", 1, 0, lambda: model.Decoder(_params(), [(4,)], 0), id="Decoder"),
     pytest.param("beam", 1, 0, lambda: model.beam_decode(_params(), (4,), 0, 3),
                  id="beam_decode"),
     pytest.param("max_len", 1, -1, lambda: model.weighted_log_prob_grad(
