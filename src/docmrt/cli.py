@@ -60,10 +60,15 @@ def _emit(report: dict | str, out: str | None) -> None:
 
 
 def load_data_dir(data_dir: str | Path):
-    """Vocabulary plus (train, valid, test) corpora from a gen-data directory."""
+    """Vocabulary plus (train, valid, test) corpora from a gen-data directory;
+    vocabulary errors name vocab.txt."""
     data_dir = Path(data_dir)
-    tokens = (data_dir / "vocab.txt").read_text(encoding="utf-8").split()
-    vocab = textcore.Vocabulary(list(textcore.RESERVED_TOKENS) + tokens)
+    vocab_path = data_dir / "vocab.txt"
+    tokens = vocab_path.read_text(encoding="utf-8").split()
+    try:
+        vocab = textcore.Vocabulary(list(textcore.RESERVED_TOKENS) + tokens)
+    except ValueError as exc:
+        raise ValueError(f"{vocab_path}: {exc}") from None
     train, valid, test = (
         textcore.read_document_corpus(data_dir / name, vocab) for name in ("train", "valid", "test")
     )
@@ -71,7 +76,7 @@ def load_data_dir(data_dir: str | Path):
 
 
 def _cmd_gen_data(args) -> int:
-    task = harness.TaskSpec(**_gather(args, harness.TaskSpec)).validate()
+    task = harness.TaskSpec(**_gather(args, harness.TaskSpec))
     train, valid, test = harness.generate_synthetic_corpus(task)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -100,7 +105,7 @@ def _write_log(log: list[dict], path: str | None) -> None:
 
 
 def _cmd_train_mle(args) -> int:
-    cfg = mrt.TrainConfig(mode="mle", **_gather(args, mrt.TrainConfig)).validate()
+    cfg = mrt.TrainConfig(mode="mle", **_gather(args, mrt.TrainConfig))
     textcore.at_least(
         1, eval_every=args.eval_every, patience=args.patience, max_updates=cfg.max_updates,
         emb_dim=args.emb_dim, hidden_dim=args.hidden_dim,
@@ -118,7 +123,7 @@ def _cmd_train_mle(args) -> int:
 
 
 def _cmd_finetune_mrt(args) -> int:
-    cfg = mrt.TrainConfig(**_gather(args, mrt.TrainConfig)).validate()
+    cfg = mrt.TrainConfig(**_gather(args, mrt.TrainConfig))
     textcore.at_least(0, eval_every=args.eval_every)
     vocab, train, valid, _ = load_data_dir(args.data_dir)
     params = harness.load_baseline(args.ckpt, len(vocab))

@@ -62,7 +62,7 @@ class TaskSpec:
     # across differently-seeded corpora (e.g. a shifted fine-tuning split)
     cipher_seed: int | None = None
 
-    def validate(self) -> "TaskSpec":
+    def __post_init__(self):
         at_least(5, vocab_size=self.vocab_size)
         counts = ("len_min", "sentences_per_doc", "num_documents", "valid_documents",
                   "test_documents")
@@ -81,7 +81,6 @@ class TaskSpec:
         for name in ("noise_rate", "style_weight"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        return self
 
 
 def generate_synthetic_corpus(
@@ -91,7 +90,6 @@ def generate_synthetic_corpus(
 
     Reference noise (random token replacement) applies to the train split only.
     """
-    task.validate()
     rng = np.random.default_rng(task.seed)
     content = list(range(4, task.vocab_size))
     c = len(content)
@@ -225,7 +223,7 @@ def train_mle_baseline(
     cfg.max_updates budget, whichever comes first, and returns the best
     checkpoint seen.
     """
-    cfg = dataclasses.replace(cfg, mode="mle").validate()
+    cfg = dataclasses.replace(cfg, mode="mle")
     at_least(1, max_updates=cfg.max_updates, eval_every=eval_every, patience=patience)
     params = model.init_params(vocab_size, emb_dim, hidden_dim, cfg.seed)
     best_params = params.copy()
@@ -400,7 +398,7 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
         names = {f.name: f.name for f in dataclasses.fields(cls) if f.name in cfg} | keys
         values = {field: _coerce(cfg[key], getattr(cls, field)) for field, key in names.items()}
         try:
-            return cls(**{**values, **fixed}).validate()
+            return cls(**{**values, **fixed})
         except ValueError as exc:
             field, _, rest = str(exc).partition(" ")
             raise ValueError(f"{names.get(field, field)} {rest}") from None

@@ -55,7 +55,7 @@ class TrainConfig:
     max_len: int = 10
     batching: str = "document"
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
         for name, allowed in (("mode", MODES), ("estimator", ESTIMATORS), ("batching", BATCHINGS)):
             value = getattr(self, name)
             if value not in allowed:
@@ -70,7 +70,6 @@ class TrainConfig:
         for name in ("tau", "alpha", "learning_rate"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        return self
 
 
 def _weigh(cfg: TrainConfig, costs: np.ndarray, logps: np.ndarray) -> tuple[np.ndarray, float]:
@@ -302,19 +301,24 @@ def finetune(
     Deterministic per cfg.seed. Returns the trained parameters and a training
     log with one record per update. Raises NonFiniteTraining, naming the
     update, when an update's risk or the updated theta is not finite, and, before
-    any update, ValueError naming the first empty reference line of a TER MRT run.
+    any update, ValueError naming the first empty reference line of a TER MRT run
+    or the first reference line of an MLE run longer than max_len.
     """
     from .harness import make_batches  # cyclic at module level
 
-    cfg.validate()
     at_least(0, eval_every=eval_every or 0)
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    if cfg.mode != "mle" and cfg.cost_kind.metric == "ter":  # before any update draws it
-        for line, (_, ref, _) in enumerate(corpus.entries, start=1):
-            if not ref:
-                kind = cfg.cost_kind.value
-                raise ValueError(f"{kind} needs a non-empty reference: corpus line {line} is empty")
+    ter = cfg.mode != "mle" and cfg.cost_kind.metric == "ter"
+    for line, (_, ref, _) in enumerate(corpus.entries, start=1):  # before any update uses it
+        if ter and not ref:
+            kind = cfg.cost_kind.value
+            raise ValueError(f"{kind} needs a non-empty reference: corpus line {line} is empty")
+        if cfg.mode == "mle" and len(ref) > cfg.max_len:
+            raise ValueError(
+                f"mle needs references of at most max_len {cfg.max_len} tokens: "
+                f"corpus line {line} has {len(ref)}"
+            )
     params = params0.copy()
     rng = np.random.default_rng(cfg.seed)
 

@@ -6,17 +6,18 @@ document takes each sentence's rank-n sample, giving diverse document scores)
 or by a random permutation per sentence, each cell used once across N documents.
 assemble gives every row its cost and log-prob; the document views share it.
 
-Drawing and scoring are two steps: draw_grid uses the rng, and score_grids
-checks many grids and then scores them all with one stats extraction and one
-sentence-cost memo. An MRT update draws its micro-batches' grids in turn and
-scores them together; draw_sample_set is the one-batch case.
+Drawing and scoring are two steps: draw_grid uses the rng, and score_grids,
+the only code that gives a SampleSet its stats and costs, checks many grids and
+then scores them all with one stats extraction and one sentence-cost memo. An MRT
+update draws its micro-batches' grids in turn and scores them together;
+draw_sample_set is the one-batch case.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,26 +28,24 @@ from .textcore import DocumentBatch, aligned, at_least
 
 @dataclass(eq=False)
 class SampleSet:
-    """N scored hypotheses per sentence, their sentence-level costs and the
-    metric stats of every cell; stats, and costs not given, are computed here,
-    or by score_grids for many sets at once."""
+    """N hypotheses per sentence, checked and read out of the grid. score_grids
+    adds the metric stats of every cell and their sentence-level costs; a
+    directly built set has neither."""
 
     batch: DocumentBatch
     grid: list[list[model.ScoredHypothesis]]  # [sentence][sample]
-    costs: np.ndarray | None  # shape (S, N); None: costs of cost_kind's sentence kind
     cost_kind: CostKind
     # per-sentence sample order, best first; set by order_samples
     ranks: list[list[int]] | None = field(default=None, init=False)
     stats: np.ndarray = field(init=False)  # shape (S, N, K), K stats per cell
+    costs: np.ndarray = field(init=False)  # shape (S, N), cost_kind's sentence kind
     # read out of the grid once
     sentences: list[list[tuple]] = field(init=False, repr=False)
     log_probs: np.ndarray = field(init=False, repr=False)  # shape (S, N)
     n_sentences: int = field(init=False, repr=False)
     n_samples: int = field(init=False, repr=False)
-    # True leaves stats and costs to score_grids, which scores the set with others
-    _unscored: InitVar[bool] = False
 
-    def __post_init__(self, _unscored: bool):
+    def __post_init__(self):
         if not self.grid:
             raise ValueError("empty batch: a sample set needs at least one sentence")
         aligned(sentences=self.batch.sources, sample_rows=self.grid)
@@ -56,15 +55,8 @@ class SampleSet:
         self.sentences = [[hyp.sentence for hyp in row] for row in self.grid]
         self.log_probs = np.array([[hyp.log_prob for hyp in row] for row in self.grid])
         self.n_sentences, self.n_samples = self.log_probs.shape
-        shape = self.log_probs.shape
-        if self.costs is not None and np.shape(self.costs) != shape:
-            raise ValueError(f"costs of shape {np.shape(self.costs)} for a grid of shape {shape}")
-        # computed costs are never NaN: a TER cost of an empty reference raises
-        for name, values in (("costs", self.costs), ("log-probs", self.log_probs)):
-            if values is not None and np.isnan(values).any():
-                raise ValueError(f"NaN sample {name}: a sample set ranks and weighs by them")
-        if not _unscored:
-            _score([self])
+        if np.isnan(self.log_probs).any():
+            raise ValueError("NaN sample log-probs: a sample set ranks and weighs by them")
 
 
 @dataclass
@@ -154,31 +146,24 @@ def draw_grid(
 def score_grids(
     batches: list[DocumentBatch], grids: list, cost_kind: CostKind
 ) -> list[SampleSet]:
-    """The SampleSet of every (batch, grid) pair. Every set is checked first; then
-    one candidate_stats call over all their distinct (sentence, candidate) pairs
-    and one sentence-cost memo score them all."""
-    sets = [SampleSet(b, g, None, cost_kind, _unscored=True) for b, g in zip(batches, grids)]
-    _score(sets)
-    return sets
-
-
-def _score(sets: list[SampleSet]) -> None:
-    """Set the stats of every set, and the costs not given, from one
-    candidate_stats call and one sentence_costs call over all their sentences."""
-    kind = sets[0].cost_kind
+    """The scored SampleSet of every (batch, grid) pair. Every set is checked
+    first; then one candidate_stats call over all their distinct (sentence,
+    candidate) pairs and one sentence-cost memo score them all."""
+    sets = [SampleSet(b, g, cost_kind) for b, g in zip(batches, grids)]
     stacked = DocumentBatch(
         [src for ss in sets for src in ss.batch.sources],
         [ref for ss in sets for ref in ss.batch.references],
         [doc for ss in sets for doc in ss.batch.doc_ids],
     )
     candidates = [row for ss in sets for row in ss.sentences]
-    stats = iter(candidate_stats(stacked, candidates, kind.metric))
+    stats = candidate_stats(stacked, candidates, cost_kind.metric)
+    costs = sentence_costs(cost_kind, stats)
+    start = 0
     for ss in sets:
-        ss.stats = np.array([next(stats) for _ in ss.grid])
-    unscored = [ss for ss in sets if ss.costs is None]
-    costs = iter(sentence_costs(kind, [rows for ss in unscored for rows in ss.stats]))
-    for ss in unscored:
-        ss.costs = np.array([next(costs) for _ in ss.grid])
+        end = start + ss.n_sentences
+        ss.stats, ss.costs = np.array(stats[start:end]), np.array(costs[start:end])
+        start = end
+    return sets
 
 
 def draw_sample_set(

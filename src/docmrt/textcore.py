@@ -52,9 +52,10 @@ class Vocabulary:
             raise ValueError("vocabulary needs at least one non-reserved token")
         if tuple(self.tokens[:4]) != RESERVED_TOKENS:
             raise ValueError("ids 0-3 must be the reserved tokens")
-        self._ids = {tok: i for i, tok in enumerate(self.tokens)}
-        if len(self._ids) != len(self.tokens):
-            raise ValueError("duplicate token in vocabulary")
+        self._ids = {}
+        for i, tok in enumerate(self.tokens):
+            if self._ids.setdefault(tok, i) != i:
+                raise ValueError(f"duplicate token {tok!r} in vocabulary")
 
     def __len__(self) -> int:
         return len(self.tokens)

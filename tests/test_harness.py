@@ -120,13 +120,13 @@ def test_generate_is_deterministic():
 
 def test_taskspec_validation():
     with pytest.raises(ValueError, match="rule"):
-        TaskSpec(rule=7).validate()
+        TaskSpec(rule=7)
     with pytest.raises(ValueError, match="cipher"):
-        TaskSpec(rule=harness.RULE_COPY, style_consistency=True).validate()
+        TaskSpec(rule=harness.RULE_COPY, style_consistency=True)
     with pytest.raises(ValueError):
-        TaskSpec(vocab_size=4).validate()
+        TaskSpec(vocab_size=4)
     with pytest.raises(ValueError):
-        TaskSpec(len_min=0).validate()
+        TaskSpec(len_min=0)
 
 
 # one out-of-range value of every bounded TrainConfig and TaskSpec field
@@ -159,8 +159,11 @@ def test_bounded_fields_cover_every_numeric_setting():
     "cls, name, value", [pytest.param(*row, id=f"{row[1]}={row[2]}") for row in BOUNDED_FIELDS]
 )
 def test_a_bad_bounded_field_is_named_with_its_value(cls, name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be .* got {re.escape(str(value))}$"):
-        cls(**{name: value}).validate()
+    error = f"^{name} must be .* got {re.escape(str(value))}$"
+    with pytest.raises(ValueError, match=error):
+        cls(**{name: value})
+    with pytest.raises(ValueError, match=error):  # a copy checks itself as well
+        dataclasses.replace(cls(), **{name: value})
 
 
 def test_make_batches_document_mode_single_doc_per_batch():
@@ -662,7 +665,7 @@ def test_run_experiment_rejects_non_finite_settings_before_training(monkeypatch,
         harness, "train_mle_baseline", lambda *args, **kwargs: pytest.fail("trained")
     )
     with pytest.raises(ValueError) as field_err:
-        mrt.TrainConfig(**{setting: math.nan}).validate()
+        mrt.TrainConfig(**{setting: math.nan})
     with pytest.raises(ValueError, match=f"^{key} must be .*positive, got nan$") as err:
         run_experiment({**_tiny_experiment_config(), key: "nan"})
     # TrainConfig's rule, naming the experiment key that set the field
@@ -804,9 +807,9 @@ def test_style_consistency_needs_two_content_tokens(tmp_path, capsys, monkeypatc
     # one content token has one cipher: the generator would wait for a second forever
     message = "vocab_size must be >= 6, got 5"
     with pytest.raises(ValueError, match=f"^{message}$"):
-        TaskSpec(vocab_size=5, style_consistency=True).validate()
-    TaskSpec(vocab_size=5).validate()
-    TaskSpec(vocab_size=6, style_consistency=True).validate()
+        TaskSpec(vocab_size=5, style_consistency=True)
+    TaskSpec(vocab_size=5)
+    TaskSpec(vocab_size=6, style_consistency=True)
     monkeypatch.setattr(
         harness, "generate_synthetic_corpus", lambda *args, **kwargs: pytest.fail("generated")
     )
@@ -1164,6 +1167,29 @@ def test_cli_doc_id_errors_name_their_file(tmp_path, capsys, line2, error):
     assert not ckpt.exists() and not log.exists()
 
 
+@pytest.mark.parametrize(
+    "tokens, error",
+    [(["w004", "w005", "w004"], "duplicate token 'w004' in vocabulary"),
+     (["w004", "<unk>"], "duplicate token '<unk>' in vocabulary"),
+     ([], "vocabulary needs at least one non-reserved token")],
+    ids=["repeated-token", "reserved-token", "empty"],
+)
+def test_cli_vocabulary_errors_name_their_file_and_token(tmp_path, capsys, tokens, error):
+    data = tmp_path / "data"
+    argv = ["gen-data", "--out-dir", str(data), "--vocab-size", "8", "--num-documents", "4"]
+    assert cli.main(argv) == 0
+    path = data / "vocab.txt"
+    _write_lines(path, tokens)
+    capsys.readouterr()
+    ckpt, log = tmp_path / "c.ckpt", tmp_path / "log.jsonl"
+    argv = ["train-mle", "--data-dir", str(data), "--ckpt", str(ckpt), "--log", str(log),
+            "--max-updates", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {error}\n" and captured.out == ""
+    assert not ckpt.exists() and not log.exists()
+
+
 def test_gen_data_reads_back_through_load_data_dir(tmp_path, capsys):
     # gen-data writes each split by stem; load_data_dir must return exactly what was generated
     settings = {"vocab_size": 9, "len_min": 1, "num_documents": 5, "valid_documents": 2,
@@ -1173,7 +1199,7 @@ def test_gen_data_reads_back_through_load_data_dir(tmp_path, capsys):
         argv += ["--" + name.replace("_", "-"), str(value).lower()]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    task = TaskSpec(**settings).validate()
+    task = TaskSpec(**settings)
     vocab, *splits = cli.load_data_dir(tmp_path / "data")
     assert splits == list(generate_synthetic_corpus(task))
     assert vocab.tokens == harness.task_vocabulary(9).tokens
@@ -1346,6 +1372,27 @@ def test_cli_rejects_nan_settings_before_training(tmp_path, capsys, monkeypatch,
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert f"{flag[2:].replace('-', '_')} must be" in captured.err and captured.out == ""
+    assert not out.exists() and not log.exists()
+
+
+def test_cli_train_mle_names_a_reference_longer_than_max_len_before_training(
+    tmp_path, capsys, monkeypatch
+):
+    data, _ = tiny_data_and_checkpoint(tmp_path)
+    refs = (data / "train.ref").read_text(encoding="utf-8").splitlines()
+    refs[2] = " ".join(["w004"] * 6)
+    _write_lines(data / "train.ref", refs)
+    monkeypatch.setattr(mrt, "_update_estimates", lambda *args: pytest.fail("updated"))
+    out, log = tmp_path / "out.ckpt", tmp_path / "log.jsonl"
+    argv = [
+        "train-mle", "--data-dir", str(data), "--ckpt", str(out), "--log", str(log),
+        "--max-updates", "2", "--max-len", "5", "--emb-dim", "4", "--hidden-dim", "6",
+    ]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    message = "mle needs references of at most max_len 5 tokens: corpus line 3 has 6"
+    assert captured.err == f"error: {message}\n" and captured.out == ""
     assert not out.exists() and not log.exists()
 
 

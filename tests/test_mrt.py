@@ -34,10 +34,9 @@ def draw(params, batch, cfg, rng):
 ARRAY_HOLDERS = {
     "ModelParams": lambda: model.init_params(5, 2, 2, seed=0),
     "RiskEstimate": lambda: mrt.RiskEstimate(risk=0.5, grad=np.zeros(3)),
-    "SampleSet": lambda: sampling.SampleSet(
-        batch=tiny_batch(), grid=[[model.ScoredHypothesis((4,), -0.5)] * 2] * 2,
-        costs=np.zeros((2, 2)), cost_kind=CostKind.SENT_TER,
-    ),
+    "SampleSet": lambda: sampling.score_grids(
+        [tiny_batch()], [[[model.ScoredHypothesis((4,), -0.5)] * 2] * 2], CostKind.SENT_TER
+    )[0],
 }
 
 
@@ -50,14 +49,14 @@ def test_array_holders_compare_by_identity(build):
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(mode="nope").validate()
+        TrainConfig(mode="nope")
     with pytest.raises(ValueError):
-        TrainConfig(tau=0.0).validate()
+        TrainConfig(tau=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(n_samples=0).validate()
+        TrainConfig(n_samples=0)
     with pytest.raises(ValueError):
-        TrainConfig(estimator="fancy").validate()
-    assert TrainConfig().validate() is not None
+        TrainConfig(estimator="fancy")
+    assert TrainConfig() is not None  # the defaults pass their own checks
 
 
 @pytest.mark.parametrize(
@@ -67,7 +66,7 @@ def test_train_config_validation():
 )
 def test_train_config_rejects_non_finite_settings_by_name(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be .*positive, got {value}$"):
-        TrainConfig(**{name: value}).validate()
+        TrainConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +360,7 @@ def test_empty_batch_is_rejected_by_sample_sets_costers_and_exact_risk():
     with pytest.raises(ValueError, match="empty batch"):
         sampling.draw_sample_set(params, empty, 2, 1.0, rng, 2, CostKind.ONE_MINUS_DOCBLEU)
     with pytest.raises(ValueError, match="empty batch"):
-        sampling.SampleSet(batch=empty, grid=[], costs=np.zeros((0, 2)), cost_kind=CostKind.SENT_TER)
+        sampling.score_grids([empty], [[]], CostKind.SENT_TER)
     for kind in CostKind:
         with pytest.raises(ValueError, match="empty batch"):
             sampling.document_costs(kind, [], [], np.zeros((3, 0), dtype=np.intp))
@@ -758,10 +757,10 @@ def test_non_finite_risk_names_its_update_across_mle_chunks(monkeypatch):
 def test_finetune_rejects_a_cost_kind_that_is_not_a_cost_kind(mode):
     train, valid, _ = small_corpus(seed=10)
     params = model.init_params(8, 3, 3, seed=8)
-    cfg = TrainConfig(mode=mode, cost_kind="one_minus_docbleu", max_updates=1, max_len=4)
     kinds = ", ".join(kind.value for kind in CostKind)
     message = f"unknown cost_kind 'one_minus_docbleu' (expected one of {kinds})"
     with pytest.raises(ValueError, match=re.escape(message)):
+        cfg = TrainConfig(mode=mode, cost_kind="one_minus_docbleu", max_updates=1, max_len=4)
         mrt.finetune(params, train, cfg, eval_every=1, eval_fn=heldout_evaluator(valid, cfg))
 
 
@@ -918,7 +917,8 @@ def tied_sample_sets(draw):
     grid = [[model.ScoredHypothesis(draw(tokens), lp) for lp in row] for row in log_probs]
     costs = np.array(grid_of(st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.7, 1.0])))
     kind = draw(st.sampled_from(list(CostKind)))
-    sample_set = sampling.SampleSet(batch=batch, grid=grid, costs=costs, cost_kind=kind)
+    sample_set = sampling.score_grids([batch], [grid], kind)[0]
+    sample_set.costs = costs  # fabricated, so that ties are common
     return sample_set, draw(st.integers(0, 2**16))
 
 

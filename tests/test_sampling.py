@@ -48,15 +48,14 @@ def fabricated_sample_set():
     batch = DocumentBatch(
         sources=[(5,), (5,)], references=[REF, REF], doc_ids=[0, 0]
     )
-    costs = np.array(
-        [[seq_cost(CostKind.SENT_TER, h.sentence, REF) for h in row] for row in grid]
-    )
-    return SampleSet(batch=batch, grid=grid, costs=costs, cost_kind=CostKind.SENT_TER)
+    return sampling.score_grids([batch], [grid], CostKind.SENT_TER)[0]
 
 
 def test_fabricated_costs_are_exact():
     ss = fabricated_sample_set()
     assert ss.costs.tolist() == [[0.3, 0.1, 0.5], [0.2, 0.6, 0.4]]
+    costs = [[seq_cost(CostKind.SENT_TER, h.sentence, REF) for h in row] for row in ss.grid]
+    assert ss.costs.tolist() == costs
 
 
 def small_batch():
@@ -125,7 +124,8 @@ def test_order_samples_tie_break_by_log_prob_then_index():
         ]
     ]
     batch = DocumentBatch(sources=[(5,)], references=[(7,)], doc_ids=[0])
-    ss = SampleSet(batch=batch, grid=grid, costs=np.array([[0.5, 0.5, 0.5]]), cost_kind=CostKind.SENT_TER)
+    ss = sampling.score_grids([batch], [grid], CostKind.SENT_TER)[0]
+    ss.costs = np.array([[0.5, 0.5, 0.5]])  # fabricated ties
     assert order_samples(ss).ranks[0] == [1, 2, 0]
 
 
@@ -306,7 +306,8 @@ def test_sample_set_without_stats_extracts_them():
     assert ss.stats.shape == (2, 3, 2)  # TER stats: (edits + shifts, |ref|)
     assert ss.stats[:, :, 0].tolist() == [[3, 1, 5], [2, 6, 4]]
     assert order_samples(ss).stats is ss.stats
-    doc_kind = SampleSet(batch=ss.batch, grid=ss.grid, costs=ss.costs, cost_kind=CostKind.DOC_TER)
+    doc_kind = sampling.score_grids([ss.batch], [ss.grid], CostKind.DOC_TER)[0]
+    assert np.array_equal(doc_kind.costs, ss.costs)  # DOC_TER ranks by sentence TER
     docs = build_documents_ordered(order_samples(doc_kind))
     assert [d.cost for d in docs] == [3 / 20, 7 / 20, 11 / 20]
 
@@ -337,27 +338,31 @@ def test_draw_sample_set_rejects_an_empty_batch():
         )
 
 
-def _two_by_two(grid_rows=2, widths=(2, 2), costs=((0.1, 0.2), (0.3, 0.4)), log_prob=-1.0):
-    """SampleSet fields over small_batch(): a grid of the given rows and widths."""
+def _two_by_two(grid_rows=2, widths=(2, 2), log_prob=-1.0):
+    """A grid of the given rows and widths over small_batch()."""
     grid = [[ScoredHypothesis((4,) * (n + 1), log_prob) for n in range(w)] for w in widths]
-    costs = None if costs is None else np.array(costs)
-    return dict(batch=small_batch(), grid=grid[:grid_rows], costs=costs, cost_kind=CostKind.SENT_TER)
+    return grid[:grid_rows]
 
 
 @pytest.mark.parametrize(
-    "fields, error",
+    "grid, error",
     [
-        (_two_by_two(grid_rows=1, costs=[[0.1, 0.2]]), "^line count mismatch: 2 sentences vs 1 sample rows$"),
-        (_two_by_two(widths=(2, 3), costs=None), r"^ragged sample grid: rows of \[2, 3\] samples$"),
-        (_two_by_two(costs=np.zeros((2, 3))), r"^costs of shape \(2, 3\) for a grid of shape \(2, 2\)$"),
-        (_two_by_two(costs=[[0.1, math.nan], [0.3, 0.4]]), "^NaN sample costs"),
+        (_two_by_two(grid_rows=1), "^line count mismatch: 2 sentences vs 1 sample rows$"),
+        (_two_by_two(widths=(2, 3)), r"^ragged sample grid: rows of \[2, 3\] samples$"),
         (_two_by_two(log_prob=math.nan), "^NaN sample log-probs"),
     ],
-    ids=["fewer-rows-than-sentences", "ragged-rows", "costs-of-another-shape", "nan-costs", "nan-log-probs"],
+    ids=["fewer-rows-than-sentences", "ragged-rows", "nan-log-probs"],
 )
-def test_sample_set_rejects_a_malformed_grid(fields, error):
+def test_sample_set_rejects_a_malformed_grid(grid, error):
     with pytest.raises(ValueError, match=error):
-        SampleSet(**fields)
+        sampling.score_grids([small_batch()], [grid], CostKind.SENT_TER)
+
+
+def test_a_directly_built_sample_set_has_no_stats_or_costs():
+    ss = SampleSet(small_batch(), _two_by_two(), CostKind.SENT_TER)
+    assert ss.sentences == [[(4,), (4, 4)]] * 2 and ss.log_probs.tolist() == [[-1.0, -1.0]] * 2
+    assert (ss.n_sentences, ss.n_samples) == (2, 2)
+    assert not hasattr(ss, "stats") and not hasattr(ss, "costs")
 
 
 def micro_batch_grids():
@@ -390,7 +395,7 @@ def test_score_grids_equals_scoring_each_set_alone(monkeypatch, kind):
     assert metric == kind.metric
     assert (srcs is not None) == (metric == "gleu")  # GLEU counts against the sources
     for batch, grid, got in zip(batches, grids, stacked):
-        alone = SampleSet(batch=batch, grid=grid, costs=None, cost_kind=kind)
+        (alone,) = sampling.score_grids([batch], [grid], kind)
         assert got.batch is batch and got.grid is grid
         cells = [
             [metrics.line_stats(kind.metric, [hyp.sentence], [ref], [src])[0].tolist() for hyp in row]

@@ -197,3 +197,16 @@ def test_no_comparison_names_an_mrt_mode():
         )
     ]
     assert compared == []
+
+
+def test_no_class_defines_validate():
+    # a settings dataclass checks itself in __post_init__, so no object can be
+    # built, copied or replaced and then used unchecked
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "validate" for item in node.body)
+    ]
+    assert defined == []

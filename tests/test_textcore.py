@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from docmrt import harness, metrics, model, sampling
+from docmrt import harness, metrics, model, sampling, textcore
 from docmrt.textcore import (
     BOS_ID,
     EOS_ID,
@@ -31,6 +31,18 @@ def test_build_vocab_frequency_and_ties():
     vocab = build_vocab(["a b", "a c"], max_size=10)
     assert vocab.tokens[4:] == ["a", "b", "c"]  # a most frequent, then first-seen
     assert len(vocab) == 7
+
+
+@pytest.mark.parametrize(
+    "tokens, error",
+    [(["<pad>", "<bos>", "<eos>", "<unk>"], "^vocabulary needs at least one non-reserved token$"),
+     (["<pad>", "<eos>", "<bos>", "<unk>", "a"], "^ids 0-3 must be the reserved tokens$"),
+     (["<pad>", "<bos>", "<eos>", "<unk>", "a", "b", "a"], "^duplicate token 'a' in vocabulary$")],
+    ids=["no-content-token", "reserved-out-of-order", "duplicate"],
+)
+def test_vocabulary_rejects_a_bad_token_table(tokens, error):
+    with pytest.raises(ValueError, match=error):
+        textcore.Vocabulary(tokens)
 
 
 def test_build_vocab_empty_corpus():
@@ -170,7 +182,7 @@ FORMER_AD_HOC_BOUNDS = [
     pytest.param("n_samples", 1, 0, lambda: sampling.draw_sample_set(
         _params(), _batch(), 0, 1.0, np.random.default_rng(0), 3,
         metrics.CostKind.ONE_MINUS_SBLEU), id="draw_sample_set"),
-    pytest.param("cipher_seed", 0, -1, lambda: harness.TaskSpec(cipher_seed=-1).validate(),
+    pytest.param("cipher_seed", 0, -1, lambda: harness.TaskSpec(cipher_seed=-1),
                  id="TaskSpec"),
     pytest.param("seed", 0, -1, lambda: harness.grad_check(seed=-1), id="grad_check"),
     pytest.param("seed", 0, -1, lambda: harness.enum_check(seed=-1), id="enum_check"),
