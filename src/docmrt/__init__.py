@@ -52,7 +52,6 @@ from .harness import (
 )
 from .textcore import (
     DocumentBatch,
-    DocumentCorpus,
     Sentence,
     Vocabulary,
     build_vocab,

@@ -129,11 +129,11 @@ def _cmd_finetune_mrt(args) -> int:
     params = harness.load_baseline(args.ckpt, len(vocab))
     evaluate = lambda p: harness.evaluate_corpus(p, valid, cfg.cost_kind, 4, cfg.max_len).value
     tuned, log = mrt.finetune(params, train, cfg, eval_every=args.eval_every, eval_fn=evaluate)
-    model.save_checkpoint(tuned, args.out_ckpt)
-    _write_log(log, args.log)
     final = log[-1].get("heldout_metric") if log else None
     if final is None:  # finetune did not evaluate the tuned parameters
-        final = evaluate(tuned)
+        final = evaluate(tuned)  # before any artefact is written, since it can fail
+    model.save_checkpoint(tuned, args.out_ckpt)
+    _write_log(log, args.log)
     _emit(
         {
             "checkpoint": args.out_ckpt,

@@ -1,4 +1,7 @@
-"""Synthetic document corpora, batching, corpus scoring, and experiment orchestration."""
+"""Synthetic document corpora, batching, corpus scoring, and experiment orchestration.
+
+Every corpus, split and training batch here is a textcore.DocumentBatch.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import metrics, model, mrt, textcore
 from .metrics import CostKind, MetricScore
-from .textcore import DocumentBatch, DocumentCorpus, Sentence, Vocabulary, aligned, at_least
+from .textcore import DocumentBatch, Sentence, Vocabulary, aligned, at_least
 
 RULE_COPY = 0
 RULE_REVERSE = 1
@@ -85,7 +88,7 @@ class TaskSpec:
 
 def generate_synthetic_corpus(
     task: TaskSpec,
-) -> tuple[DocumentCorpus, DocumentCorpus, DocumentCorpus]:
+) -> tuple[DocumentBatch, DocumentBatch, DocumentBatch]:
     """Deterministic (train, valid, test) split, disjoint by document.
 
     Reference noise (random token replacement) applies to the train split only.
@@ -101,8 +104,8 @@ def generate_synthetic_corpus(
     while task.style_consistency and np.array_equal(cipher_a, cipher_b):
         cipher_b = cipher_rng.permutation(content)
 
-    def make_split(n_docs: int, noisy: bool) -> DocumentCorpus:
-        entries = []
+    def make_split(n_docs: int, noisy: bool) -> DocumentBatch:
+        split = DocumentBatch([], [], [])
         for doc_id in range(n_docs):
             cipher = cipher_a
             if task.rule == RULE_CIPHER and task.style_consistency:
@@ -123,8 +126,10 @@ def generate_synthetic_corpus(
                         int(content[rng.integers(c)]) if rng.random() < task.noise_rate else t
                         for t in ref
                     )
-                entries.append((src, ref, doc_id))
-        return DocumentCorpus(entries)
+                split.sources.append(src)
+                split.references.append(ref)
+                split.doc_ids.append(doc_id)
+        return split
 
     train = make_split(task.num_documents, noisy=True)
     valid = make_split(task.valid_documents, noisy=False)
@@ -133,7 +138,7 @@ def generate_synthetic_corpus(
 
 
 def make_batches(
-    corpus: DocumentCorpus, mode: str, batch_size: int, seed: int
+    corpus: DocumentBatch, mode: str, batch_size: int, seed: int
 ) -> list[DocumentBatch]:
     """Partition the corpus into batches.
 
@@ -146,8 +151,7 @@ def make_batches(
     rng = np.random.default_rng(seed)
     if mode == "random":
         order = rng.permutation(len(corpus))
-        entries = [corpus.entries[i] for i in order]
-        chunks = [entries[i : i + batch_size] for i in range(0, len(entries), batch_size)]
+        chunks = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
     elif mode == "document":
         chunks = []
         for doc in corpus.documents():
@@ -155,28 +159,18 @@ def make_batches(
         chunks = [chunks[i] for i in rng.permutation(len(chunks))]
     else:
         raise ValueError(f"unknown batching mode {mode!r}")
-    return [
-        DocumentBatch(
-            sources=[e[0] for e in chunk],
-            references=[e[1] for e in chunk],
-            doc_ids=[e[2] for e in chunk],
-        )
-        for chunk in chunks
-    ]
+    return [corpus.lines(chunk) for chunk in chunks]
 
 
 def decode_corpus(
-    params: model.ModelParams, corpus: DocumentCorpus, beam: int, max_len: int
+    params: model.ModelParams, corpus: DocumentBatch, beam: int, max_len: int
 ) -> list[Sentence]:
-    return [
-        model.beam_decode(params, src, beam, max_len)[0].sentence
-        for src, _, _ in corpus.entries
-    ]
+    return [model.beam_decode(params, src, beam, max_len)[0].sentence for src in corpus.sources]
 
 
 def evaluate_corpus(
     params: model.ModelParams,
-    corpus: DocumentCorpus,
+    corpus: DocumentBatch,
     kind: CostKind,
     beam: int = 4,
     max_len: int = 10,
@@ -184,15 +178,12 @@ def evaluate_corpus(
 ) -> MetricScore:
     """Decode with beam search and score the pooled document metric for kind."""
     if limit_docs is not None:
-        entries = [e for doc in corpus.documents()[:limit_docs] for e in doc]
-        corpus = DocumentCorpus(entries)
+        corpus = corpus.lines([line for doc in corpus.documents()[:limit_docs] for line in doc])
     hyps = decode_corpus(params, corpus, beam, max_len)
-    refs = [e[1] for e in corpus.entries]
-    srcs = [e[0] for e in corpus.entries]
-    return metrics.pooled(kind.metric, hyps, refs, srcs)
+    return metrics.pooled(kind.metric, hyps, corpus.references, corpus.sources)
 
 
-def baseline_bleu(params: model.ModelParams, valid: DocumentCorpus, max_len: int) -> float:
+def baseline_bleu(params: model.ModelParams, valid: DocumentBatch, max_len: int) -> float:
     """Doc-BLEU of a trained or loaded baseline: beam 4, first BASELINE_EVAL_DOCUMENTS."""
     return evaluate_corpus(
         params, valid, CostKind.ONE_MINUS_DOCBLEU, 4, max_len, BASELINE_EVAL_DOCUMENTS
@@ -208,8 +199,8 @@ def load_baseline(path: str | Path, vocab_size: int) -> model.ModelParams:
 
 
 def train_mle_baseline(
-    train: DocumentCorpus,
-    valid: DocumentCorpus,
+    train: DocumentBatch,
+    valid: DocumentBatch,
     vocab_size: int,
     emb_dim: int,
     hidden_dim: int,
@@ -443,8 +434,6 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
     if cfg["save_baseline"]:
         model.save_checkpoint(baseline, cfg["save_baseline"])
 
-    test_refs = [e[1] for e in ft_test.entries]
-    test_srcs = [e[0] for e in ft_test.entries]
     vocab = task_vocabulary(cfg["vocab_size"])
 
     def heldout(name: str, params: model.ModelParams) -> dict:
@@ -461,7 +450,8 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
                 "".join(textcore.decode(h, vocab) + "\n" for h in hyps), encoding="utf-8"
             )
         return {
-            f"doc_{m}": metrics.pooled(m, hyps, test_refs, test_srcs).value for m in metrics.METRICS
+            f"doc_{m}": metrics.pooled(m, hyps, ft_test.references, ft_test.sources).value
+            for m in metrics.METRICS
         }
 
     start_scores = heldout("start", baseline)
@@ -519,15 +509,15 @@ def score_corpus(
 
     srcs = intern(src_lines) if metric == "gleu" else None
     stats = metrics.line_stats(metric, intern(hyp_lines), intern(ref_lines), srcs)
-    starts = [k for k, doc_id in enumerate(doc_ids) if k == 0 or doc_id != doc_ids[k - 1]]
-    sums = np.add.reduceat(stats, starts)  # doc ids are contiguous: a document is a run of rows
+    documents = textcore.document_ranges(doc_ids)
+    sums = np.add.reduceat(stats, [doc.start for doc in documents])
     per_document = []
-    for start, stop, row in zip(starts, starts[1:] + [len(doc_ids)], sums):
+    for doc, row in zip(documents, sums):
         try:
             value = metrics.score(metric, row)
         except ValueError as exc:
-            raise ValueError(f"document {doc_ids[start]}: {exc}") from None
-        per_document.append({"doc_id": doc_ids[start], "sentences": stop - start, "score": value})
+            raise ValueError(f"document {doc_ids[doc.start]}: {exc}") from None
+        per_document.append({"doc_id": doc_ids[doc.start], "sentences": len(doc), "score": value})
     return {
         "metric": metric,
         "corpus_score": metrics.score(metric, stats.sum(axis=0)),

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import model, sampling
 from .metrics import CostKind
-from .textcore import DocumentBatch, DocumentCorpus, at_least
+from .textcore import DocumentBatch, at_least
 
 _SCHEMES = {"seq_mrt": "seq", "doc_mrt_ordered": "ordered", "doc_mrt_random": "random"}
 MODES = (*_SCHEMES, "mle")
@@ -286,7 +286,7 @@ class NonFiniteTraining(ValueError):
 
 def finetune(
     params0: model.ModelParams,
-    corpus: DocumentCorpus,
+    corpus: DocumentBatch,
     cfg: TrainConfig,
     eval_every: int | None = None,
     eval_fn: Callable[[model.ModelParams], float] | None = None,
@@ -310,7 +310,7 @@ def finetune(
     if len(corpus) == 0:
         raise ValueError("empty corpus")
     ter = cfg.mode != "mle" and cfg.cost_kind.metric == "ter"
-    for line, (_, ref, _) in enumerate(corpus.entries, start=1):  # before any update uses it
+    for line, ref in enumerate(corpus.references, start=1):  # before any update uses it
         if ter and not ref:
             kind = cfg.cost_kind.value
             raise ValueError(f"{kind} needs a non-empty reference: corpus line {line} is empty")

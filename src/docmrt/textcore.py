@@ -1,8 +1,10 @@
-"""Vocabulary, token-id sentences, and document corpus I/O.
+"""Vocabulary, token-id sentences, and aligned document lines and their I/O.
 
-A corpus on disk is three line-aligned files under one stem: <stem>.src, <stem>.ref
-and <stem>.docid, whose doc ids are non-decreasing; a document is a run of equal
-ids. read_document_corpus and write_document_corpus are the only code that knows it.
+A corpus, a split and a training batch are each a DocumentBatch; a document is
+the line range of a run of equal doc ids (document_ranges). A corpus on disk is
+three line-aligned files under one stem: <stem>.src, <stem>.ref and <stem>.docid,
+whose doc ids are non-decreasing. read_document_corpus and write_document_corpus
+are the only code that knows it.
 """
 
 from __future__ import annotations
@@ -70,29 +72,9 @@ class Vocabulary:
 
 
 @dataclass
-class DocumentCorpus:
-    """Aligned (source, reference, doc_id) entries; doc_ids contiguous per document."""
-
-    entries: list[tuple[Sentence, Sentence, int]]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def documents(self) -> list[list[tuple[Sentence, Sentence, int]]]:
-        """Entries grouped into documents, preserving corpus order."""
-        docs: list[list[tuple[Sentence, Sentence, int]]] = []
-        last_id = None
-        for entry in self.entries:
-            if entry[2] != last_id:
-                docs.append([])
-                last_id = entry[2]
-            docs[-1].append(entry)
-        return docs
-
-
-@dataclass
 class DocumentBatch:
-    """S aligned sentence pairs sharing one training batch (a pseudo-document)."""
+    """Aligned source and reference lines with their doc ids, held as columns:
+    a corpus, or S sentence pairs sharing one training batch (a pseudo-document)."""
 
     sources: list[Sentence]
     references: list[Sentence]
@@ -103,6 +85,26 @@ class DocumentBatch:
 
     def __len__(self) -> int:
         return len(self.sources)
+
+    @property
+    def entries(self) -> list[tuple[Sentence, Sentence, int]]:
+        """The (source, reference, doc_id) rows."""
+        return list(zip(self.sources, self.references, self.doc_ids))
+
+    def lines(self, index) -> DocumentBatch:
+        """The lines at the line numbers of index, in its order."""
+        columns = (self.sources, self.references, self.doc_ids)
+        return DocumentBatch(*([column[i] for i in index] for column in columns))
+
+    def documents(self) -> list[range]:
+        """Each document's line range, in corpus order."""
+        return document_ranges(self.doc_ids)
+
+
+def document_ranges(doc_ids: list[int]) -> list[range]:
+    """The line range of each run of equal doc ids, in order: a document's lines."""
+    starts = [k for k, doc_id in enumerate(doc_ids) if k == 0 or doc_id != doc_ids[k - 1]]
+    return [range(start, stop) for start, stop in zip(starts, starts[1:] + [len(doc_ids)])]
 
 
 def build_vocab(lines: list[str], max_size: int) -> Vocabulary:
@@ -139,18 +141,20 @@ def read_lines(path: str | Path) -> list[str]:
         return [line.rstrip("\n") for line in fh]
 
 
-def read_document_corpus(stem: str | Path, vocab: Vocabulary) -> DocumentCorpus:
+def read_document_corpus(stem: str | Path, vocab: Vocabulary) -> DocumentBatch:
     """Read <stem>.src, <stem>.ref and <stem>.docid, the files write_document_corpus
-    writes; doc-id errors name <stem>.docid (see document_ids)."""
+    writes; a stem without lines is an error naming it, and doc-id errors name
+    <stem>.docid (see document_ids)."""
     docid_path = f"{stem}.docid"
     src_lines, ref_lines, id_lines = map(read_lines, (f"{stem}.src", f"{stem}.ref", docid_path))
     aligned(sources=src_lines, references=ref_lines, doc_ids=id_lines)
-    doc_ids = document_ids(id_lines, docid_path)
-    entries = [
-        (encode(src, vocab), encode(ref, vocab), doc_id)
-        for src, ref, doc_id in zip(src_lines, ref_lines, doc_ids)
-    ]
-    return DocumentCorpus(entries)
+    if not id_lines:
+        raise ValueError(f"empty corpus: {stem}.src, .ref and .docid have no lines")
+    return DocumentBatch(
+        [encode(line, vocab) for line in src_lines],
+        [encode(line, vocab) for line in ref_lines],
+        document_ids(id_lines, docid_path),
+    )
 
 
 def document_ids(id_lines: list[str], docid_path=None) -> list[int]:
@@ -168,11 +172,11 @@ def document_ids(id_lines: list[str], docid_path=None) -> list[int]:
     return doc_ids
 
 
-def write_document_corpus(corpus: DocumentCorpus, vocab: Vocabulary, stem: str | Path) -> None:
+def write_document_corpus(corpus: DocumentBatch, vocab: Vocabulary, stem: str | Path) -> None:
     """Write <stem>.src, <stem>.ref and <stem>.docid, the files read_document_corpus
     reads back; existing files are overwritten."""
-    for suffix, column in (("src", 0), ("ref", 1)):
-        text = "".join(decode(entry[column], vocab) + "\n" for entry in corpus.entries)
+    for suffix, column in (("src", corpus.sources), ("ref", corpus.references)):
+        text = "".join(decode(sentence, vocab) + "\n" for sentence in column)
         Path(f"{stem}.{suffix}").write_text(text, encoding="utf-8")
-    text = "".join(f"{doc_id}\n" for _, _, doc_id in corpus.entries)
+    text = "".join(f"{doc_id}\n" for doc_id in corpus.doc_ids)
     Path(f"{stem}.docid").write_text(text, encoding="utf-8")

@@ -63,7 +63,8 @@ def test_generate_style_consistency_is_per_document():
     cipher_b = rng.permutation(content)
     maps = {"a": {t: int(cipher_a[t - 4]) for t in content},
             "b": {t: int(cipher_b[t - 4]) for t in content}}
-    for doc in train.documents():
+    for lines in train.documents():
+        doc = train.lines(lines).entries
         doc_variants = set()
         for src, ref, _ in doc:
             for name, mapping in maps.items():
@@ -197,12 +198,81 @@ def test_make_batches_errors():
     train, _, _ = generate_synthetic_corpus(task)
     with pytest.raises(ValueError):
         make_batches(train, "diagonal", 2, seed=0)
-    from docmrt.textcore import DocumentCorpus
-
     with pytest.raises(ValueError):
-        make_batches(DocumentCorpus([]), "random", 2, seed=0)
+        make_batches(textcore.DocumentBatch([], [], []), "random", 2, seed=0)
     with pytest.raises(ValueError, match="^batch_size must be >= 1, got 0$"):
         make_batches(train, "random", 0, seed=0)
+
+
+def reference_make_batches(corpus, mode, batch_size, seed):
+    """make_batches as it was on (source, reference, doc_id) rows: the rows permuted
+    (random) or grouped into runs of equal doc ids (document), then chunked."""
+    rng = np.random.default_rng(seed)
+    entries = corpus.entries
+    if mode == "random":
+        order = rng.permutation(len(entries))
+        entries = [entries[i] for i in order]
+        chunks = [entries[i : i + batch_size] for i in range(0, len(entries), batch_size)]
+    else:
+        docs, last_id = [], None
+        for entry in entries:
+            if entry[2] != last_id:
+                docs.append([])
+                last_id = entry[2]
+            docs[-1].append(entry)
+        chunks = []
+        for doc in docs:
+            chunks.extend(doc[i : i + batch_size] for i in range(0, len(doc), batch_size))
+        chunks = [chunks[i] for i in rng.permutation(len(chunks))]
+    return [
+        textcore.DocumentBatch(
+            sources=[e[0] for e in chunk],
+            references=[e[1] for e in chunk],
+            doc_ids=[e[2] for e in chunk],
+        )
+        for chunk in chunks
+    ]
+
+
+def uneven_corpus():
+    """30 generated lines relabelled into documents of 1, 4, 7, 2, 5, 3 and 8 lines."""
+    task = TaskSpec(vocab_size=10, sentences_per_doc=3, num_documents=10, seed=11)
+    train, _, _ = generate_synthetic_corpus(task)
+    doc_ids = [doc_id for doc_id, n in enumerate((1, 4, 7, 2, 5, 3, 8)) for _ in range(n)]
+    return textcore.DocumentBatch(train.sources, train.references, doc_ids)
+
+
+@pytest.mark.parametrize("mode", ["random", "document"])
+@pytest.mark.parametrize("batch_size", [1, 3, 4, 6, 9, 40])
+def test_make_batches_equals_the_row_reference(mode, batch_size):
+    # 4 and 9 leave a short tail of the 30 lines, 6 and 9 exceed documents' lengths
+    corpus = uneven_corpus()
+    for seed in range(5):
+        batches = make_batches(corpus, mode, batch_size, seed)
+        want = reference_make_batches(corpus, mode, batch_size, seed)
+        assert batches == want
+        assert [b.entries for b in batches] == [b.entries for b in want]
+        assert all(type(doc_id) is int for b in batches for doc_id in b.doc_ids)
+
+
+@pytest.mark.parametrize(
+    "kind", [CostKind.ONE_MINUS_DOCBLEU, CostKind.DOC_TER, CostKind.ONE_MINUS_DOC_GLEU],
+    ids=lambda kind: kind.value,
+)
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_evaluate_corpus_limit_docs_scores_the_first_documents(kind, k):
+    corpus = uneven_corpus()
+    # trained a little, so that the first k documents score above 0 on BLEU and
+    # GLEU, and score other than the first k + 1 on every metric
+    cfg = mrt.TrainConfig(mode="mle", batch_size=8, learning_rate=1.0, max_updates=150, max_len=8)
+    params, _ = mrt.finetune(model.init_params(10, 8, 16, seed=1), corpus, cfg)
+    first = [e for e in corpus.entries if e[2] < k]  # doc ids run 0..6 in corpus order
+    prefix = textcore.DocumentBatch(*(list(column) for column in zip(*first)))
+    got = harness.evaluate_corpus(params, corpus, kind, 2, 8, limit_docs=k)
+    assert got == harness.evaluate_corpus(params, prefix, kind, 2, 8)
+    hyps = [model.beam_decode(params, src, 2, 8)[0].sentence for src, _, _ in first]
+    refs, srcs = [e[1] for e in first], [e[0] for e in first]
+    assert got == metrics.pooled(kind.metric, hyps, refs, srcs)
 
 
 # ---------------------------------------------------------------------------
@@ -1328,6 +1398,47 @@ def test_cli_ter_finetune_names_an_empty_reference_line_without_writing(
     captured = capsys.readouterr()
     assert f"{cost_kind} needs a non-empty reference: corpus line 2 is empty" in captured.err
     assert captured.out == ""
+    assert not out.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("split", ["train", "valid", "test"])
+@pytest.mark.parametrize("command", ["train-mle", "finetune-mrt"])
+def test_cli_names_an_empty_split_before_training(tmp_path, capsys, monkeypatch, command, split):
+    data, ckpt = tiny_data_and_checkpoint(tmp_path)
+    for ext in ("src", "ref", "docid"):
+        (data / f"{split}.{ext}").write_text("", encoding="utf-8")
+    monkeypatch.setattr(mrt, "finetune", lambda *args, **kwargs: pytest.fail("trained"))
+    out, log = tmp_path / "out.ckpt", tmp_path / "log.jsonl"
+    argv = [command, "--data-dir", str(data), "--log", str(log), "--max-len", "5",
+            "--eval-every", "2000"]
+    if command == "train-mle":
+        argv += ["--ckpt", str(out), "--emb-dim", "4", "--hidden-dim", "6"]
+    else:
+        argv += ["--ckpt", str(ckpt), "--out-ckpt", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    stem = data / split
+    assert captured.err == f"error: empty corpus: {stem}.src, .ref and .docid have no lines\n"
+    assert captured.out == ""
+    assert not out.exists() and not log.exists()
+
+
+def test_cli_finetune_mrt_whose_final_evaluation_fails_writes_nothing(tmp_path, capsys):
+    # eval_every 0: the tuned parameters are first scored after the last update
+    data, ckpt = tiny_data_and_checkpoint(tmp_path)
+    refs = (data / "valid.ref").read_text(encoding="utf-8").splitlines()
+    _write_lines(data / "valid.ref", [""] * len(refs))
+    out, log = tmp_path / "out.ckpt", tmp_path / "log.jsonl"
+    argv = [
+        "finetune-mrt", "--data-dir", str(data), "--ckpt", str(ckpt), "--out-ckpt", str(out),
+        "--log", str(log), "--max-updates", "2", "--batch-size", "2", "--max-len", "5",
+        "--n-samples", "2", "--cost-kind", "doc_ter", "--eval-every", "0",
+    ]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: TER needs a non-empty reference\n" and captured.out == ""
     assert not out.exists() and not log.exists()
 
 

@@ -11,7 +11,7 @@ from docmrt import model
 from docmrt.metrics import CostKind
 from docmrt.mrt import TrainConfig, fd_gradient_check, finetune
 from docmrt.sampling import draw_sample_set
-from docmrt.textcore import BOS_ID, EOS_ID, DocumentBatch, DocumentCorpus
+from docmrt.textcore import BOS_ID, EOS_ID, DocumentBatch
 
 
 def oracle_log_prob(params, src, tgt, max_len):
@@ -140,7 +140,7 @@ def test_every_block_is_a_view_of_theta_and_moves_with_a_finetune_update(tmp_pat
     for how, p in made.items():
         for name in names:
             assert np.shares_memory(getattr(p, name), p.theta), (how, name)
-    corpus = DocumentCorpus([((4, 5), (5, 4), 0), ((5,), (4, 4), 0)])
+    corpus = DocumentBatch([(4, 5), (5,)], [(5, 4), (4, 4)], [0, 0])
     cfg = TrainConfig(mode="mle", batch_size=2, max_updates=1, max_len=4)
     tuned, _ = finetune(params, corpus, cfg)
     for name in names:

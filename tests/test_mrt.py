@@ -681,14 +681,12 @@ def test_finetune_does_not_mutate_start_params():
 
 
 def test_finetune_rejects_invalid_config_and_empty_corpus():
-    from docmrt.textcore import DocumentCorpus
-
     params = model.init_params(8, 3, 3, seed=6)
     train, _, _ = small_corpus(seed=7)
     with pytest.raises(ValueError):
         mrt.finetune(params, train, TrainConfig(mode="bogus", max_len=4))
     with pytest.raises(ValueError):
-        mrt.finetune(params, DocumentCorpus([]), TrainConfig(max_len=4))
+        mrt.finetune(params, DocumentBatch([], [], []), TrainConfig(max_len=4))
 
 
 @pytest.mark.parametrize("kind", [CostKind.SENT_TER, CostKind.DOC_TER])
@@ -696,12 +694,10 @@ def test_finetune_rejects_invalid_config_and_empty_corpus():
 def test_finetune_with_a_ter_cost_names_an_empty_reference_before_sampling(
     monkeypatch, mode, kind
 ):
-    from docmrt.textcore import DocumentCorpus
-
     train, _, _ = small_corpus(seed=9)
-    entries = list(train.entries)
-    entries[2] = (entries[2][0], (), entries[2][2])
-    corpus = DocumentCorpus(entries)
+    references = list(train.references)
+    references[2] = ()
+    corpus = DocumentBatch(train.sources, references, train.doc_ids)
     params = model.init_params(8, 3, 3, seed=1)
     draws = []
     real_draw = sampling.draw_sample_set

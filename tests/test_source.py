@@ -210,3 +210,16 @@ def test_no_class_defines_validate():
         and any(isinstance(item, ast.FunctionDef) and item.name == "validate" for item in node.body)
     ]
     assert defined == []
+
+
+def test_only_textcore_reads_entries():
+    # aligned lines are held as columns; the (source, reference, doc_id) rows
+    # are a read-out for callers outside the package, not a second representation
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "textcore.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "entries"
+    ]
+    assert readers == []

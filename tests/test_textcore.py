@@ -14,7 +14,6 @@ from docmrt.textcore import (
     PAD_ID,
     UNK_ID,
     DocumentBatch,
-    DocumentCorpus,
     build_vocab,
     decode,
     encode,
@@ -94,11 +93,12 @@ def test_document_batch_alignment_checked():
 
 
 def test_documents_grouping():
-    corpus = DocumentCorpus(
-        [((4,), (4,), 0), ((5,), (5,), 0), ((4, 4), (4, 4), 1)]
-    )
+    corpus = DocumentBatch([(4,), (5,), (4, 4)], [(4,), (5,), (4, 4)], [0, 0, 1])
     docs = corpus.documents()
     assert [len(d) for d in docs] == [2, 1]
+    assert docs == [range(0, 2), range(2, 3)]
+    assert corpus.lines(docs[1]) == DocumentBatch([(4, 4)], [(4, 4)], [1])
+    assert corpus.lines([2, 0]).entries == [((4, 4), (4, 4), 1), ((4,), (4,), 0)]
 
 
 def _write(path, lines):
@@ -130,11 +130,18 @@ def test_write_document_corpus_round_trips_and_overwrites(tmp_path):
     vocab = build_vocab(["a b c"], max_size=10)
     stem = tmp_path / "x"
     _write(tmp_path / "x.src", ["stale", "lines", "here"])
-    corpus = DocumentCorpus([(encode("a b", vocab), (), 0), ((), encode("c", vocab), 3)])
+    corpus = DocumentBatch([encode("a b", vocab), ()], [(), encode("c", vocab)], [0, 3])
     write_document_corpus(corpus, vocab, stem)
     assert (tmp_path / "x.src").read_text(encoding="utf-8") == "a b\n\n"
     assert (tmp_path / "x.docid").read_text(encoding="utf-8") == "0\n3\n"
     assert read_document_corpus(stem, vocab) == corpus
+
+
+def test_read_document_corpus_rejects_a_stem_without_lines(tmp_path):
+    _write_corpus(tmp_path / "x", [], [], [])
+    error = f"empty corpus: {tmp_path / 'x'}.src, .ref and .docid have no lines"
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        read_document_corpus(tmp_path / "x", build_vocab(["a"], max_size=5))
 
 
 def test_read_document_corpus_mismatch(tmp_path):
