@@ -4,6 +4,7 @@ Every subcommand accepts --config pointing at a flat key=value file whose keys
 match the flag names; explicit flags override config values. A # starts a comment
 only at a line's start or after whitespace, and a repeated key is an error. Reports
 are JSON to stdout or --out. Exit codes: 0 success, 2 validation failure, 1 error.
+train-mle and finetune-mrt read only a data directory's vocab.txt, train.* and valid.*.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ def _emit(report: dict | str, out: str | None) -> None:
 
 
 def load_data_dir(data_dir: str | Path):
-    """Vocabulary plus (train, valid, test) corpora from a gen-data directory;
-    vocabulary errors name vocab.txt."""
+    """Vocabulary plus the train and valid corpora of a gen-data directory, the
+    splits training reads; vocabulary errors name vocab.txt."""
     data_dir = Path(data_dir)
     vocab_path = data_dir / "vocab.txt"
     tokens = vocab_path.read_text(encoding="utf-8").split()
@@ -69,10 +70,9 @@ def load_data_dir(data_dir: str | Path):
         vocab = textcore.Vocabulary(list(textcore.RESERVED_TOKENS) + tokens)
     except ValueError as exc:
         raise ValueError(f"{vocab_path}: {exc}") from None
-    train, valid, test = (
-        textcore.read_document_corpus(data_dir / name, vocab) for name in ("train", "valid", "test")
-    )
-    return vocab, train, valid, test
+    train = textcore.read_document_corpus(data_dir / "train", vocab)
+    valid = textcore.read_document_corpus(data_dir / "valid", vocab)
+    return vocab, train, valid
 
 
 def _cmd_gen_data(args) -> int:
@@ -110,7 +110,7 @@ def _cmd_train_mle(args) -> int:
         1, eval_every=args.eval_every, patience=args.patience, max_updates=cfg.max_updates,
         emb_dim=args.emb_dim, hidden_dim=args.hidden_dim,
     )
-    vocab, train, valid, _ = load_data_dir(args.data_dir)
+    vocab, train, valid = load_data_dir(args.data_dir)
     params, log = harness.train_mle_baseline(
         train, valid, len(vocab), args.emb_dim, args.hidden_dim, cfg,
         eval_every=args.eval_every, patience=args.patience,
@@ -125,7 +125,7 @@ def _cmd_train_mle(args) -> int:
 def _cmd_finetune_mrt(args) -> int:
     cfg = mrt.TrainConfig(**_gather(args, mrt.TrainConfig))
     textcore.at_least(0, eval_every=args.eval_every)
-    vocab, train, valid, _ = load_data_dir(args.data_dir)
+    vocab, train, valid = load_data_dir(args.data_dir)
     params = harness.load_baseline(args.ckpt, len(vocab))
     evaluate = lambda p: harness.evaluate_corpus(p, valid, cfg.cost_kind, 4, cfg.max_len).value
     tuned, log = mrt.finetune(params, train, cfg, eval_every=args.eval_every, eval_fn=evaluate)

@@ -434,18 +434,18 @@ def run_experiment(config: dict | str | Path | None = None) -> ExperimentReport:
     if cfg["save_baseline"]:
         model.save_checkpoint(baseline, cfg["save_baseline"])
 
-    vocab = task_vocabulary(cfg["vocab_size"])
+    if cfg["save_decodes"]:
+        vocab = task_vocabulary(cfg["vocab_size"])
+        out_dir = Path(cfg["save_decodes"])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # rewritten by every run: a reused directory never keeps another run's references
+        textcore.write_document_corpus(ft_test, vocab, out_dir / "test")
 
     def heldout(name: str, params: model.ModelParams) -> dict:
         """Document BLEU, TER and GLEU of params' decodes of the shifted test
         split, which save_decodes, when set, keeps as name.hyp."""
         hyps = decode_corpus(params, ft_test, cfg["eval_beam"], cfg["max_len"])
         if cfg["save_decodes"]:
-            out_dir = Path(cfg["save_decodes"])
-            out_dir.mkdir(parents=True, exist_ok=True)
-            # rewritten every time, so a reused directory never pairs these
-            # hypotheses with another run's references
-            textcore.write_document_corpus(ft_test, vocab, out_dir / "test")
             (out_dir / f"{name}.hyp").write_text(
                 "".join(textcore.decode(h, vocab) + "\n" for h in hyps), encoding="utf-8"
             )

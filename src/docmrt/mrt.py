@@ -179,7 +179,9 @@ def _enumerated_risk(
     candidates = [[sent for sent, _ in space] for space in spaces]
     cells = sampling.product_cells([len(space) for space in spaces])
     if isinstance(cost_kind, CostKind):
-        stats = sampling.candidate_stats(batch, candidates, cost_kind.metric)
+        stats = sampling.candidate_stats(
+            batch.references, batch.sources, candidates, cost_kind.metric
+        )
         costs = sampling.sentence_costs(cost_kind, stats) if cost_kind.is_sentence_level else None
         cost = sampling.document_costs(cost_kind, stats, costs, cells)
     else:

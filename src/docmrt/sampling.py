@@ -8,9 +8,9 @@ assemble gives every row its cost and log-prob; the document views share it.
 
 Drawing and scoring are two steps: draw_grid uses the rng, and score_grids,
 the only code that gives a SampleSet its stats and costs, checks many grids and
-then scores them all with one stats extraction and one sentence-cost memo. An MRT
-update draws its micro-batches' grids in turn and scores them together;
-draw_sample_set is the one-batch case.
+then scores them against their batches' joined columns with one stats extraction
+and one sentence-cost memo. An MRT update draws its micro-batches' grids in turn
+and scores them together; draw_sample_set is the one-batch case.
 """
 
 from __future__ import annotations
@@ -69,14 +69,14 @@ class SampledDocument:
     cost: float
 
 
-def candidate_stats(batch: DocumentBatch, candidates, metric: str) -> list[np.ndarray]:
-    """Stats of candidates[s][i], the i-th candidate of sentence s, as one
-    (candidates, K) array per sentence, from one metrics.line_stats call over
-    the distinct (sentence, candidate) pairs."""
+def candidate_stats(references, sources, candidates, metric: str) -> list[np.ndarray]:
+    """Stats of candidates[s][i], the i-th candidate of sentence s against
+    references[s] and sources[s], as one (candidates, K) array per sentence, from
+    one metrics.line_stats call over the distinct (sentence, candidate) pairs."""
     ids: dict = {}
     cells = [[ids.setdefault((s, h), len(ids)) for h in row] for s, row in enumerate(candidates)]
-    refs = [batch.references[s] for s, _ in ids]
-    srcs = [batch.sources[s] for s, _ in ids] if metric == "gleu" else None
+    refs = [references[s] for s, _ in ids]
+    srcs = [sources[s] for s, _ in ids] if metric == "gleu" else None
     stats = metrics.line_stats(metric, [hyp for _, hyp in ids], refs, srcs)
     return [stats[row] for row in cells]
 
@@ -150,13 +150,10 @@ def score_grids(
     first; then one candidate_stats call over all their distinct (sentence,
     candidate) pairs and one sentence-cost memo score them all."""
     sets = [SampleSet(b, g, cost_kind) for b, g in zip(batches, grids)]
-    stacked = DocumentBatch(
-        [src for ss in sets for src in ss.batch.sources],
-        [ref for ss in sets for ref in ss.batch.references],
-        [doc for ss in sets for doc in ss.batch.doc_ids],
-    )
+    references = [ref for ss in sets for ref in ss.batch.references]
+    sources = [src for ss in sets for src in ss.batch.sources]
     candidates = [row for ss in sets for row in ss.sentences]
-    stats = candidate_stats(stacked, candidates, cost_kind.metric)
+    stats = candidate_stats(references, sources, candidates, cost_kind.metric)
     costs = sentence_costs(cost_kind, stats)
     start = 0
     for ss in sets:

@@ -1021,6 +1021,24 @@ def test_run_experiment_rewrites_saved_decodes_of_another_seed(tmp_path):
         assert rescored["corpus_score"] == report.start_scores[f"doc_{metric}"]
 
 
+def test_run_experiment_writes_the_saved_decodes_references_once(tmp_path, monkeypatch):
+    write, stems = textcore.write_document_corpus, []
+
+    def counted(corpus, vocab, stem):
+        stems.append(stem)
+        return write(corpus, vocab, stem)
+
+    monkeypatch.setattr(textcore, "write_document_corpus", counted)
+    decodes = tmp_path / "decodes"
+    report = run_experiment(dict(_tiny_experiment_config(), save_decodes=str(decodes)))
+    assert [row["mode"] for row in report.rows] == ["doc_mrt_ordered", "mle"]
+    assert stems == [decodes / "test"]
+    assert sorted(path.name for path in decodes.iterdir()) == [
+        "doc_mrt_ordered_document.hyp", "mle_document.hyp", "start.hyp",
+        "test.docid", "test.ref", "test.src",
+    ]
+
+
 def test_run_experiment_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown experiment config key"):
         run_experiment({"surprise": 1})
@@ -1261,7 +1279,8 @@ def test_cli_vocabulary_errors_name_their_file_and_token(tmp_path, capsys, token
 
 
 def test_gen_data_reads_back_through_load_data_dir(tmp_path, capsys):
-    # gen-data writes each split by stem; load_data_dir must return exactly what was generated
+    # gen-data writes each split by stem; load_data_dir must return exactly the
+    # generated train and valid splits, and the test split reads back by its stem
     settings = {"vocab_size": 9, "len_min": 1, "num_documents": 5, "valid_documents": 2,
                 "test_documents": 3, "style_consistency": True, "noise_rate": 0.3, "seed": 4}
     argv = ["gen-data", "--out-dir", str(tmp_path / "data")]
@@ -1271,6 +1290,7 @@ def test_gen_data_reads_back_through_load_data_dir(tmp_path, capsys):
     capsys.readouterr()
     task = TaskSpec(**settings)
     vocab, *splits = cli.load_data_dir(tmp_path / "data")
+    splits.append(textcore.read_document_corpus(tmp_path / "data" / "test", vocab))
     assert splits == list(generate_synthetic_corpus(task))
     assert vocab.tokens == harness.task_vocabulary(9).tokens
 
@@ -1401,7 +1421,7 @@ def test_cli_ter_finetune_names_an_empty_reference_line_without_writing(
     assert not out.exists() and not log.exists()
 
 
-@pytest.mark.parametrize("split", ["train", "valid", "test"])
+@pytest.mark.parametrize("split", ["train", "valid"])
 @pytest.mark.parametrize("command", ["train-mle", "finetune-mrt"])
 def test_cli_names_an_empty_split_before_training(tmp_path, capsys, monkeypatch, command, split):
     data, ckpt = tiny_data_and_checkpoint(tmp_path)
@@ -1422,6 +1442,35 @@ def test_cli_names_an_empty_split_before_training(tmp_path, capsys, monkeypatch,
     assert captured.err == f"error: empty corpus: {stem}.src, .ref and .docid have no lines\n"
     assert captured.out == ""
     assert not out.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("case", ["empty", "bad-docid", "deleted"])
+@pytest.mark.parametrize("command", ["train-mle", "finetune-mrt"])
+def test_cli_training_does_not_read_the_test_split(tmp_path, capsys, command, case):
+    # training reads train.* and valid.* only, so a test split that scoring
+    # alone reads cannot stop it, however broken
+    data, ckpt = tiny_data_and_checkpoint(tmp_path)
+    for ext in ("src", "ref", "docid"):
+        if case == "empty":
+            (data / f"test.{ext}").write_text("", encoding="utf-8")
+        elif case == "deleted":
+            (data / f"test.{ext}").unlink()
+    if case == "bad-docid":
+        ids = (data / "test.docid").read_text(encoding="utf-8").splitlines()
+        _write_lines(data / "test.docid", ["x"] + ids[1:])
+    out, log = tmp_path / "out.ckpt", tmp_path / "log.jsonl"
+    argv = [command, "--data-dir", str(data), "--log", str(log), "--max-len", "5",
+            "--max-updates", "2", "--batch-size", "2", "--eval-every", "1"]
+    if command == "train-mle":
+        argv += ["--ckpt", str(out), "--emb-dim", "4", "--hidden-dim", "6"]
+    else:
+        argv += ["--ckpt", str(ckpt), "--out-ckpt", str(out), "--n-samples", "2"]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["updates"] == 2
+    assert model.load_checkpoint(out).vocab_size == 8
+    assert len(log.read_text(encoding="utf-8").splitlines()) == 2
 
 
 def test_cli_finetune_mrt_whose_final_evaluation_fails_writes_nothing(tmp_path, capsys):
@@ -1531,7 +1580,7 @@ def test_cli_finetune_reuses_the_last_heldout_evaluation(tmp_path, capsys, monke
 
     monkeypatch.setattr(harness, "evaluate_corpus", counted)
     tuned, log = tmp_path / "tuned.ckpt", tmp_path / "log.jsonl"
-    _, _, valid, _ = cli.load_data_dir(data)
+    _, _, valid = cli.load_data_dir(data)
     for eval_every, evaluations in (("2", 2), ("3", 2)):
         calls.clear()
         argv = [

@@ -372,7 +372,8 @@ def test_exact_risk_scores_each_distinct_sentence_stats_row_once(monkeypatch):
     params = model.init_params(5, 3, 3, seed=3)
     batch = tiny_batch()
     spaces = [model.enumerate_output_space(params, src, 2) for src in batch.sources]
-    stats = sampling.candidate_stats(batch, [[sent for sent, _ in sp] for sp in spaces], "ter")
+    candidates = [[sent for sent, _ in sp] for sp in spaces]
+    stats = sampling.candidate_stats(batch.references, batch.sources, candidates, "ter")
     distinct = {tuple(row) for rows in stats for row in rows.tolist()}
     cost_from_stats, calls = metrics.cost_from_stats, []
     monkeypatch.setattr(

@@ -488,7 +488,7 @@ def test_candidate_stats_equal_per_cell_extraction_on_enumerated_spaces(metric):
     batch = DocumentBatch(sources=[(4, 5), (5,), ()], references=[(4, 5), (5, 5), (4,)], doc_ids=[0] * 3)
     spaces = [[sent for sent, _ in model.enumerate_output_space(params, src, 3)] for src in batch.sources]
     rows = [space + space[:3] for space in spaces]
-    stats = sampling.candidate_stats(batch, rows, metric)
+    stats = sampling.candidate_stats(batch.references, batch.sources, rows, metric)
     assert len(stats) == len(rows)
     for src, ref, row, got in zip(batch.sources, batch.references, rows, stats):
         cells = [metrics.line_stats(metric, [hyp], [ref], [src])[0].tolist() for hyp in row]

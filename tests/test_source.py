@@ -81,18 +81,19 @@ def _qualified_references(tree: ast.Module, own_module: str | None):
             yield own_module, node.id, node
 
 
-def test_every_public_name_is_used_outside_the_unit_tests():
-    # a public function or class that only unit tests call is API that the lab,
-    # its benchmark and its acceptance gate do not need
+def _public_name_users() -> dict[str, list]:
+    """module.name of each public module-level function or class of the package,
+    mapped to the (path, node) of every reference to it in USERS outside its own
+    definition."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in USERS}
     references = [
-        (module, name, node)
+        (path, module, name, node)
         for path, tree in trees.items()
         for module, name, node in _qualified_references(
             tree, path.stem if path.parent == PACKAGE else None
         )
     ]
-    unused = []
+    users = {}
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
@@ -100,12 +101,37 @@ def test_every_public_name_is_used_outside_the_unit_tests():
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             own = {id(inner) for inner in ast.walk(node)}
-            if not any(
-                (module, name) == (path.stem, node.name) and id(ref) not in own
-                for module, name, ref in references
-            ):
-                unused.append(f"{path.stem}.{node.name}")
-    assert unused == []
+            users[f"{path.stem}.{node.name}"] = [
+                (user, ref)
+                for user, module, name, ref in references
+                if (module, name) == (path.stem, node.name) and id(ref) not in own
+            ]
+    return users
+
+
+def test_every_public_name_is_used_outside_the_unit_tests():
+    # a public function or class that only unit tests call is API that the lab,
+    # its benchmark and its acceptance gate do not need
+    assert [name for name, refs in _public_name_users().items() if not refs] == []
+
+
+# Public names that nothing but perfbench's trace targets uses. The benchmark's
+# per-layer counters name them, so they go only with a benchmark change; this set
+# may shrink, and a new name that only a trace target uses fails the check below.
+TRACE_ONLY = {
+    "metrics.seq_cost", "metrics.doc_cost", "sampling.build_documents_random",
+    "textcore.build_vocab",
+}
+
+
+def test_only_the_pinned_names_are_used_by_trace_targets_alone():
+    tracing = ROOT / "perfbench" / "tracing.py"
+    trace_only = {
+        name
+        for name, refs in _public_name_users().items()
+        if refs and all(user == tracing and isinstance(ref, ast.Tuple) for user, ref in refs)
+    }
+    assert trace_only == TRACE_ONLY
 
 
 def _public_functions(tree: ast.Module):
