@@ -150,7 +150,7 @@ def make_batches(
     at_least(1, batch_size=batch_size)
     rng = np.random.default_rng(seed)
     if mode == "random":
-        order = rng.permutation(len(corpus))
+        order = rng.permutation(len(corpus)).tolist()
         chunks = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
     elif mode == "document":
         chunks = []

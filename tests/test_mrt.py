@@ -1,6 +1,11 @@
+import ctypes
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +351,23 @@ def test_exact_risk_finite_difference_agreement():
     assert err < 1e-4
 
 
+def test_doc_ter_risk_gradient_is_the_length_weighted_sum_of_sentence_ter_gradients():
+    # pooled TER is sum_s edits_s / R, and R = sum_s R_s does not depend on the samples,
+    # so E[doc-TER] = sum_s (R_s / R) E[TER_s], and so is its gradient
+    params = model.init_params(6, 4, 4, seed=3)
+    batch = DocumentBatch(
+        sources=[(4, 5), (5,), (4,)], references=[(4,), (5, 4), (4, 5, 5)], doc_ids=[0, 0, 0]
+    )
+    lengths = [len(ref) for ref in batch.references]
+    weighted = sum(
+        (r / sum(lengths)) * exact_risk_grad(params, batch.lines([s]), CostKind.SENT_TER, 2)
+        for s, r in enumerate(lengths)
+    )
+    doc = exact_risk_grad(params, batch, CostKind.DOC_TER, 2)
+    assert np.abs(doc).max() > 0.01
+    assert np.abs(doc - weighted).max() <= 1e-12
+
+
 def test_exact_risk_guard():
     params = model.init_params(16, 2, 2, seed=0)
     batch = DocumentBatch(sources=[(4,)] * 2, references=[(4,)] * 2, doc_ids=[0, 0])
@@ -670,6 +692,107 @@ def test_finetune_evaluates_never_for_0_and_rejects_a_negative_eval_every(eval_e
         _, log = mrt.finetune(params, train, cfg, eval_every=eval_every, eval_fn=evaluate)
         assert len(log) == 3 and not any("heldout_metric" in rec for rec in log)
     assert calls == []
+
+
+def _on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+on_glibc = pytest.mark.skipif(
+    not _on_glibc(), reason="finetune sets malloc thresholds on glibc only"
+)
+
+
+@on_glibc
+@pytest.mark.parametrize(
+    "option, value", [(-1, mrt.TRIM_THRESHOLD), (-3, mrt.MMAP_THRESHOLD)], ids=["trim", "mmap"]
+)
+def test_glibc_accepts_the_malloc_thresholds_finetune_sets(option, value):
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    assert mallopt(option, value) == 1  # 0 would mean glibc rejected the value
+
+
+# The bytearrays take the free space that set-up left below the heap top, so each
+# update's row temporaries come from the top. Under glibc's default 128 KB trim
+# threshold, freeing them returns the top to the kernel, and the next update faults
+# it back in: about 60 minor faults per update, against about one with finetune's
+# thresholds.
+FAULT_PROBE = """
+import dataclasses, resource
+from docmrt import harness, model, mrt
+
+train, _, _ = harness.generate_synthetic_corpus(harness.TaskSpec(num_documents=50))
+params = model.init_params(20, 16, 32, 0)
+cfg = mrt.TrainConfig(mode="mle", batch_size=32, max_updates=1, batching="random")
+mrt.finetune(params, train, cfg)
+hold = [bytearray(40_000) for _ in range(50)]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+mrt.finetune(params, train, dataclasses.replace(cfg, max_updates=200))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@on_glibc
+def test_mle_updates_do_not_page_fault_their_temporaries_back():
+    # a fresh interpreter, so that the heap's history is the probe's own
+    env = {**os.environ, "PYTHONPATH": str(Path(mrt.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 2000  # 200 updates
+
+
+def raising(exc):
+    def fail(*args):
+        raise exc
+
+    return fail
+
+
+MALLOPT_FAILURES = {  # id: (target, name, replacement; None deletes the name)
+    "no confstr": (os, "confstr", None),
+    "no glibc name": (os, "confstr", raising(ValueError("unrecognized configuration name"))),
+    "no libc": (ctypes, "CDLL", raising(OSError("no such library"))),
+    "no mallopt": (ctypes, "CDLL", lambda name: object()),
+}
+
+
+@pytest.fixture
+def unpinned():
+    """The malloc-threshold helper runs again at its next call, and after the test."""
+    mrt._pin_malloc_thresholds.cache_clear()
+    yield
+    mrt._pin_malloc_thresholds.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "target, name, replacement", MALLOPT_FAILURES.values(), ids=MALLOPT_FAILURES
+)
+def test_finetune_trains_the_same_when_malloc_thresholds_cannot_be_set(
+    monkeypatch, unpinned, target, name, replacement
+):
+    train, _, _ = small_corpus(seed=8)
+    params = model.init_params(8, 3, 3, seed=7)
+    cfg = TrainConfig(mode="mle", batch_size=2, max_updates=3, seed=2, max_len=4)
+    if replacement is None:
+        monkeypatch.delattr(target, name)
+    else:
+        monkeypatch.setattr(target, name, replacement)
+    tuned, _ = mrt.finetune(params, train, cfg)
+    monkeypatch.undo()
+    expected, _ = mrt.finetune(params, train, cfg)
+    assert np.array_equal(tuned.theta, expected.theta)
+
+
+def test_malloc_thresholds_are_left_alone_off_glibc(monkeypatch, unpinned):
+    monkeypatch.setattr(os, "confstr", lambda name: None)  # a libc with no glibc version
+    monkeypatch.setattr(ctypes, "CDLL", raising(AssertionError("libc opened off glibc")))
+    mrt._pin_malloc_thresholds()
 
 
 def test_finetune_does_not_mutate_start_params():
