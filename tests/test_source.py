@@ -10,7 +10,7 @@ PACKAGE = Path(docmrt.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
 # what uses the package outside the unit tests: its own modules (the package
-# file only re-exports), the benchmark, the scripts and the acceptance criteria
+# file only imports them), the benchmark, the scripts and the acceptance criteria
 USERS = [
     *(path for path in SOURCES if path.name != "__init__.py"),
     *sorted(ROOT.glob("perfbench/*.py")),
@@ -20,6 +20,17 @@ USERS = [
 ]
 MAX_LINE = 100
 ENUM_HOOK = re.compile(r"^_[a-z]+_$")  # sunder names such as _missing_ that Enum calls
+
+
+def test_the_package_file_only_imports_its_modules():
+    # each name has one public path, docmrt.<module>.<name>: the package file is
+    # its docstring and one `from . import` of package modules, with no re-export
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    modules = {path.stem for path in SOURCES} - {"__init__"}
+    assert ast.get_docstring(tree) is not None and len(tree.body) == 2
+    imports = tree.body[1]
+    assert isinstance(imports, ast.ImportFrom) and (imports.level, imports.module) == (1, None)
+    assert all(alias.asname is None and alias.name in modules for alias in imports.names)
 
 
 def _private_definitions(tree: ast.Module):
