@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .textcore import BOS_ID, EOS_ID, DocumentBatch, Sentence, at_least
 
 ENUMERATION_GUARD = 10**6
+UNIFORM_BLOCK = 64  # uniforms per draw in Decoder.sample: cost follows the tokens drawn
 
 
 def _layout(v: int, d: int, h: int) -> dict[str, tuple[int, ...]]:
@@ -122,19 +124,19 @@ class Decoder:
     def __init__(self, params: ModelParams, sources: list[Sentence], max_len: int):
         at_least(1, max_len=max_len)
         v, d = params.vocab_size, params.emb_dim
-        inputs = np.empty((len(sources), v, 2 * d))
+        inputs = np.zeros((len(sources), v, 2 * d))
         for i, src in enumerate(sources):
-            inputs[i, :, :d] = params.src_emb[list(src)].mean(axis=0) if len(src) else 0.0
+            if len(src):  # np.mean's own sum and division, without its wrapper
+                inputs[i, :, :d] = np.add.reduce(params.src_emb.take(src, 0), 0) / len(src)
         inputs[:, :, d:] = params.tgt_emb
         hidden = np.tanh(inputs @ params.w_hidden + params.b_hidden)
         self.max_len = max_len
         self.logits = hidden @ params.w_out + params.b_out
         zmax = self.logits.max(axis=2, keepdims=True)
-        self.logprobs = (
-            self.logits
-            - zmax
-            - np.log(np.exp(self.logits - zmax).sum(axis=2, keepdims=True))
-        )
+        # exp(logits - zmax) and its row sums also make the tau = 1 sampling table
+        self._exp = np.exp(self.logits - zmax)
+        self._exp_sums = self._exp.sum(axis=2, keepdims=True)
+        self.logprobs = self.logits - zmax - np.log(self._exp_sums)
         self.rows: list[list[list[list[float]]]] = self.logprobs.tolist()
         self._cumulative: dict[float, list[list[list[list[float]]]]] = {}
 
@@ -142,34 +144,47 @@ class Decoder:
         """The tau-tempered cumulative tables as nested lists, cached per tau."""
         key = float(tau)
         if key not in self._cumulative:
-            z = self.logits / tau
+            z = self.logits if key == 1.0 else self.logits / tau
             if not np.isfinite(z).all():  # a finite z gives a finite table
                 raise ValueError(f"non-finite decoding table at temperature {tau}")
-            z -= z.max(axis=2, keepdims=True)
-            p = np.exp(z)
-            p /= p.sum(axis=2, keepdims=True)
+            if key == 1.0:  # logits / 1 is logits: the log-softmax's own floats
+                p = self._exp / self._exp_sums
+            else:
+                p = np.exp(z - z.max(axis=2, keepdims=True))
+                p /= p.sum(axis=2, keepdims=True)
             self._cumulative[key] = np.cumsum(p, axis=2).tolist()
         return self._cumulative[key]
 
-    def sample(self, i: int, tau: float, rng: np.random.Generator) -> ScoredHypothesis:
-        """Ancestral sample of source i at temperature tau; its log_prob is the tau = 1 one."""
+    def sample(
+        self, n_samples: int, tau: float, rng: np.random.Generator
+    ) -> list[list[ScoredHypothesis]]:
+        """n_samples ancestral samples of every source at temperature tau, as a
+        [source][sample] grid with tau = 1 log_probs. Uniforms come in UNIFORM_BLOCK
+        blocks; rng is then set back and draws the used count, ending as per-token draws do."""
         if tau <= 0:
             raise ValueError("temperature must be positive")
-        tokens: list[int] = []
-        prev = BOS_ID
-        cum, rows = self.cumulative(tau)[i], self.rows[i]
-        last = self.logits.shape[2] - 1
-        # one uniform per token; bisect_right is searchsorted(side="right"), and
-        # the log-prob adds up in log_prob's order, EOS step included below the cap
-        total = 0.0
-        for _ in range(self.max_len):
-            tok = min(bisect_right(cum[prev], rng.random()), last)
-            total += rows[prev][tok]
-            if tok == EOS_ID:
-                break
-            tokens.append(tok)
-            prev = tok
-        return ScoredHypothesis(tuple(tokens), total)
+        tables, last, max_len = self.cumulative(tau), self.logits.shape[2] - 1, self.max_len
+        start, grid, used = rng.bit_generator.state, [], 0
+        uniforms = chain.from_iterable(iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None))
+        for cum, rows in zip(tables, self.rows):
+            grid.append([])
+            for _ in range(n_samples):
+                tokens, prev, total = [], BOS_ID, 0.0
+                # bisect_right is searchsorted(side="right"), clamped by hi=last on the
+                # nondecreasing row; the log-prob adds up in log_prob's order
+                for u in islice(uniforms, max_len):
+                    tok = bisect_right(cum[prev], u, 0, last)
+                    total += rows[prev][tok]
+                    if tok == EOS_ID:
+                        break
+                    tokens.append(tok)
+                    prev = tok
+                used += len(tokens) + (len(tokens) < max_len)  # the EOS draw below the cap
+                grid[-1].append(ScoredHypothesis(tuple(tokens), total))
+        # a block steps rng as scalar draws do; restoring keeps PCG64's buffered half-word
+        rng.bit_generator.state = start
+        rng.random(used)
+        return grid
 
 
 def _extensions(vocab_size: int) -> list[int]:

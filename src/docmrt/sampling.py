@@ -6,11 +6,11 @@ document takes each sentence's rank-n sample, giving diverse document scores)
 or by a random permutation per sentence, each cell used once across N documents.
 assemble gives every row its cost and log-prob; the document views share it.
 
-Drawing and scoring are two steps: draw_grid uses the rng, and score_grids,
-the only code that gives a SampleSet its stats and costs, checks many grids and
-then scores them against their batches' joined columns with one stats extraction
-and one sentence-cost memo. An MRT update draws its micro-batches' grids in turn
-and scores them together; draw_sample_set is the one-batch case.
+Drawing and scoring are two steps: draw_grid uses the rng in one Decoder.sample
+call, and score_grids, the only code that gives a SampleSet its stats and costs,
+checks many grids, then scores them against their batches' joined columns with one
+stats extraction and one sentence-cost memo. An MRT update draws its micro-batches'
+grids in turn and scores them together; draw_sample_set is the one-batch case.
 """
 
 from __future__ import annotations
@@ -138,9 +138,9 @@ def draw_grid(
     max_len: int,
 ) -> list[list[model.ScoredHypothesis]]:
     """N independent ancestral samples per sentence, drawn with rng sentence by
-    sentence. Duplicates are kept and the gold reference is never injected."""
-    decoder = model.Decoder(params, batch.sources, max_len)
-    return [[decoder.sample(i, tau, rng) for _ in range(n_samples)] for i in range(len(batch))]
+    sentence by one Decoder.sample call. Duplicates are kept and the gold
+    reference is never injected."""
+    return model.Decoder(params, batch.sources, max_len).sample(n_samples, tau, rng)
 
 
 def score_grids(

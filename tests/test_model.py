@@ -1,5 +1,7 @@
 import math
+import pickle
 import re
+import types
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from docmrt import model
+from docmrt import model, sampling
 from docmrt.metrics import CostKind
 from docmrt.mrt import TrainConfig, fd_gradient_check, finetune
 from docmrt.sampling import draw_sample_set
@@ -351,8 +353,8 @@ def test_log_prob_rejects_nonpositive_max_len():
 
 def test_sample_deterministic_per_seed():
     p = model.init_params(6, 3, 3, seed=8)
-    a = model.Decoder(p, [(4, 5)], 5).sample(0, 1.0, np.random.default_rng(3))
-    b = model.Decoder(p, [(4, 5)], 5).sample(0, 1.0, np.random.default_rng(3))
+    a = model.Decoder(p, [(4, 5), (5,)], 5).sample(3, 1.0, np.random.default_rng(3))
+    b = model.Decoder(p, [(4, 5), (5,)], 5).sample(3, 1.0, np.random.default_rng(3))
     assert a == b
 
 
@@ -378,21 +380,20 @@ def test_sample_greedy_matches_beam_one():
 def test_sample_rejects_nonpositive_temperature():
     p = model.init_params(5, 2, 2, seed=0)
     with pytest.raises(ValueError):
-        model.Decoder(p, [(4,)], 3).sample(0, 0.0, np.random.default_rng(0))
+        model.Decoder(p, [(4,)], 3).sample(1, 0.0, np.random.default_rng(0))
 
 
 def test_sample_scoring_consistency_exact():
     rng = np.random.default_rng(31)
     p = model.init_params(6, 3, 3, seed=13)
-    for _ in range(50):
-        hyp = model.Decoder(p, [(4, 5)], 5).sample(0, 0.7, rng)
+    for hyp in model.Decoder(p, [(4, 5)], 5).sample(50, 0.7, rng)[0]:
         assert hyp.log_prob == model.log_prob(p, (4, 5), hyp.sentence, 5)
         assert hyp.log_prob <= 0.0
 
 
 def reference_sample(params, src, max_len, tau, rng):
     """The per-token searchsorted loop over the tempered cumulative table that
-    Decoder.sample replaced: one rng.random() per token, then rescoring."""
+    Decoder.sample replaced: one scalar rng.random() per token, then rescoring."""
     z = model.Decoder(params, [src], max_len).logits[0] / tau
     z -= z.max(axis=1, keepdims=True)
     p = np.exp(z)
@@ -427,31 +428,92 @@ def sampling_cases(draw):
     )
 
 
-@pytest.mark.parametrize(
+GENERATORS = pytest.mark.parametrize(
     "make_rng",
     [np.random.default_rng, lambda seed: np.random.Generator(np.random.MT19937(seed))],
     ids=["PCG64", "MT19937"],
 )
+
+
+def state_bytes(rng):
+    """The generator's full state, buffered PCG64 half-word and MT19937 key included."""
+    return pickle.dumps(rng.bit_generator.state)
+
+
+def assert_reference_grid(grid, params, sources, n_samples, tau, max_len, ref_rng):
+    """grid is n_samples reference_sample draws per source from ref_rng, source
+    by source, with log-probs bitwise equal to the reference's and log_prob's."""
+    assert [len(row) for row in grid] == [n_samples] * len(sources)
+    for src, row in zip(sources, grid):
+        for hyp in row:
+            expected = reference_sample(params, src, max_len, tau, ref_rng)
+            assert hyp.sentence == expected.sentence
+            assert hyp.log_prob == expected.log_prob == model.log_prob(
+                params, src, hyp.sentence, max_len
+            )
+
+
+@GENERATORS
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=sampling_cases())
 def test_sample_equals_searchsorted_reference_on_the_same_stream(make_rng, case):
     params, src, tau, max_len, seed = case
     decoder = model.Decoder(params, [src], max_len)
     rng, ref_rng = make_rng(seed), make_rng(seed)
-    for _ in range(6):
-        hyp = decoder.sample(0, tau, rng)
-        expected = reference_sample(params, src, max_len, tau, ref_rng)
-        assert hyp.sentence == expected.sentence
-        assert hyp.log_prob == expected.log_prob == model.log_prob(
-            params, src, hyp.sentence, max_len
-        )
+    for n_samples in (1, 2, 3):  # consecutive calls continue one stream
+        grid = decoder.sample(n_samples, tau, rng)
+        assert_reference_grid(grid, params, [src], n_samples, tau, max_len, ref_rng)
     assert rng.random() == ref_rng.random()
+
+
+@GENERATORS
+def test_draw_grids_between_odd_bounded_draws_keep_the_stream(make_rng):
+    # three sentences of two samples: random_cells makes one 32-bit bounded draw
+    # per sentence, so PCG64 holds a buffered half-word across every draw_grid
+    params = random_params(9, 3, 4, 1.0, 5)
+    rng, ref_rng = make_rng(17), make_rng(17)
+    for k in range(5):
+        sources = [(4, 5, 6)[: k % 3 + 1], (7,), (8, 3, 3, 4)]
+        batch = DocumentBatch(sources, sources, [0] * 3)
+        grid = sampling.draw_grid(params, batch, 2, 0.7, rng, 6)
+        assert_reference_grid(grid, params, sources, 2, 0.7, 6, ref_rng)
+        cells = sampling.random_cells(grid, rng)
+        assert cells.tobytes() == sampling.random_cells(grid, ref_rng).tobytes()
+    assert state_bytes(rng) == state_bytes(ref_rng)
+    assert rng.random() == ref_rng.random()
+
+
+@GENERATORS
+def test_sample_spanning_several_uniform_blocks_keeps_the_stream(make_rng):
+    params = zero_params(5, 2, 2)  # EOS has probability 0.2 at every step
+    n_samples, max_len = model.UNIFORM_BLOCK, 6
+    rng, ref_rng = make_rng(4), make_rng(4)
+    rng.integers(0, 3)  # a bounded draw first: PCG64 buffers a half-word
+    ref_rng.integers(0, 3)
+    grid = model.Decoder(params, [(4,), (3, 4)], max_len).sample(n_samples, 1.0, rng)
+    used = sum(len(h.sentence) + (len(h.sentence) < max_len) for row in grid for h in row)
+    assert used > 3 * model.UNIFORM_BLOCK
+    assert_reference_grid(grid, params, [(4,), (3, 4)], n_samples, 1.0, max_len, ref_rng)
+    assert rng.integers(0, 3, 5).tolist() == ref_rng.integers(0, 3, 5).tolist()
+    assert rng.random() == ref_rng.random()
+
+
+@GENERATORS
+def test_sampling_an_empty_batch_leaves_the_generator_unchanged(make_rng):
+    params = random_params(7, 2, 3, 1.0, 2)
+    rng = make_rng(8)
+    rng.integers(0, 3)
+    before = state_bytes(rng)
+    assert model.Decoder(params, [], 5).sample(4, 1.0, rng) == []
+    assert sampling.draw_grid(params, DocumentBatch([], [], []), 4, 0.7, rng, 5) == []
+    assert state_bytes(rng) == before
 
 
 def reference_tables(params, src):
     """Decoder.__init__ and its sampling table before tables were built per batch
     of sources: (logits, logprobs, rows, cumulative) of one source, where
-    cumulative(tau) is the tau-tempered cumulative table as nested lists."""
+    cumulative(tau) is the tau-tempered cumulative table as nested lists, made
+    by the tempered formula at every tau, 1 included."""
     v = params.vocab_size
     ctx = params.src_emb[list(src)].mean(axis=0) if len(src) else np.zeros(params.emb_dim)
     inputs = np.concatenate([np.tile(ctx, (v, 1)), params.tgt_emb], axis=1)
@@ -473,17 +535,19 @@ def reference_tables(params, src):
 @st.composite
 def source_batches(draw):
     """(params, sources): V 5-25, d 1-20, h 1-40, theta of scale 0.1 to 30,
-    1-32 sources of up to 6 tokens, empty ones included."""
+    1-32 sources of up to 12 tokens, empty ones included: past 8 tokens,
+    numpy's pairwise summation can start in the mean of a source's rows."""
     v, d, h = draw(st.integers(5, 25)), draw(st.integers(1, 20)), draw(st.integers(1, 40))
     params = random_params(
         v, d, h, draw(st.sampled_from([0.1, 1.0, 30.0])), draw(st.integers(0, 2**32 - 1))
     )
-    sources = draw(st.lists(st.lists(st.integers(3, v - 1), max_size=6), min_size=1, max_size=32))
+    sources = draw(st.lists(st.lists(st.integers(3, v - 1), max_size=12), min_size=1, max_size=32))
     return params, [tuple(src) for src in sources]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=source_batches())
+@example(case=(random_params(9, 1, 3, 30.0, 6), [tuple(range(3, 9)) * 3, (4,) * 17, ()]))
 def test_stacked_tables_equal_per_source_reference_tables(case):
     params, sources = case
     stacked = model.Decoder(params, sources, 5)
@@ -495,8 +559,9 @@ def test_stacked_tables_equal_per_source_reference_tables(case):
         assert decoder.logits[i].tobytes() == logits.tobytes()
         assert decoder.logprobs[i].tobytes() == logprobs.tobytes()
         assert decoder.rows[i] == rows
-        for tau in (0.5, 1.0, 2.0):
-            assert decoder.cumulative(tau)[i] == cumulative(tau)
+        for tau in (0.5, 0.7, 1.0, 2.0):  # tau = 1 reuses the log-softmax's exp
+            got = np.array(decoder.cumulative(tau)[i])
+            assert got.tobytes() == np.array(cumulative(tau)).tobytes()
 
 
 def reference_draw(params, sources, n_samples, tau, rng, max_len):
@@ -540,14 +605,16 @@ def test_draw_sample_set_equals_per_source_reference_sampling(case, tau, n_sampl
     assert rng.random() == ref_rng.random()
 
 
-class ReplayRng:
-    """Stand-in generator whose random() returns the given values in turn."""
+class ConstantRng:
+    """Stand-in generator that draws value for every uniform, scalar or block;
+    Decoder.sample may read and set its bit_generator.state."""
 
-    def __init__(self, values):
-        self.values = list(values)
+    def __init__(self, value):
+        self.value = value
+        self.bit_generator = types.SimpleNamespace(state=None)
 
-    def random(self):
-        return self.values.pop(0)
+    def random(self, size=None):
+        return self.value if size is None else np.full(size, self.value)
 
 
 def test_sample_draw_equal_to_a_table_entry_goes_right():
@@ -556,8 +623,8 @@ def test_sample_draw_equal_to_a_table_entry_goes_right():
     decoder = model.Decoder(params, [(4,)], 3)
     row = np.cumsum(np.full(5, 0.2)).tolist()
     for k, u in enumerate(row):
-        hyp = decoder.sample(0, 1.0, ReplayRng([u] * 3))
-        assert hyp == reference_sample(params, (4,), 3, 1.0, ReplayRng([u] * 3))
+        [[hyp]] = decoder.sample(1, 1.0, ConstantRng(u))
+        assert hyp == reference_sample(params, (4,), 3, 1.0, ConstantRng(u))
         first = hyp.sentence[0] if hyp.sentence else EOS_ID
         assert first == min(k + 1, 4)  # searchsorted(side="right"), clipped
 
@@ -568,8 +635,7 @@ def test_sample_uniform_token_frequencies_at_zero_theta():
     rng = np.random.default_rng(99)
     draws = 100_000
     counts = np.zeros(5)
-    for _ in range(draws):
-        hyp = decoder.sample(0, 1.0, rng)
+    for hyp in decoder.sample(draws, 1.0, rng)[0]:
         first = hyp.sentence[0] if hyp.sentence else EOS_ID
         counts[first] += 1
     chi2 = ((counts - draws / 5) ** 2 / (draws / 5)).sum()
@@ -584,8 +650,8 @@ def test_sample_frequencies_match_enumeration():
     rng = np.random.default_rng(1234)
     draws = 100_000
     counts = {sent: 0 for sent, _ in space}
-    for _ in range(draws):
-        counts[decoder.sample(0, 1.0, rng).sentence] += 1
+    for hyp in decoder.sample(draws, 1.0, rng)[0]:
+        counts[hyp.sentence] += 1
     for sent, prob in space:
         sigma = math.sqrt(prob * (1 - prob) / draws)
         assert abs(counts[sent] / draws - prob) <= 4 * sigma + 1e-12

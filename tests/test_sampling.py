@@ -444,7 +444,7 @@ def test_sampling_from_a_non_finite_model_raises():
         params = model.init_params(6, 3, 3, seed=1)
         params.b_out[4] = bad
         with pytest.raises(ValueError, match="non-finite decoding table"):
-            model.Decoder(params, [(4,)], 4).sample(0, 1.0, np.random.default_rng(0))
+            model.Decoder(params, [(4,)], 4).sample(1, 1.0, np.random.default_rng(0))
         with pytest.raises(ValueError, match="non-finite decoding table"):
             draw_sample_set(
                 params, small_batch(), 2, 1.0, np.random.default_rng(0), 4, CostKind.ONE_MINUS_DOCBLEU
