@@ -77,8 +77,8 @@ class CostKind(Enum):
         return _SENTENCE_KIND[self]
 
 
-# (sentence kind, document kind) of each metric; the lookups above read the map
-# built from it once, because costs ask for it once per scored row
+# (sentence kind, document kind) of each metric; the lookups above and
+# cost_from_stats read maps built from it once, because costs run once per scored row
 _LEVELS = [
     (CostKind.ONE_MINUS_SBLEU, CostKind.ONE_MINUS_DOCBLEU),
     (CostKind.SENT_TER, CostKind.DOC_TER),
@@ -86,6 +86,8 @@ _LEVELS = [
 ]
 _SENTENCE_KIND = {kind: sent for sent, doc in _LEVELS for kind in (sent, doc)}
 _METRIC = {kind: next(m for m in METRICS if kind.value.endswith(m)) for kind in CostKind}
+# (metric, smoothed) of each kind, read by cost_from_stats: sentence costs are smoothed
+_COSTS = {kind: (_METRIC[kind], _SENTENCE_KIND[kind] is kind) for kind in CostKind}
 
 
 def _reference_index(ref: Sentence) -> tuple[dict, dict]:
@@ -262,10 +264,13 @@ def _distances(parts: list[bytes], fulls: list[bytes], cols: int, width: int) ->
 # The number of set bits of each byte value, for bytes.translate.
 _ONES = bytes(byte.bit_count() for byte in range(256))
 
-# Lines per n-gram pass, and per TER shift search, of line_stats: it bounds the
-# n-gram pass's temporaries and keeps its int64 keys below the square of one
+# Lines per n-gram pass, and per TER shift search, of line_stats. A default-size
+# MRT update (4 samples x 4 sentences x 8 micro-batches) scores at most 128
+# distinct lines in one call, so it takes one pass. The chunk bounds the n-gram
+# pass's temporaries (a 128-line GLEU pass of 3-30 token lines peaks at 0.65 MB,
+# against 0.34 MB at 64 lines) and keeps its int64 keys below the square of one
 # chunk's token count.
-LINE_CHUNK = 64
+LINE_CHUNK = 128
 
 
 def line_stats(
@@ -355,7 +360,11 @@ def score(metric: str, stats: Sequence[int], smoothed: bool = False) -> float:
     positive.
     """
     check_metric(metric)
-    stats = [int(v) for v in stats]
+    return _score(metric, [int(v) for v in stats], smoothed)
+
+
+def _score(metric: str, stats: Sequence[int], smoothed: bool) -> float:
+    """score's formula, on a checked metric name and stats of Python ints."""
     if metric == "ter":
         edits, ref_len = stats
         if ref_len == 0:
@@ -445,9 +454,14 @@ def gleu(
 
 
 def cost_from_stats(kind: CostKind, stats: Sequence[int]) -> float:
-    """Cost of one line's stats (sentence kinds, smoothed) or of summed stats."""
-    value = score(kind.metric, stats, smoothed=kind.is_sentence_level)
-    return value if kind.metric == "ter" else 1.0 - value
+    """Cost of one line's stats (sentence kinds, smoothed) or of summed stats.
+    A tuple must hold Python ints, as sampling's memoised rows do; any other
+    sequence is converted."""
+    metric, smoothed = _COSTS[kind]
+    if type(stats) is not tuple:
+        stats = [int(v) for v in stats]
+    value = _score(metric, stats, smoothed)
+    return value if metric == "ter" else 1.0 - value
 
 
 def seq_cost(

@@ -218,6 +218,10 @@ def weighted_log_prob_grad(
     Every decoder step of every pair is one row of a single stacked forward
     and backward pass, so any weighted sum of sentence gradients (MLE, risk
     estimators, exact risk) costs one pass and one theta-sized buffer.
+
+    Its floats are pinned bitwise: temporaries may be reused in place (out=,
+    +=), but every ufunc keeps its operands and their order, and no gemm may
+    change its operands' shapes or row count, which regroups its sums.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(srcs),) or len(tgts) != len(srcs):
@@ -225,9 +229,8 @@ def weighted_log_prob_grad(
             f"misaligned: {len(srcs)} sources, {len(tgts)} targets, weights {weights.shape}"
         )
     at_least(1, max_len=max_len)
-    grad = np.zeros_like(params.theta)
     if not len(srcs):
-        return 0.0, grad
+        return 0.0, np.zeros_like(params.theta)
     v, d = params.vocab_size, params.emb_dim
     prevs, targets, lengths = _steps(tgts, max_len)
     steps = np.array(lengths)  # max_len >= 1 gives every pair a step, as reduceat needs
@@ -240,30 +243,39 @@ def weighted_log_prob_grad(
     pool = pool / np.maximum(src_lens, 1)[:, None]
     ctx = np.repeat(pool @ params.src_emb, steps, axis=0)
     inputs = np.concatenate([ctx, params.tgt_emb[prevs]], axis=1)
-    hidden = np.tanh(inputs @ params.w_hidden + params.b_hidden)
-    logits = hidden @ params.w_out + params.b_out
+    hidden = inputs @ params.w_hidden
+    hidden += params.b_hidden
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ params.w_out
+    logits += params.b_out
     zmax = logits.max(axis=1, keepdims=True)
-    ez = np.exp(logits - zmax)
-    norm = ez.sum(axis=1)
     rows = np.arange(len(targets))
+    picked = logits[rows, targets]
+    ez = np.subtract(logits, zmax, out=logits)
+    np.exp(ez, out=ez)
+    norm = ez.sum(axis=1)
     step_w = np.repeat(weights, steps)
-    value = float(step_w @ (logits[rows, targets] - zmax[:, 0] - np.log(norm)))
+    value = float(step_w @ (picked - zmax[:, 0] - np.log(norm)))
     # d logp / d logits = one-hot(target) - softmax(logits), scaled per step
-    gz = ez * (-step_w / norm)[:, None]
+    gz = np.multiply(ez, (-step_w / norm)[:, None], out=ez)
     gz[rows, targets] += step_w
-    views = params.like(grad)
-    views.b_out[:] = gz.sum(axis=0)
-    views.w_out[:] = hidden.T @ gz
-    da = (1.0 - hidden * hidden) * (gz @ params.w_out.T)
-    views.b_hidden[:] = da.sum(axis=0)
-    views.w_hidden[:] = inputs.T @ da
+    g_b_out = gz.sum(axis=0)
+    g_w_out = hidden.T @ gz  # before hidden becomes 1 - hidden**2
+    da = gz @ params.w_out.T
+    np.multiply(hidden, hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    np.multiply(hidden, da, out=da)
+    g_b_hidden = da.sum(axis=0)
+    g_w_hidden = inputs.T @ da
     dinputs = da @ params.w_hidden.T
     # every (prev, j) cell sums its rows in step order from 0.0, as np.add.at does
     cells = (prevs[:, None] * d + np.arange(d)).ravel()
-    views.tgt_emb[:] = np.bincount(cells, dinputs[:, d:].ravel(), v * d).reshape(v, d)
+    g_tgt_emb = np.bincount(cells, dinputs[:, d:].ravel(), v * d)
     starts = np.cumsum(steps) - steps
-    views.src_emb[:] = pool.T @ np.add.reduceat(dinputs[:, :d], starts, axis=0)
-    return value, grad
+    g_src_emb = pool.T @ np.add.reduceat(dinputs[:, :d], starts, axis=0)
+    # one write of every block, in _layout order
+    blocks = (g_src_emb, g_tgt_emb, g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+    return value, np.concatenate(blocks, axis=None)
 
 
 def log_prob_grad(

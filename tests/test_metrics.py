@@ -370,6 +370,74 @@ def test_kind_conversions_round_trip():
         assert kind.as_sentence_kind().is_sentence_level
 
 
+def reference_score(metric, stats, smoothed=False):
+    """metrics.score before cost_from_stats shared its formula: every value
+    converted to int, then scored."""
+    stats = [int(v) for v in stats]
+    if metric == "ter":
+        edits, ref_len = stats
+        if ref_len == 0:
+            raise ValueError("TER needs a non-empty reference")
+        return edits / ref_len
+    max_n = len(stats) // 2 - 1
+    hyp_len, ref_len = stats[-2:]
+    if hyp_len == 0:
+        return 1.0 if ref_len == 0 else 0.0
+    log_sum = 0.0
+    orders = 0
+    for m, t in zip(stats[:max_n], stats[max_n : 2 * max_n]):
+        if smoothed:
+            p = (m + 1.0) / (t + 1.0)
+        else:
+            if t == 0:
+                continue
+            if m == 0:
+                return 0.0
+            p = m / t
+        log_sum += math.log(p)
+        orders += 1
+    if orders == 0:
+        return 0.0
+    penalty = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return penalty * math.exp(log_sum / orders)
+
+
+@st.composite
+def cost_rows(draw):
+    """(kind, row): TER rows [edits, ref length >= 1]; BLEU/GLEU rows of matches
+    <= totals per order, with zero matches, zero totals and empty lines common."""
+    kind = draw(st.sampled_from(list(CostKind)))
+    small = st.integers(0, 3) | st.integers(0, 60)
+    if kind.metric == "ter":
+        return kind, [draw(small), draw(st.integers(1, 60))]
+    totals = [draw(small) for _ in range(metrics.MAX_N)]
+    matches = [draw(st.integers(0, t)) for t in totals]
+    return kind, matches + totals + [draw(small), draw(small)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=cost_rows())
+def test_cost_from_stats_equals_the_score_formula_on_every_row_type(case):
+    kind, row = case
+    value = reference_score(kind.metric, row, smoothed=kind.is_sentence_level)
+    want = value if kind.metric == "ter" else 1.0 - value
+    for form in (tuple(row), list(row), np.array(row, dtype=np.int64)):
+        got = metrics.cost_from_stats(kind, form)
+        assert type(got) is float and got.hex() == want.hex()
+
+
+def test_cost_from_stats_keeps_the_score_checks():
+    for kind in (CostKind.SENT_TER, CostKind.DOC_TER):
+        for form in ((3, 0), [3, 0], np.array([3, 0])):
+            with pytest.raises(ValueError, match="TER needs a non-empty reference"):
+                metrics.cost_from_stats(kind, form)
+    with pytest.raises(ValueError, match="unknown metric 'bogus'"):
+        metrics.score("bogus", [1, 1])
+    # an empty hypothesis line, and a line whose every order has no n-gram
+    assert metrics.cost_from_stats(CostKind.ONE_MINUS_SBLEU, (0,) * 10) == 0.0
+    assert metrics.cost_from_stats(CostKind.ONE_MINUS_DOCBLEU, (0,) * 8 + (2, 1)) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # shared properties
 # ---------------------------------------------------------------------------
@@ -682,10 +750,11 @@ def test_ter_rows_equal_reference_search_across_chunks_and_passes(corpus, chunk,
     assert rows.dtype == np.int64 and rows.tolist() == expected
 
 
-def test_ter_rows_follow_their_lines_in_any_order():
+def test_ter_rows_follow_their_lines_in_any_order(monkeypatch):
     # 150 lines of 3-30 tokens fill three chunks, and each permutation gives a
     # line other chunk-mates, which pad its lanes and share its passes: the rows
     # must still be the same rows, permuted
+    monkeypatch.setattr(metrics, "LINE_CHUNK", 64)
     rng = np.random.default_rng(25)
     refs = [tuple(rng.integers(0, 8, size=rng.integers(3, 31)).tolist()) for _ in range(150)]
     hyps = [ref[3:] + ref[:3] if k % 3 else ref[::-1] for k, ref in enumerate(refs)]

@@ -303,6 +303,48 @@ def reference_weighted_pass(params, srcs, tgts, weights, max_len):
     return value, grad
 
 
+def reference_weighted_log_prob_grad(params, srcs, tgts, weights, max_len):
+    """weighted_log_prob_grad before it reused its temporaries in place and wrote
+    its gradient with one concatenate: zeros, block views and slice copies."""
+    weights = np.asarray(weights, dtype=np.float64)
+    grad = np.zeros_like(params.theta)
+    if not len(srcs):
+        return 0.0, grad
+    v, d = params.vocab_size, params.emb_dim
+    prevs, targets, lengths = model._steps(tgts, max_len)
+    steps = np.array(lengths)
+    prevs, targets = np.array(prevs, dtype=np.intp), np.array(targets, dtype=np.intp)
+    src_lens = np.array([len(src) for src in srcs])
+    tokens = np.array([t for src in srcs for t in src], dtype=np.intp)
+    cells = np.repeat(np.arange(len(srcs)) * v, src_lens) + tokens
+    pool = np.bincount(cells, minlength=len(srcs) * v).reshape(-1, v)
+    pool = pool / np.maximum(src_lens, 1)[:, None]
+    ctx = np.repeat(pool @ params.src_emb, steps, axis=0)
+    inputs = np.concatenate([ctx, params.tgt_emb[prevs]], axis=1)
+    hidden = np.tanh(inputs @ params.w_hidden + params.b_hidden)
+    logits = hidden @ params.w_out + params.b_out
+    zmax = logits.max(axis=1, keepdims=True)
+    ez = np.exp(logits - zmax)
+    norm = ez.sum(axis=1)
+    rows = np.arange(len(targets))
+    step_w = np.repeat(weights, steps)
+    value = float(step_w @ (logits[rows, targets] - zmax[:, 0] - np.log(norm)))
+    gz = ez * (-step_w / norm)[:, None]
+    gz[rows, targets] += step_w
+    views = params.like(grad)
+    views.b_out[:] = gz.sum(axis=0)
+    views.w_out[:] = hidden.T @ gz
+    da = (1.0 - hidden * hidden) * (gz @ params.w_out.T)
+    views.b_hidden[:] = da.sum(axis=0)
+    views.w_hidden[:] = inputs.T @ da
+    dinputs = da @ params.w_hidden.T
+    cells = (prevs[:, None] * d + np.arange(d)).ravel()
+    views.tgt_emb[:] = np.bincount(cells, dinputs[:, d:].ravel(), v * d).reshape(v, d)
+    starts = np.cumsum(steps) - steps
+    views.src_emb[:] = pool.T @ np.add.reduceat(dinputs[:, :d], starts, axis=0)
+    return value, grad
+
+
 def random_params(v, d, h, scale, seed):
     theta = np.random.default_rng(seed).normal(0.0, scale, model.param_count(v, d, h))
     return model.ModelParams(v, d, h, theta)
@@ -331,12 +373,18 @@ def weighted_cases(draw):
 @given(case=weighted_cases())
 @example(case=(random_params(5, 3, 4, 1.0, 0), [(), ()], [(), ()], [1.0, -0.0], 1))
 @example(case=(random_params(7, 2, 3, 1.0, 1), [(4,)] * 3, [(5, 5, 5)] * 3, [0.5, 0.0, -2.0], 3))
+@example(case=(random_params(5, 1, 1, 1.0, 2), [(), (4, 1)], [(3, 0), ()], [0.0, -0.7], 2))
+@example(
+    case=(random_params(6, 1, 1, 30.0, 3), [(2,), (2,), ()], [(4, 4)] * 3, [1.0, 1.0, -3.0], 2)
+)
 def test_weighted_log_prob_grad_equals_reference_pass_bitwise(case):
+    # against the pass before it reused temporaries, and the one before that
     params, srcs, tgts, weights, max_len = case
     value, grad = model.weighted_log_prob_grad(params, srcs, tgts, weights, max_len)
-    want_value, want_grad = reference_weighted_pass(params, srcs, tgts, weights, max_len)
-    assert value == want_value
-    assert grad.tobytes() == want_grad.tobytes()
+    for reference in (reference_weighted_log_prob_grad, reference_weighted_pass):
+        want_value, want_grad = reference(params, srcs, tgts, weights, max_len)
+        assert value == want_value
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_weighted_log_prob_grad_rejects_an_overlong_target():

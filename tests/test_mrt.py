@@ -588,6 +588,38 @@ def test_one_decoder_per_micro_batch(monkeypatch):
     assert len(built) == 3
 
 
+@pytest.mark.parametrize(
+    "mode, kind, pass_name",
+    [
+        ("doc_mrt_ordered", CostKind.ONE_MINUS_DOCBLEU, "_ngram_rows"),
+        ("doc_mrt_random", CostKind.ONE_MINUS_DOCBLEU, "_ngram_rows"),
+        ("doc_mrt_ordered", CostKind.DOC_TER, "_ter_rows"),
+    ],
+)
+def test_a_default_size_update_takes_one_stats_pass(monkeypatch, mode, kind, pass_name):
+    # n_samples x mrt_batch_size x mrt_accum_steps cells fit one LINE_CHUNK
+    from docmrt.harness import EXPERIMENT_DEFAULTS as D, TaskSpec, generate_synthetic_corpus
+
+    task = TaskSpec(
+        vocab_size=D["vocab_size"], len_min=D["len_min"], len_max=D["len_max"],
+        sentences_per_doc=D["sentences_per_doc"], num_documents=12,
+        valid_documents=1, test_documents=1, rule=D["rule"], seed=4,
+    )
+    train = generate_synthetic_corpus(task)[0]
+    params = model.init_params(D["vocab_size"], D["emb_dim"], D["hidden_dim"], seed=4)
+    cfg = TrainConfig(
+        mode=mode, cost_kind=kind, n_samples=D["n_samples"], batch_size=D["mrt_batch_size"],
+        accum_steps=D["mrt_accum_steps"], max_updates=1, max_len=D["max_len"],
+    )
+    calls = []
+    for name in ("_ngram_rows", "_ter_rows"):
+        fn = getattr(metrics, name)
+        monkeypatch.setattr(metrics, name, lambda *a, f=fn, n=name: calls.append(n) or f(*a))
+    assert D["n_samples"] * D["mrt_batch_size"] * D["mrt_accum_steps"] <= metrics.LINE_CHUNK
+    mrt.finetune(params, train, cfg)
+    assert calls == [pass_name]
+
+
 def test_finetune_mle_mode_delegates_to_mle_loss():
     train, _, _ = small_corpus(seed=3)
     params = model.init_params(8, 3, 3, seed=2)
