@@ -11,7 +11,10 @@ initialisation. Every pair runs, for each kind of run, mrt.finetune of both
 trees on the same parameters, corpus and config, alternating which tree runs
 first: the doc_mrt protocol's three fine-tuning runs (ordered and random
 1 - doc-BLEU, ordered doc-TER) and one mle_train run. A run's sample is its CPU
-time (time.process_time) per update; held-out evaluation is not run.
+time (time.process_time) per update; held-out evaluation is not run. Both trees
+share one process, so process-wide state such as allocator settings or BLAS
+threads cannot differ between them: a change to such state needs the trees run
+in alternating processes instead.
 
 Prints, per kind of run, each tree's median ms per update, the ratio
 this/other and the number of pairs this tree won. Exits 1, naming the run, as

@@ -67,11 +67,11 @@ class CostKind(Enum):
     @property
     def metric(self) -> str:
         """The metric the cost is built on: "bleu", "ter" or "gleu"."""
-        return _METRIC[self]
+        return _COSTS[self][0]
 
     @property
     def is_sentence_level(self) -> bool:
-        return _SENTENCE_KIND[self] is self
+        return _COSTS[self][1]
 
     def as_sentence_kind(self) -> "CostKind":
         return _SENTENCE_KIND[self]
@@ -85,9 +85,11 @@ _LEVELS = [
     (CostKind.ONE_MINUS_SENT_GLEU, CostKind.ONE_MINUS_DOC_GLEU),
 ]
 _SENTENCE_KIND = {kind: sent for sent, doc in _LEVELS for kind in (sent, doc)}
-_METRIC = {kind: next(m for m in METRICS if kind.value.endswith(m)) for kind in CostKind}
-# (metric, smoothed) of each kind, read by cost_from_stats: sentence costs are smoothed
-_COSTS = {kind: (_METRIC[kind], _SENTENCE_KIND[kind] is kind) for kind in CostKind}
+# (metric, is sentence level) of each kind; cost_from_stats smooths sentence costs
+_COSTS = {
+    kind: (next(m for m in METRICS if kind.value.endswith(m)), _SENTENCE_KIND[kind] is kind)
+    for kind in CostKind
+}
 
 
 def _reference_index(ref: Sentence) -> tuple[dict, dict]:

@@ -138,22 +138,18 @@ class Decoder:
         self._exp_sums = self._exp.sum(axis=2, keepdims=True)
         self.logprobs = self.logits - zmax - np.log(self._exp_sums)
         self.rows: list[list[list[list[float]]]] = self.logprobs.tolist()
-        self._cumulative: dict[float, list[list[list[list[float]]]]] = {}
 
     def cumulative(self, tau: float) -> list[list[list[list[float]]]]:
-        """The tau-tempered cumulative tables as nested lists, cached per tau."""
-        key = float(tau)
-        if key not in self._cumulative:
-            z = self.logits if key == 1.0 else self.logits / tau
-            if not np.isfinite(z).all():  # a finite z gives a finite table
-                raise ValueError(f"non-finite decoding table at temperature {tau}")
-            if key == 1.0:  # logits / 1 is logits: the log-softmax's own floats
-                p = self._exp / self._exp_sums
-            else:
-                p = np.exp(z - z.max(axis=2, keepdims=True))
-                p /= p.sum(axis=2, keepdims=True)
-            self._cumulative[key] = np.cumsum(p, axis=2).tolist()
-        return self._cumulative[key]
+        """The tau-tempered cumulative tables as nested lists."""
+        z = self.logits if tau == 1 else self.logits / tau
+        if not np.isfinite(z).all():  # a finite z gives a finite table
+            raise ValueError(f"non-finite decoding table at temperature {tau}")
+        if tau == 1:  # logits / 1 is logits: the log-softmax's own floats
+            p = self._exp / self._exp_sums
+        else:
+            p = np.exp(z - z.max(axis=2, keepdims=True))
+            p /= p.sum(axis=2, keepdims=True)
+        return np.cumsum(p, axis=2).tolist()
 
     def sample(
         self, n_samples: int, tau: float, rng: np.random.Generator

@@ -13,16 +13,11 @@ sample pool by probability**alpha instead of 1/N; it is consistent but biased.
 
 A table maps each MRT mode to its scheme, and _estimate weighs any scheme's rows.
 An update scores all its micro-batches' samples in one sampling.score_grids call.
-On glibc, finetune first fixes malloc's trim and mmap thresholds, once per process,
-so that the weighted pass's freed temporaries stay mapped from one update to the next.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -36,9 +31,6 @@ _SCHEMES = {"seq_mrt": "seq", "doc_mrt_ordered": "ordered", "doc_mrt_random": "r
 MODES = (*_SCHEMES, "mle")
 ESTIMATORS = ("raw", "renormalized")
 BATCHINGS = ("random", "document")
-# glibc mallopt values that finetune sets (M_TRIM_THRESHOLD -1, M_MMAP_THRESHOLD -3)
-TRIM_THRESHOLD = 64 << 20
-MMAP_THRESHOLD = 32 << 20
 
 
 @dataclass(eq=False)
@@ -294,23 +286,6 @@ class NonFiniteTraining(ValueError):
         self.update, self.risk = update, risk
 
 
-@functools.cache
-def _pin_malloc_thresholds() -> None:
-    """On glibc, keep freed heap memory mapped: no-op elsewhere, never raises."""
-    # An MLE update's weighted pass frees about 300 KB of row temporaries; at the heap top,
-    # the default 128 KB trim threshold returns them and the next update faults them back.
-    # Setting either value stops glibc moving both, so the mmap threshold is raised too:
-    # left at 128 KB, each of TER's 512 KB match-mask passes would get a fresh mapping.
-    try:
-        if os.confstr("CS_GNU_LIBC_VERSION"):
-            mallopt = ctypes.CDLL(None).mallopt
-            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-            mallopt(-1, TRIM_THRESHOLD)
-            mallopt(-3, MMAP_THRESHOLD)
-    except (AttributeError, ValueError, OSError):  # no confstr name, no libc, no mallopt
-        pass
-
-
 def finetune(
     params0: model.ModelParams,
     corpus: DocumentBatch,
@@ -333,7 +308,6 @@ def finetune(
     """
     from .harness import make_batches  # cyclic at module level
 
-    _pin_malloc_thresholds()
     at_least(0, eval_every=eval_every or 0)
     if len(corpus) == 0:
         raise ValueError("empty corpus")
