@@ -26,15 +26,9 @@ RULE_CIPHER = 2
 BASELINE_EVAL_DOCUMENTS = 16  # the validation documents that score a baseline
 
 
-def surface_token(token_id: int) -> str:
-    return f"w{token_id:03d}"
-
-
 def task_vocabulary(vocab_size: int) -> Vocabulary:
-    """Synthetic surface forms for a generated task's token ids."""
-    return Vocabulary(
-        list(textcore.RESERVED_TOKENS) + [surface_token(i) for i in range(4, vocab_size)]
-    )
+    """Synthetic surface forms for a generated task's token ids: w004, w005, ..."""
+    return Vocabulary(list(textcore.RESERVED_TOKENS) + [f"w{i:03d}" for i in range(4, vocab_size)])
 
 
 @dataclass

@@ -129,24 +129,13 @@ def _recurrence(eqs: Iterable[int], full: int, lows: int) -> tuple[int, int]:
     return vp, vn
 
 
-def ter_stats(hyp: Sentence, ref: Sentence) -> list[int]:
-    """TER stats of one line: [edits + shifts, reference length].
-
-    Edits are word-level Levenshtein operations; a shift moves one contiguous
-    block (length <= MAX_SHIFT_BLOCK) to a position where it exactly matches the
-    reference, costs 1, and the best one (ties: first by block start, length,
-    destination) is accepted while it strictly reduces the remaining edit
-    distance. An empty reference gives [len(hyp), 0].
-    """
-    return line_stats("ter", [hyp], [ref])[0].tolist()
-
-
 def _ter_rows(hyps: Sequence[Sentence], refs: list[tuple], index: dict) -> list[list[int]]:
-    """ter_stats of each aligned line, its reference a key of index, which maps it
-    to its _reference_index. Each shift step aligns every still-shifting line's
-    current hypothesis and all its shift candidates together (_align), over the
-    columns and lane width that _pack fixes for all steps; a line applies its first
-    candidate of fewest edits while that is below its current hypothesis's edits.
+    """TER stats of each aligned line (see ter), its reference a key of index,
+    which maps it to its _reference_index. Each shift step aligns every
+    still-shifting line's current hypothesis and all its shift candidates
+    together (_align), over the columns and lane width that _pack fixes for all
+    steps; a line applies its first candidate of fewest edits while that is
+    below its current hypothesis's edits.
     """
     cols, width, rows, fulls = _pack(hyps, refs, index)
     currents, starts = [list(hyp) for hyp in hyps], [index[ref][1] for ref in refs]
@@ -426,8 +415,16 @@ def corpus_bleu(hyps: Sequence[Sentence], refs: Sequence[Sentence]) -> MetricSco
 
 
 def ter(hyp: Sentence, ref: Sentence) -> MetricScore:
-    """Translation edit rate of one pair: (edits + shifts) / |ref|; see ter_stats."""
-    return MetricScore(score("ter", ter_stats(hyp, ref)))
+    """Translation edit rate of one pair: (edits + shifts) / |ref|, from the line's
+    TER stats [edits + shifts, reference length].
+
+    Edits are word-level Levenshtein operations; a shift moves one contiguous
+    block (length <= MAX_SHIFT_BLOCK) to a position where it exactly matches the
+    reference, costs 1, and the best one (ties: first by block start, length,
+    destination) is accepted while it strictly reduces the remaining edit
+    distance. An empty reference gives the stats [len(hyp), 0].
+    """
+    return MetricScore(score("ter", line_stats("ter", [hyp], [ref])[0]))
 
 
 def doc_ter(hyps: Sequence[Sentence], refs: Sequence[Sentence]) -> MetricScore:

@@ -84,19 +84,18 @@ def _weigh(cfg: TrainConfig, costs: np.ndarray, logps: np.ndarray) -> tuple[np.n
     return weights, float(weights.sum())
 
 
-def _scatter(cells: np.ndarray, weights: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    """Per sentence s, each candidate's sum of the weights of the rows of the
-    (documents, S) cells array that choose it."""
-    return [np.bincount(cells[:, s], weights=weights, minlength=n) for s, n in enumerate(sizes)]
+def _scatter(cells: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Shape (S, n): per sentence s, each of its n candidates' sum of the weights
+    of the rows of the (documents, S) cells array that choose it."""
+    return np.array([np.bincount(col, weights=weights, minlength=n) for col in cells.T])
 
 
 def _weighted_grad(params, batch: DocumentBatch, candidates, weights, max_len: int) -> np.ndarray:
-    """Gradient of sum_s sum_i weights[s][i] * log P(candidates[s][i] | sources[s]),
-    sources[s] the batch's, in one weighted pass."""
+    """Gradient of sum_s sum_i weights[s, i] * log P(candidates[s][i] | sources[s]),
+    sources[s] the batch's and weights of shape (S, candidates), in one weighted pass."""
     srcs = [src for src, row in zip(batch.sources, candidates) for _ in row]
     tgts = [tgt for row in candidates for tgt in row]
-    flat = [w for row in weights for w in row]
-    return model.weighted_log_prob_grad(params, srcs, tgts, flat, max_len)[1]
+    return model.weighted_log_prob_grad(params, srcs, tgts, np.ravel(weights), max_len)[1]
 
 
 def seq_mrt_grad(
@@ -159,7 +158,7 @@ def _estimate(
             cells = sampling.ordered_cells(sampling.order_samples(sample_set))
         costs, log_probs = sampling.assemble(sample_set, cells)
         row, risk = _weigh(cfg, costs[None], log_probs[None])
-        weights = _scatter(cells, row[0], [sample_set.n_samples] * sample_set.n_sentences)
+        weights = _scatter(cells, row[0], sample_set.n_samples)
     grad = _weighted_grad(params, sample_set.batch, sample_set.sentences, weights, cfg.max_len)
     return RiskEstimate(risk=risk, grad=grad)
 
@@ -169,15 +168,17 @@ def _enumerated_risk(
     batch: DocumentBatch,
     cost_kind: CostKind | Callable,
     max_len: int,
-) -> tuple[float, list[list[tuple]], list[np.ndarray]]:
+) -> tuple[float, list[list[tuple]], np.ndarray]:
     """Exact risk sum_Y D(Y) P(Y) over every output document Y, plus, per
-    sentence s, its output sentences and each one's coefficient sum_{Y: y_s = y} D(Y) P(Y).
-    Documents are the rows of sampling.product_cells; products and sums run
-    row by row in that order.
+    sentence s, its output sentences and each one's coefficient sum_{Y: y_s = y} D(Y) P(Y),
+    an (S, |Y|) array: every source lists the same output sentences in the same order.
+    Documents are the rows of sampling.product_cells; products and sums run row by row
+    in that order.
     """
     spaces = [model.enumerate_output_space(params, src, max_len) for src in batch.sources]
     candidates = [[sent for sent, _ in space] for space in spaces]
-    cells = sampling.product_cells([len(space) for space in spaces])
+    sizes = [len(space) for space in spaces]
+    cells = sampling.product_cells(sizes)
     if isinstance(cost_kind, CostKind):
         stats = sampling.candidate_stats(
             batch.references, batch.sources, candidates, cost_kind.metric
@@ -192,7 +193,7 @@ def _enumerated_risk(
         p *= np.array([prob for _, prob in space])[cells[:, s]]
     dp = p * np.array(cost, dtype=np.float64)
     risk = float(np.add.accumulate(dp)[-1])
-    return risk, candidates, _scatter(cells, dp, [len(space) for space in spaces])
+    return risk, candidates, _scatter(cells, dp, max(sizes, default=0))
 
 
 def exact_risk(
@@ -270,7 +271,8 @@ def _update_estimates(
     for _ in range(cfg.accum_steps):
         batch = next(batches)
         micro.append(batch)
-        grids.append(sampling.draw_grid(params, batch, cfg.n_samples, cfg.tau, rng, cfg.max_len))
+        decoder = model.Decoder(params, batch.sources, cfg.max_len)
+        grids.append(decoder.sample(cfg.n_samples, cfg.tau, rng))
         cells.append(_draw_cells(scheme, grids[-1], rng))
     sample_sets = sampling.score_grids(micro, grids, cfg.cost_kind)
     for ss, documents in zip(sample_sets, cells):

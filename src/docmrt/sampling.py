@@ -6,11 +6,12 @@ document takes each sentence's rank-n sample, giving diverse document scores)
 or by a random permutation per sentence, each cell used once across N documents.
 assemble gives every row its cost and log-prob; the document views share it.
 
-Drawing and scoring are two steps: draw_grid uses the rng in one Decoder.sample
-call, and score_grids, the only code that gives a SampleSet its stats and costs,
-checks many grids, then scores them against their batches' joined columns with one
-stats extraction and one sentence-cost memo. An MRT update draws its micro-batches'
-grids in turn and scores them together; draw_sample_set is the one-batch case.
+Drawing and scoring are two steps: a batch's grid takes the rng in one
+model.Decoder.sample call, and score_grids, the only code that gives a SampleSet
+its stats and costs, checks many grids, then scores them against their batches'
+joined columns with one stats extraction and one sentence-cost memo. An MRT update
+draws its micro-batches' grids in turn and scores them together; draw_sample_set
+is the one-batch case.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ class SampleSet:
     batch: DocumentBatch
     grid: list[list[model.ScoredHypothesis]]  # [sentence][sample]
     cost_kind: CostKind
-    # per-sentence sample order, best first; set by order_samples
-    ranks: list[list[int]] | None = field(default=None, init=False)
+    # shape (S, N): each sentence's sample indices, best first; set by order_samples
+    ranks: np.ndarray | None = field(default=None, init=False)
     stats: np.ndarray = field(init=False)  # shape (S, N, K), K stats per cell
     costs: np.ndarray = field(init=False)  # shape (S, N), cost_kind's sentence kind
     # read out of the grid once
@@ -61,11 +62,9 @@ class SampleSet:
 
 @dataclass
 class SampledDocument:
-    """One hypothesis per sentence: an assignment in {0..N-1}^S."""
+    """One hypothesis per sentence, an assignment in {0..N-1}^S, and its cost."""
 
     assignment: tuple[int, ...]
-    hyps: list[model.ScoredHypothesis]
-    log_prob: float  # sum of member log-probs (sentences are independent)
     cost: float
 
 
@@ -129,20 +128,6 @@ def _row_costs(kind: CostKind, rows: list[tuple], memo: dict) -> list[float]:
     return [memo[row] for row in rows]
 
 
-def draw_grid(
-    params: model.ModelParams,
-    batch: DocumentBatch,
-    n_samples: int,
-    tau: float,
-    rng: np.random.Generator,
-    max_len: int,
-) -> list[list[model.ScoredHypothesis]]:
-    """N independent ancestral samples per sentence, drawn with rng sentence by
-    sentence by one Decoder.sample call. Duplicates are kept and the gold
-    reference is never injected."""
-    return model.Decoder(params, batch.sources, max_len).sample(n_samples, tau, rng)
-
-
 def score_grids(
     batches: list[DocumentBatch], grids: list, cost_kind: CostKind
 ) -> list[SampleSet]:
@@ -173,7 +158,8 @@ def draw_sample_set(
     cost_kind: CostKind,
 ) -> SampleSet:
     """Draw N independent ancestral samples per sentence and score their costs:
-    score_grids of one draw_grid.
+    score_grids of one Decoder.sample grid. Duplicates are kept and the gold
+    reference is never injected.
 
     Costs use the sentence-level version of cost_kind, which is also the ranking
     metric for ordered document assembly.
@@ -181,7 +167,7 @@ def draw_sample_set(
     at_least(1, n_samples=n_samples)
     if not isinstance(cost_kind, CostKind):
         raise ValueError("a CostKind is required; exact_risk takes custom cost callables")
-    grid = draw_grid(params, batch, n_samples, tau, rng, max_len)
+    grid = model.Decoder(params, batch.sources, max_len).sample(n_samples, tau, rng)
     return score_grids([batch], [grid], cost_kind)[0]
 
 
@@ -191,7 +177,7 @@ def order_samples(sample_set: SampleSet) -> SampleSet:
     Ties break by descending log_prob, then by original sample index (a stable sort).
     """
     ordered = copy.copy(sample_set)
-    ordered.ranks = np.lexsort((-sample_set.log_probs, sample_set.costs)).tolist()
+    ordered.ranks = np.lexsort((-sample_set.log_probs, sample_set.costs))
     return ordered
 
 
@@ -199,7 +185,7 @@ def ordered_cells(sample_set: SampleSet) -> np.ndarray:
     """Document n takes the rank-n sample of every sentence."""
     if sample_set.ranks is None:
         raise ValueError("sample set is not ordered; call order_samples first")
-    return np.array(sample_set.ranks).T
+    return sample_set.ranks.T
 
 
 def random_cells(grid: list, rng: np.random.Generator) -> np.ndarray:
@@ -218,11 +204,8 @@ def assemble(sample_set: SampleSet, cells: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _build(sample_set: SampleSet, cells: np.ndarray) -> list[SampledDocument]:
     """The documents of cells, as assemble costs them."""
-    costs, log_probs = assemble(sample_set, cells)
-    return [
-        SampledDocument(tuple(row), [sample_set.grid[s][n] for s, n in enumerate(row)], lp, cost)
-        for row, lp, cost in zip(cells.tolist(), log_probs.tolist(), costs.tolist())
-    ]
+    costs = assemble(sample_set, cells)[0]
+    return [SampledDocument(tuple(row), cost) for row, cost in zip(cells.tolist(), costs.tolist())]
 
 
 def build_documents_ordered(sample_set: SampleSet) -> list[SampledDocument]:

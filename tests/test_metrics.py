@@ -20,7 +20,6 @@ from docmrt.metrics import (
     sentence_bleu_smoothed,
     seq_cost,
     ter,
-    ter_stats,
 )
 
 # ---------------------------------------------------------------------------
@@ -571,7 +570,7 @@ def edit_distance(hyp, masks, ref_len):
 
 
 def reference_best_shift(hyp, ref, edits):
-    """The unindexed shift search, the oracle of ter_stats: every (block start,
+    """The unindexed shift search, the oracle of TER line_stats: every (block start,
     block length, destination) in scan order, each candidate aligned by the
     full DP; the first strictly-best candidate wins."""
     best = None
@@ -703,7 +702,7 @@ def small_vocab_pairs(draw):
 @given(pair=small_vocab_pairs())
 def test_ter_stats_equal_reference_search(pair):
     hyp, ref = pair
-    assert tuple(ter_stats(hyp, ref)) == reference_ter_counts(hyp, ref)
+    assert tuple(metrics.line_stats("ter", [hyp], [ref])[0]) == reference_ter_counts(hyp, ref)
 
 
 @st.composite
@@ -813,7 +812,7 @@ PINNED_TER = [
 @pytest.mark.parametrize("hyp, ref, expected", PINNED_TER, ids=["vocab50", "vocab8", "vocab3"])
 def test_ter_stats_pinned_on_length_48_pairs(hyp, ref, expected):
     hyp, ref = tuple(map(int, hyp.split())), tuple(map(int, ref.split()))
-    assert ter_stats(hyp, ref) == expected
+    assert metrics.line_stats("ter", [hyp], [ref]).tolist() == [expected]
 
 
 # A 120-token reference in which token 0 is 72 of the words (43 types, drawn from
@@ -840,7 +839,7 @@ def test_ter_stats_pinned_on_a_frequent_token_pair_of_120_tokens():
     hyp, ref, expected = PINNED_FREQUENT_TOKEN_TER
     hyp, ref = tuple(map(int, hyp.split())), tuple(map(int, ref.split()))
     assert (len(hyp), len(ref), ref.count(0)) == (96, 120, 72)
-    assert ter_stats(hyp, ref) == expected
+    assert metrics.line_stats("ter", [hyp], [ref]).tolist() == [expected]
 
 
 @pytest.mark.parametrize("name", ["blue", "tER", "BLEU", "", "gleu "])
@@ -859,7 +858,7 @@ def test_every_metric_entry_point_rejects_a_name_outside_metrics(name):
 def test_line_stats_indexes_each_distinct_ter_reference_once(monkeypatch):
     refs = [(4, 5, 6, 4), (6, 5), (4, 5, 6, 4), [6, 5], (4, 5, 6, 4)]
     hyps = [(4, 5, 6, 4), (6, 5, 4), (), (4, 4, 5, 6), (5,)]
-    expected = [ter_stats(hyp, ref) for hyp, ref in zip(hyps, refs)]
+    expected = [metrics.line_stats("ter", [hyp], [ref])[0].tolist() for hyp, ref in zip(hyps, refs)]
     indexed = []
     index = metrics._reference_index
     monkeypatch.setattr(metrics, "_reference_index", lambda r: indexed.append(r) or index(r))
@@ -881,7 +880,7 @@ def test_shift_search_stops_at_first_block_missing_from_reference(monkeypatch):
 
     monkeypatch.setattr(metrics, "_reference_index", index)
     hyp, ref = tuple(range(100, 148)), tuple(range(48))
-    assert ter_stats(hyp, ref) == [48, 48]
+    assert metrics.line_stats("ter", [hyp], [ref]).tolist() == [[48, 48]]
     # no hypothesis token is in the reference: one lookup per block start
     assert lookups == list(hyp)
 
@@ -897,12 +896,11 @@ def test_shift_search_ends_when_no_shift_lowers_the_edits(monkeypatch):
         return recurrence(*args)
 
     monkeypatch.setattr(metrics, "_recurrence", capped)
-    assert ter_stats((0, 0), (0, 1)) == [1, 2]
+    assert metrics.line_stats("ter", [(0, 0)], [(0, 1)]).tolist() == [[1, 2]]
 
 
 def test_ter_stats_of_empty_reference_count_every_hypothesis_token():
-    assert ter_stats((4, 5, 6), ()) == [3, 0]
-    assert ter_stats((), ()) == [0, 0]
+    assert metrics.line_stats("ter", [(4, 5, 6), ()], [(), ()]).tolist() == [[3, 0], [0, 0]]
 
 
 def test_doc_cost_pools_empty_reference_lines():
@@ -976,6 +974,6 @@ def test_shift_candidates_are_aligned_from_their_first_changed_token(monkeypatch
     monkeypatch.setattr(metrics, "_recurrence", counted)
     hyp = (2, 0, 1, 1, 0, 2, 2, 1, 0, 1, 2, 0, 0, 1)
     ref = (0, 1, 2, 0, 1, 1, 2, 2, 0, 1, 0, 2, 1, 0)
-    assert ter_stats(hyp, ref) == [3, 14]
+    assert metrics.line_stats("ter", [hyp], [ref]).tolist() == [[3, 14]]
     assert len(lanes) == 3  # two accepted shifts, then the step that finds none
     assert sum(lanes) - len(lanes) == 252

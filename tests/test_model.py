@@ -517,13 +517,12 @@ def test_sample_equals_searchsorted_reference_on_the_same_stream(make_rng, case)
 @GENERATORS
 def test_draw_grids_between_odd_bounded_draws_keep_the_stream(make_rng):
     # three sentences of two samples: random_cells makes one 32-bit bounded draw
-    # per sentence, so PCG64 holds a buffered half-word across every draw_grid
+    # per sentence, so PCG64 holds a buffered half-word across every grid drawn
     params = random_params(9, 3, 4, 1.0, 5)
     rng, ref_rng = make_rng(17), make_rng(17)
     for k in range(5):
         sources = [(4, 5, 6)[: k % 3 + 1], (7,), (8, 3, 3, 4)]
-        batch = DocumentBatch(sources, sources, [0] * 3)
-        grid = sampling.draw_grid(params, batch, 2, 0.7, rng, 6)
+        grid = model.Decoder(params, sources, 6).sample(2, 0.7, rng)
         assert_reference_grid(grid, params, sources, 2, 0.7, 6, ref_rng)
         cells = sampling.random_cells(grid, rng)
         assert cells.tobytes() == sampling.random_cells(grid, ref_rng).tobytes()
@@ -553,7 +552,6 @@ def test_sampling_an_empty_batch_leaves_the_generator_unchanged(make_rng):
     rng.integers(0, 3)
     before = state_bytes(rng)
     assert model.Decoder(params, [], 5).sample(4, 1.0, rng) == []
-    assert sampling.draw_grid(params, DocumentBatch([], [], []), 4, 0.7, rng, 5) == []
     assert state_bytes(rng) == before
 
 
@@ -850,6 +848,19 @@ def test_enumerate_hand_tree_at_zero_theta():
             assert math.isclose(space[(tok, tok2)], 1 / 25, abs_tol=1e-15)
     assert len(space) == 21
     assert math.isclose(sum(space.values()), 1.0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("vocab_size, max_len", [(5, 1), (5, 3), (6, 2), (7, 1)])
+def test_enumerate_lists_the_same_sentences_for_every_source(vocab_size, max_len):
+    # exact risk stacks every source's coefficients into one (S, |Y|) array
+    p = model.init_params(vocab_size, 3, 3, seed=vocab_size + max_len)
+    spaces = [
+        [sent for sent, _ in model.enumerate_output_space(p, src, max_len)]
+        for src in [(), (4,), (3, 4, 0), (vocab_size - 1,) * 5]
+    ]
+    assert len(spaces[0]) == sum((vocab_size - 1) ** length for length in range(max_len + 1))
+    assert len(set(spaces[0])) == len(spaces[0])
+    assert all(space == spaces[0] for space in spaces)
 
 
 def test_enumerate_normalization_random_theta():

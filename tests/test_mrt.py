@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -146,8 +147,8 @@ def test_doc_mrt_single_document_formula():
     est = doc_mrt_grad(params, batch, cfg, sample_set=ss)
     doc = sampling.build_documents_ordered(sampling.order_samples(ss))[0]
     expected = doc.cost * sum(
-        model.log_prob_grad(params, src, h.sentence, 2)
-        for src, h in zip(batch.sources, doc.hyps)
+        model.log_prob_grad(params, src, ss.grid[s][n].sentence, 2)
+        for s, (src, n) in enumerate(zip(batch.sources, doc.assignment))
     )
     assert np.allclose(est.grad, expected, atol=1e-12)
 
@@ -469,6 +470,19 @@ def test_enumerated_risk_equals_reference_loop_bitwise(case):
     assert np.array_equal(exact_risk_grad(params, batch, cost, max_len), expected)
 
 
+def test_scatter_sums_each_candidates_document_weights():
+    cells = np.array([[0, 2], [1, 2], [0, 0]])  # 3 documents of 2 sentences, 3 candidates
+    got = mrt._scatter(cells, np.array([1.0, 2.0, 4.0]), 3)
+    assert type(got) is np.ndarray and got.tolist() == [[5.0, 2.0, 0.0], [4.0, 0.0, 3.0]]
+
+
+def test_exact_risk_coefficients_are_one_sentence_by_candidate_array():
+    params = model.init_params(5, 3, 3, seed=3)
+    _, candidates, coeffs = mrt._enumerated_risk(params, tiny_batch(), CostKind.DOC_TER, 2)
+    assert candidates[0] == candidates[1]
+    assert type(coeffs) is np.ndarray and coeffs.shape == (2, len(candidates[0]))
+
+
 # ---------------------------------------------------------------------------
 # finite-difference checker
 # ---------------------------------------------------------------------------
@@ -578,7 +592,9 @@ def test_one_decoder_per_micro_batch(monkeypatch):
     monkeypatch.setattr(model.Decoder, "__init__", counting_init)
     params = model.init_params(8, 3, 3, seed=1)
     batch = DocumentBatch([(4, 5), (5,), (), (6, 4, 7)], [(4,)] * 4, [0, 0, 1, 1])
-    sampling.draw_grid(params, batch, 3, 1.0, np.random.default_rng(0), 4)
+    sampling.draw_sample_set(
+        params, batch, 3, 1.0, np.random.default_rng(0), 4, CostKind.ONE_MINUS_DOCBLEU
+    )
     assert len(built) == 1
     built.clear()
     train, _, _ = small_corpus()  # documents of 2 sentences
@@ -905,22 +921,19 @@ def reference_random_cells(sample_set, rng):
     return np.array(perms).T
 
 
+ReferenceDocument = collections.namedtuple("ReferenceDocument", "assignment log_prob cost")
+
+
 def reference_documents(sample_set, cells):
-    """One SampledDocument per row of cells, its log-prob a Python sum over its
+    """One document per row of cells, its log-prob a Python sum over its grid
     hypotheses: the oracle of sampling.assemble and its document views."""
     costs = sampling.document_costs(sample_set.cost_kind, sample_set.stats, sample_set.costs, cells)
-    docs = []
-    for assignment, cost in zip(cells.tolist(), costs):
-        hyps = [sample_set.grid[s][n] for s, n in enumerate(assignment)]
-        docs.append(
-            sampling.SampledDocument(
-                assignment=tuple(assignment),
-                hyps=hyps,
-                log_prob=sum(h.log_prob for h in hyps),
-                cost=cost,
-            )
+    return [
+        ReferenceDocument(
+            tuple(row), sum(sample_set.grid[s][n].log_prob for s, n in enumerate(row)), cost
         )
-    return docs
+        for row, cost in zip(cells.tolist(), costs)
+    ]
 
 
 def reference_doc_mrt_grad(params, batch, cfg, scheme, rng):
@@ -1018,7 +1031,13 @@ def tied_sample_sets(draw):
 
 
 def _bitwise(docs):
-    return [(d.assignment, d.hyps, d.log_prob.hex(), d.cost.hex()) for d in docs]
+    return [(d.assignment, d.log_prob.hex(), d.cost.hex()) for d in docs]
+
+
+def _view_bitwise(sample_set, docs):
+    """_bitwise of a view's SampledDocuments, each with sampling.assemble's log-prob of its row."""
+    log_probs = sampling.assemble(sample_set, np.array([d.assignment for d in docs]))[1].tolist()
+    return _bitwise([ReferenceDocument(d.assignment, lp, d.cost) for d, lp in zip(docs, log_probs)])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1027,12 +1046,13 @@ def test_ranks_and_document_views_equal_their_reference_loops(case):
     sample_set, seed = case
     ranks = reference_order_samples(sample_set)
     ordered = sampling.order_samples(sample_set)
-    assert ordered.ranks == ranks
+    assert ordered.ranks.tolist() == ranks
     expected = reference_documents(sample_set, np.array(ranks).T)
-    assert _bitwise(sampling.build_documents_ordered(ordered)) == _bitwise(expected)
+    got = sampling.build_documents_ordered(ordered)
+    assert _view_bitwise(sample_set, got) == _bitwise(expected)
     cells = reference_random_cells(sample_set, np.random.default_rng(seed))
     got = sampling.build_documents_random(sample_set, np.random.default_rng(seed))
-    assert _bitwise(got) == _bitwise(reference_documents(sample_set, cells))
+    assert _view_bitwise(sample_set, got) == _bitwise(reference_documents(sample_set, cells))
     sizes = [range(sample_set.n_samples)] * sample_set.n_sentences
     expected = reference_documents(sample_set, np.array(list(itertools.product(*sizes))))
     cells = sampling.product_cells([sample_set.n_samples] * sample_set.n_sentences)

@@ -1,6 +1,8 @@
-"""The README's examples against the code: its Python imports and its command lines."""
+"""The README's examples against the code: its Python imports, its command lines
+and the module-qualified names its prose and its removed-names table mention."""
 
 import ast
+import dataclasses
 import importlib
 import re
 import shlex
@@ -59,3 +61,50 @@ def test_readme_examples_match_the_code():
 
     assert python and commands
     assert (unresolved, unparsed) == ([], [])
+
+
+MODULES = ("cli", "harness", "metrics", "model", "mrt", "sampling", "textcore")
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.\w+)+")
+
+
+def _dotted_resolves(dotted: str) -> bool:
+    # module.name... by attribute lookup from docmrt.<module>; Class.attr... from a
+    # public class of any docmrt module; a dataclass field counts as an attribute
+    head, *rest = dotted.split(".")
+    if head in MODULES:
+        owners = [importlib.import_module(f"docmrt.{head}")]
+    else:
+        modules = [importlib.import_module(f"docmrt.{m}") for m in MODULES]
+        owners = [getattr(m, head) for m in modules if hasattr(m, head)]
+    for owner in owners:
+        obj = owner
+        for name in rest:
+            if hasattr(obj, name):
+                obj = getattr(obj, name)
+            elif dataclasses.is_dataclass(obj) and name in {f.name for f in dataclasses.fields(obj)}:
+                obj = None
+            else:
+                break
+        else:
+            return True
+    return False
+
+
+def test_readme_names_resolve_and_removed_names_do_not():
+    text = README.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    start = lines.index("| removed | use instead |")
+    end = lines.index("", start)
+    table = [re.split(r"(?<!\\)\|", row)[1] for row in lines[start + 2 : end]]
+    prose = FENCE.sub("", "\n".join(lines[:start] + lines[end:]))
+    mentioned = [
+        span
+        for span in re.findall(r"`([^`]+)`", prose)
+        if DOTTED.fullmatch(span) and span.split(".")[0] in MODULES and not span.endswith(".py")
+    ]
+    removed = [span for cell in table for span in re.findall(r"`([^`]+)`", cell)]
+    removed = [span for span in removed if DOTTED.fullmatch(span)]
+
+    assert mentioned and removed
+    assert [span for span in mentioned if not _dotted_resolves(span)] == []
+    assert [span for span in removed if _dotted_resolves(span)] == []

@@ -111,8 +111,7 @@ def test_draw_sample_set_mean_cost_matches_enumeration():
 
 def test_order_samples_ranks_by_cost():
     ss = order_samples(fabricated_sample_set())
-    assert ss.ranks[0] == [1, 0, 2]
-    assert ss.ranks[1] == [0, 2, 1]
+    assert ss.ranks.tolist() == [[1, 0, 2], [0, 2, 1]]
 
 
 def test_order_samples_tie_break_by_log_prob_then_index():
@@ -126,7 +125,7 @@ def test_order_samples_tie_break_by_log_prob_then_index():
     batch = DocumentBatch(sources=[(5,)], references=[(7,)], doc_ids=[0])
     ss = sampling.score_grids([batch], [grid], CostKind.SENT_TER)[0]
     ss.costs = np.array([[0.5, 0.5, 0.5]])  # fabricated ties
-    assert order_samples(ss).ranks[0] == [1, 2, 0]
+    assert order_samples(ss).ranks.tolist() == [[1, 2, 0]]
 
 
 def test_order_samples_is_permutation():
@@ -134,7 +133,7 @@ def test_order_samples_is_permutation():
     ss = order_samples(
         draw_sample_set(params, small_batch(), 6, 1.0, np.random.default_rng(2), 4, CostKind.ONE_MINUS_SBLEU)
     )
-    for row in ss.ranks:
+    for row in ss.ranks.tolist():
         assert sorted(row) == list(range(6))
 
 
@@ -144,9 +143,13 @@ def test_build_documents_ordered_requires_ranks():
 
 
 def test_build_documents_ordered_pairs_costs_by_rank():
-    docs = build_documents_ordered(order_samples(fabricated_sample_set()))
+    ss = fabricated_sample_set()
+    docs = build_documents_ordered(order_samples(ss))
     paired = [
-        tuple(round(seq_cost(CostKind.SENT_TER, h.sentence, REF), 10) for h in doc.hyps)
+        tuple(
+            round(seq_cost(CostKind.SENT_TER, ss.grid[s][n].sentence, REF), 10)
+            for s, n in enumerate(doc.assignment)
+        )
         for doc in docs
     ]
     assert paired == [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)]
@@ -156,9 +159,11 @@ def test_build_documents_ordered_pairs_costs_by_rank():
 
 
 def test_build_documents_log_prob_is_member_sum():
-    docs = build_documents_ordered(order_samples(fabricated_sample_set()))
-    for doc in docs:
-        assert doc.log_prob == sum(h.log_prob for h in doc.hyps)
+    ss = order_samples(fabricated_sample_set())
+    cells = sampling.ordered_cells(ss)
+    log_probs = assemble(ss, cells)[1].tolist()
+    for row, log_prob in zip(cells.tolist(), log_probs):
+        assert log_prob == sum(ss.grid[s][n].log_prob for s, n in enumerate(row))
 
 
 def test_single_sample_degenerate_schemes_agree():
@@ -178,7 +183,7 @@ def test_single_sentence_reduces_to_cost_sorted_samples():
         draw_sample_set(params, batch, 5, 1.0, np.random.default_rng(4), 4, CostKind.ONE_MINUS_SBLEU)
     )
     docs = build_documents_ordered(ss)
-    assert [d.assignment[0] for d in docs] == ss.ranks[0]
+    assert [d.assignment[0] for d in docs] == ss.ranks[0].tolist()
     costs = [d.cost for d in docs]
     assert costs == sorted(costs)
 
@@ -212,7 +217,7 @@ def test_schemes_share_hypothesis_multiset():
 
     def multiset(docs):
         return sorted(
-            (s, h.sentence) for doc in docs for s, h in enumerate(doc.hyps)
+            (s, ss.grid[s][n].sentence) for doc in docs for s, n in enumerate(doc.assignment)
         )
 
     assert multiset(ordered) == multiset(randomized)
@@ -282,17 +287,14 @@ def test_document_costs_equal_costs_recomputed_from_sentences():
         for kind in CostKind:
             ss = draw_sample_set(params, batch, 3, 1.0, rng, 4, kind)
             cells = product_cells([ss.n_samples] * ss.n_sentences)
-            exhaustive = [
-                ([ss.grid[s][n] for s, n in enumerate(row)], cost)
-                for row, cost in zip(cells.tolist(), assemble(ss, cells)[0].tolist())
-            ]
+            exhaustive = zip(cells.tolist(), assemble(ss, cells)[0].tolist())
             for docs in (
-                [(d.hyps, d.cost) for d in build_documents_ordered(order_samples(ss))],
-                [(d.hyps, d.cost) for d in build_documents_random(ss, rng)],
+                [(d.assignment, d.cost) for d in build_documents_ordered(order_samples(ss))],
+                [(d.assignment, d.cost) for d in build_documents_random(ss, rng)],
                 exhaustive,
             ):
-                for members, cost in docs:
-                    hyps = [h.sentence for h in members]
+                for row, cost in docs:
+                    hyps = [ss.grid[s][n].sentence for s, n in enumerate(row)]
                     if kind.is_sentence_level:
                         refs, srcs = batch.references, batch.sources
                         recomputed = sum(seq_cost(kind, *line) for line in zip(hyps, refs, srcs))
@@ -405,7 +407,7 @@ def test_score_grids_equals_scoring_each_set_alone(monkeypatch, kind):
         assert got.stats.tolist() == cells and got.costs.tolist() == costs
         assert got.stats.dtype == alone.stats.dtype and np.array_equal(got.stats, alone.stats)
         assert np.array_equal(got.costs, alone.costs) and got.costs.dtype == alone.costs.dtype
-        assert order_samples(got).ranks == order_samples(alone).ranks
+        assert order_samples(got).ranks.tolist() == order_samples(alone).ranks.tolist()
 
 
 def _ragged(grid):
