@@ -18,8 +18,9 @@ in alternating processes instead.
 
 Prints, per kind of run, each tree's median ms per update, the ratio
 this/other and the number of pairs this tree won. Exits 1, naming the run, as
-soon as the two trees' trained parameters differ in any bit: a speed change
-must not move a number.
+soon as the two trees' trained parameters or logged training risks differ in
+any bit: a speed change must not move a number, and the parameters do not
+depend on the risks that the log records.
 """
 
 from __future__ import annotations
@@ -93,16 +94,19 @@ def as_other(other, params, corpus, cfg) -> tuple:
     )
 
 
-def timed(finetune, params, corpus, cfg) -> tuple[float, bytes]:
-    """CPU seconds per update of one finetune run, and its trained theta's bytes."""
+def timed(finetune, params, corpus, cfg) -> tuple[float, bytes, list[str]]:
+    """CPU seconds per update of one finetune run, its trained theta's bytes and
+    the hex of its training log's risks."""
     start = time.process_time()
     tuned, log = finetune(params, corpus, cfg)
-    return (time.process_time() - start) / len(log), tuned.theta.tobytes()
+    seconds = (time.process_time() - start) / len(log)
+    return seconds, tuned.theta.tobytes(), [record["risk"].hex() for record in log]
 
 
 def compare(other, pairs: int, seed: int, sizes: workloads.Sizes) -> dict[str, dict]:
     """Per kind of run, each tree's seconds per update ("this", "other"), pair by
-    pair. Raises SystemExit when the trees' trained parameters differ."""
+    pair. Raises SystemExit when the trees' trained parameters or training risks
+    differ."""
     kinds = runs(seed, sizes)
     times = {kind: {"this": [], "other": []} for kind, *_ in kinds}
     for pair in range(pairs):
@@ -112,13 +116,15 @@ def compare(other, pairs: int, seed: int, sizes: workloads.Sizes) -> dict[str, d
                 "this": (mrt.finetune, (params0, corpus, cfg)),
                 "other": (other.mrt.finetune, as_other(other, params0, corpus, cfg)),
             }
-            thetas = {}
+            thetas, risks = {}, {}
             for side in ("this", "other") if pair % 2 == 0 else ("other", "this"):
                 finetune, args = sides[side]
-                seconds, thetas[side] = timed(finetune, *args)
+                seconds, thetas[side], risks[side] = timed(finetune, *args)
                 times[kind][side].append(seconds)
             if thetas["this"] != thetas["other"]:
                 raise SystemExit(f"trained parameters differ: pair {pair}, run {kind!r}")
+            if risks["this"] != risks["other"]:
+                raise SystemExit(f"training risks differ: pair {pair}, run {kind!r}")
     return times
 
 

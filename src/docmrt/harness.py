@@ -93,28 +93,31 @@ def generate_synthetic_corpus(
     cipher_rng = np.random.default_rng(
         task.seed if task.cipher_seed is None else task.cipher_seed
     )
-    cipher_a = cipher_rng.permutation(content)
-    cipher_b = cipher_rng.permutation(content)
-    while task.style_consistency and np.array_equal(cipher_a, cipher_b):
-        cipher_b = cipher_rng.permutation(content)
+    cipher_a = cipher_rng.permutation(content).tolist()
+    cipher_b = cipher_rng.permutation(content).tolist()
+    while task.style_consistency and cipher_a == cipher_b:
+        cipher_b = cipher_rng.permutation(content).tolist()
+    # each start token's longest source and its image under each cipher, sliced per sentence
+    runs = [tuple(content[(start + i) % c] for i in range(task.len_max)) for start in range(c)]
+    images = [[tuple(x[t - 4] for t in run) for run in runs] for x in (cipher_a, cipher_b)]
 
     def make_split(n_docs: int, noisy: bool) -> DocumentBatch:
         split = DocumentBatch([], [], [])
         for doc_id in range(n_docs):
-            cipher = cipher_a
+            image = images[0]
             if task.rule == RULE_CIPHER and task.style_consistency:
                 if rng.random() >= task.style_weight:
-                    cipher = cipher_b
+                    image = images[1]
             for _ in range(task.sentences_per_doc):
                 length = int(rng.integers(task.len_min, task.len_max + 1))
                 start = int(rng.integers(c))
-                src = tuple(content[(start + i) % c] for i in range(length))
+                src = runs[start][:length]
                 if task.rule == RULE_COPY:
                     ref = src
                 elif task.rule == RULE_REVERSE:
-                    ref = tuple(reversed(src))
+                    ref = src[::-1]
                 else:
-                    ref = tuple(int(cipher[t - 4]) for t in src)
+                    ref = image[start][:length]
                 if noisy and task.noise_rate > 0:
                     ref = tuple(
                         int(content[rng.integers(c)]) if rng.random() < task.noise_rate else t

@@ -11,8 +11,8 @@ each document is marginally a true model sample, so the raw document estimator
 is unbiased for the exact risk gradient. The renormalized variant reweights the
 sample pool by probability**alpha instead of 1/N; it is consistent but biased.
 
-A table maps each MRT mode to its scheme, and _estimate weighs any scheme's rows.
-An update scores all its micro-batches' samples in one sampling.score_grids call.
+A table maps each MRT mode to its scheme. An update scores its micro-batches'
+samples as one stack, and _estimates weighs the stack in one pass for any scheme.
 """
 
 from __future__ import annotations
@@ -72,28 +72,28 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
-def _weigh(cfg: TrainConfig, costs: np.ndarray, logps: np.ndarray) -> tuple[np.ndarray, float]:
-    """Weights and risk of rows of N documents, costs and logps of shape (rows, N):
-    raw cost / N, or cost times the row's softmax of alpha * log-prob."""
-    n = costs.shape[1]
+def _weigh(cfg: TrainConfig, costs: np.ndarray, logps, starts) -> tuple[np.ndarray, list]:
+    """Weights of rows of N documents, costs and logps (read only by the renormalized
+    estimator) of shape (rows, N): raw cost / N, or cost times the row's softmax of
+    alpha * log-prob; and the risk of each block of rows from starts[k] to starts[k + 1]."""
     if cfg.estimator == "raw":
-        return costs / n, float(costs.sum()) / n
+        n = costs.shape[1]
+        return costs / n, [float(costs[a:b].sum()) / n for a, b in zip(starts, starts[1:])]
     q = np.exp(cfg.alpha * (logps - logps.max(axis=1, keepdims=True)))
     q /= q.sum(axis=1, keepdims=True)
     weights = q * costs
-    return weights, float(weights.sum())
+    return weights, [float(weights[a:b].sum()) for a, b in zip(starts, starts[1:])]
 
 
-def _scatter(cells: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """Shape (S, n): per sentence s, each of its n candidates' sum of the weights
-    of the rows of the (documents, S) cells array that choose it."""
-    return np.array([np.bincount(col, weights=weights, minlength=n) for col in cells.T])
+def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Each of size cells' sum of the weights of the rows of index holding it, in row order."""
+    return np.bincount(index.ravel(), np.repeat(weights, index.shape[1]), minlength=size)
 
 
-def _weighted_grad(params, batch: DocumentBatch, candidates, weights, max_len: int) -> np.ndarray:
+def _weighted_grad(params, sources, candidates, weights, max_len: int) -> np.ndarray:
     """Gradient of sum_s sum_i weights[s, i] * log P(candidates[s][i] | sources[s]),
-    sources[s] the batch's and weights of shape (S, candidates), in one weighted pass."""
-    srcs = [src for src, row in zip(batch.sources, candidates) for _ in row]
+    weights of shape (S, candidates), in one weighted pass."""
+    srcs = [src for src, row in zip(sources, candidates) for _ in row]
     tgts = [tgt for row in candidates for tgt in row]
     return model.weighted_log_prob_grad(params, srcs, tgts, np.ravel(weights), max_len)[1]
 
@@ -108,7 +108,7 @@ def seq_mrt_grad(
     batch: each sentence is a row of N one-sample documents."""
     if sample_set.batch != batch:
         raise ValueError("sample_set was drawn for another batch")
-    return _estimate(params, cfg, sample_set, "seq", None)
+    return next(_estimates(params, cfg, sample_set, "seq", [None], [len(batch)]))
 
 
 def doc_mrt_grad(
@@ -133,8 +133,8 @@ def doc_mrt_grad(
         )
     elif sample_set.batch != batch:
         raise ValueError("sample_set was drawn for another batch")
-    cells = _draw_cells(scheme, sample_set.grid, rng)
-    return _estimate(params, cfg, sample_set, scheme, cells)
+    cells = [_draw_cells(scheme, sample_set.grid, rng)]
+    return next(_estimates(params, cfg, sample_set, scheme, cells, [len(batch)]))
 
 
 def _draw_cells(scheme: str, grid: list, rng: np.random.Generator | None) -> np.ndarray | None:
@@ -146,21 +146,34 @@ def _draw_cells(scheme: str, grid: list, rng: np.random.Generator | None) -> np.
     return sampling.random_cells(grid, rng)
 
 
-def _estimate(
-    params: model.ModelParams, cfg: TrainConfig, sample_set: sampling.SampleSet, scheme: str, cells
-) -> RiskEstimate:
-    """scheme's estimate from sample_set: seq weighs each sentence's N samples as a row;
-    ordered and random weigh the one row of N documents that their cells assemble."""
+def _estimates(params, cfg: TrainConfig, stack, scheme, cells, sizes) -> Iterator[RiskEstimate]:
+    """scheme's estimate of each micro-batch of stack, sizes[k] sentences each, all
+    weighed at once: seq weighs each sentence's N samples as a row; ordered and random
+    weigh a row of N documents per micro-batch, which its cells (ordered: the ranks'
+    transpose) assemble, and scatter their weights onto the samples."""
+    n, starts = stack.n_samples, np.cumsum([0, *sizes])
     if scheme == "seq":
-        weights, risk = _weigh(cfg, sample_set.costs, sample_set.log_probs)
+        weights, risks = _weigh(cfg, stack.costs, stack.log_probs, starts)
     else:
         if scheme == "ordered":
-            cells = sampling.ordered_cells(sampling.order_samples(sample_set))
-        costs, log_probs = sampling.assemble(sample_set, cells)
-        row, risk = _weigh(cfg, costs[None], log_probs[None])
-        weights = _scatter(cells, row[0], sample_set.n_samples)
-    grad = _weighted_grad(params, sample_set.batch, sample_set.sentences, weights, cfg.max_len)
-    return RiskEstimate(risk=risk, grad=grad)
+            stack = sampling.order_samples(stack)
+            cells = [stack.ranks[a:b].T for a, b in zip(starts, starts[1:])]
+        # each document's flat cells s * N + i in sentence order, padded with a zero cell
+        pad, width = starts[-1] * n, max(sizes)
+        index = np.full((len(sizes) * n, width), pad)
+        for k, (a, size) in enumerate(zip(starts, sizes)):
+            index[k * n : (k + 1) * n, :size] = cells[k] + np.arange(a, a + size) * n
+        flat = lambda v: np.concatenate([v.reshape(pad, *v.shape[2:]), np.zeros_like(v[0, :1])])
+        kind, docs = cfg.cost_kind, lambda v: np.reshape(v, (-1, n))
+        costs = [flat(stack.costs)] * width if kind.is_sentence_level else None
+        costs = docs(sampling.document_costs(kind, [flat(stack.stats)] * width, costs, index))
+        logps = docs(sum(flat(stack.log_probs)[index].T)) if cfg.estimator != "raw" else None
+        rows, risks = _weigh(cfg, costs, logps, range(len(sizes) + 1))
+        weights = _scatter(index, rows.ravel(), pad + 1)[:pad].reshape(-1, n)
+    for a, b, risk in zip(starts, starts[1:], risks):
+        sources, candidates = stack.batch.sources[a:b], stack.sentences[a:b]
+        grad = _weighted_grad(params, sources, candidates, weights[a:b], cfg.max_len)
+        yield RiskEstimate(risk=risk, grad=grad)
 
 
 def _enumerated_risk(
@@ -193,7 +206,8 @@ def _enumerated_risk(
         p *= np.array([prob for _, prob in space])[cells[:, s]]
     dp = p * np.array(cost, dtype=np.float64)
     risk = float(np.add.accumulate(dp)[-1])
-    return risk, candidates, _scatter(cells, dp, max(sizes, default=0))
+    n, width = max(sizes, default=0), len(sizes)
+    return risk, candidates, _scatter(cells + np.arange(width) * n, dp, width * n).reshape(width, n)
 
 
 def exact_risk(
@@ -219,7 +233,7 @@ def exact_risk_grad(
     their coefficient times dlog P(y_s): one weighted pass, each sentence once.
     """
     _, candidates, coeffs = _enumerated_risk(params, batch, cost_kind, max_len)
-    return _weighted_grad(params, batch, candidates, coeffs, max_len)
+    return _weighted_grad(params, batch.sources, candidates, coeffs, max_len)
 
 
 def fd_gradient_check(
@@ -260,23 +274,24 @@ def _update_estimates(
 ) -> Iterator[RiskEstimate]:
     """The estimates of one update's accum_steps micro-batches, taken from batches in
     turn. MRT draws each one's samples, then its scheme's cells, from rng; one
-    sampling.score_grids call scores them all; _estimate then weighs each one."""
+    sampling.score_grids call scores the stack of their sentences, and _estimates
+    weighs it in one pass."""
     if cfg.mode == "mle":
         for _ in range(cfg.accum_steps):
             loss, grad = model.mle_loss_grad(params, next(batches), cfg.max_len)
             yield RiskEstimate(risk=loss, grad=grad)
         return
     scheme = _SCHEMES[cfg.mode]
-    micro, grids, cells = [], [], []
+    micro, grid, cells = [], [], []
     for _ in range(cfg.accum_steps):
-        batch = next(batches)
-        micro.append(batch)
-        decoder = model.Decoder(params, batch.sources, cfg.max_len)
-        grids.append(decoder.sample(cfg.n_samples, cfg.tau, rng))
-        cells.append(_draw_cells(scheme, grids[-1], rng))
-    sample_sets = sampling.score_grids(micro, grids, cfg.cost_kind)
-    for ss, documents in zip(sample_sets, cells):
-        yield _estimate(params, cfg, ss, scheme, documents)
+        micro.append(batch := next(batches))
+        rows = model.Decoder(params, batch.sources, cfg.max_len).sample(cfg.n_samples, cfg.tau, rng)
+        grid += rows
+        cells.append(_draw_cells(scheme, rows, rng))
+    columns = zip(*((b.sources, b.references, b.doc_ids) for b in micro))
+    stack = DocumentBatch(*([line for part in column for line in part] for column in columns))
+    (scored,) = sampling.score_grids([stack], [grid], cfg.cost_kind)
+    yield from _estimates(params, cfg, scored, scheme, cells, list(map(len, micro)))
 
 
 class NonFiniteTraining(ValueError):

@@ -8,15 +8,16 @@ assemble gives every row its cost and log-prob; the document views share it.
 
 Drawing and scoring are two steps: a batch's grid takes the rng in one
 model.Decoder.sample call, and score_grids, the only code that gives a SampleSet
-its stats and costs, checks many grids, then scores them against their batches'
-joined columns with one stats extraction and one sentence-cost memo. An MRT update
-draws its micro-batches' grids in turn and scores them together; draw_sample_set
-is the one-batch case.
+its stats, checks many grids, then scores them with one stats extraction. A set's
+sentence costs are scored from its stats, with one memo, when first read. An MRT
+update scores its micro-batches' grids as one set over their joined sentences;
+draw_sample_set is the one-batch case.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,8 +31,8 @@ from .textcore import DocumentBatch, aligned, at_least
 @dataclass(eq=False)
 class SampleSet:
     """N hypotheses per sentence, checked and read out of the grid. score_grids
-    adds the metric stats of every cell and their sentence-level costs; a
-    directly built set has neither."""
+    adds the metric stats of every cell, which give their sentence-level costs
+    on first read; a directly built set has neither."""
 
     batch: DocumentBatch
     grid: list[list[model.ScoredHypothesis]]  # [sentence][sample]
@@ -39,7 +40,6 @@ class SampleSet:
     # shape (S, N): each sentence's sample indices, best first; set by order_samples
     ranks: np.ndarray | None = field(default=None, init=False)
     stats: np.ndarray = field(init=False)  # shape (S, N, K), K stats per cell
-    costs: np.ndarray = field(init=False)  # shape (S, N), cost_kind's sentence kind
     # read out of the grid once
     sentences: list[list[tuple]] = field(init=False, repr=False)
     log_probs: np.ndarray = field(init=False, repr=False)  # shape (S, N)
@@ -58,6 +58,11 @@ class SampleSet:
         self.n_sentences, self.n_samples = self.log_probs.shape
         if np.isnan(self.log_probs).any():
             raise ValueError("NaN sample log-probs: a sample set ranks and weighs by them")
+
+    @functools.cached_property
+    def costs(self) -> np.ndarray:
+        """Shape (S, N): cost_kind's sentence kind of every cell, scored on first read."""
+        return np.array(sentence_costs(self.cost_kind, self.stats))
 
 
 @dataclass
@@ -133,18 +138,15 @@ def score_grids(
 ) -> list[SampleSet]:
     """The scored SampleSet of every (batch, grid) pair. Every set is checked
     first; then one candidate_stats call over all their distinct (sentence,
-    candidate) pairs and one sentence-cost memo score them all."""
+    candidate) pairs scores them all."""
     sets = [SampleSet(b, g, cost_kind) for b, g in zip(batches, grids)]
     references = [ref for ss in sets for ref in ss.batch.references]
     sources = [src for ss in sets for src in ss.batch.sources]
     candidates = [row for ss in sets for row in ss.sentences]
     stats = candidate_stats(references, sources, candidates, cost_kind.metric)
-    costs = sentence_costs(cost_kind, stats)
-    start = 0
+    rows = iter(stats)
     for ss in sets:
-        end = start + ss.n_sentences
-        ss.stats, ss.costs = np.array(stats[start:end]), np.array(costs[start:end])
-        start = end
+        ss.stats = np.array([next(rows) for _ in ss.grid])
     return sets
 
 
@@ -157,7 +159,7 @@ def draw_sample_set(
     max_len: int,
     cost_kind: CostKind,
 ) -> SampleSet:
-    """Draw N independent ancestral samples per sentence and score their costs:
+    """Draw N independent ancestral samples per sentence and score them:
     score_grids of one Decoder.sample grid. Duplicates are kept and the gold
     reference is never injected.
 
@@ -177,7 +179,7 @@ def order_samples(sample_set: SampleSet) -> SampleSet:
     Ties break by descending log_prob, then by original sample index (a stable sort).
     """
     ordered = copy.copy(sample_set)
-    ordered.ranks = np.lexsort((-sample_set.log_probs, sample_set.costs))
+    ordered.ranks = np.lexsort((-ordered.log_probs, ordered.costs))
     return ordered
 
 

@@ -1,5 +1,5 @@
-"""scripts/ab_updates.py at TINY sizes: a tree against itself, and against a copy
-whose training moves one parameter."""
+"""scripts/ab_updates.py at TINY sizes: a tree against itself, and against copies
+whose training moves one parameter or one logged risk."""
 
 import importlib.util
 import shutil
@@ -29,7 +29,9 @@ def test_a_tree_against_itself_reports_every_kind_of_run(capsys):
         assert row.split()[-1] in {"0/2", "1/2", "2/2"}
 
 
-def test_trained_parameters_that_differ_stop_the_comparison(tmp_path):
+def tree_whose_finetune_then_runs(tmp_path, statement: str) -> None:
+    """A copy of this tree's package whose mrt.finetune runs statement on the
+    trained params and log before it returns them."""
     shutil.copytree(ROOT / "src" / "docmrt", tmp_path / "src" / "docmrt",
                     ignore=shutil.ignore_patterns("__pycache__"))
     with open(tmp_path / "src" / "docmrt" / "mrt.py", "a", encoding="utf-8") as fh:
@@ -37,10 +39,23 @@ def test_trained_parameters_that_differ_stop_the_comparison(tmp_path):
             "\n\n_finetune = finetune\n\n\n"
             "def finetune(*args, **kwargs):\n"
             "    params, log = _finetune(*args, **kwargs)\n"
-            "    params.theta[-1] += 1e-12\n"
+            f"    {statement}\n"
             "    return params, log\n"
         )
+
+
+def test_trained_parameters_that_differ_stop_the_comparison(tmp_path):
+    tree_whose_finetune_then_runs(tmp_path, "params.theta[-1] += 1e-12")
     with pytest.raises(SystemExit, match="trained parameters differ: pair 0, run 'doc_mrt_ordered"):
         ab_updates.main([str(tmp_path), "--pairs", "1"], sizes=TINY)
     with pytest.raises(SystemExit, match="no docmrt sources"):
         ab_updates.main([str(tmp_path / "missing")], sizes=TINY)
+
+
+def test_training_risks_that_differ_stop_the_comparison(tmp_path):
+    # theta is unchanged: only the last logged risk moves, by one ulp
+    tree_whose_finetune_then_runs(
+        tmp_path, 'log[-1]["risk"] = math.nextafter(log[-1]["risk"], math.inf)'
+    )
+    with pytest.raises(SystemExit, match="training risks differ: pair 0, run 'doc_mrt_ordered"):
+        ab_updates.main([str(tmp_path), "--pairs", "1"], sizes=TINY)

@@ -119,6 +119,79 @@ def test_generate_is_deterministic():
         assert ca.entries == cb.entries
 
 
+def reference_synthetic_corpus(task):
+    """The per-token generator of every split, the oracle of
+    generate_synthetic_corpus: each source built token by token, each cipher
+    reference read token by token from the numpy permutation."""
+    rng = np.random.default_rng(task.seed)
+    content = list(range(4, task.vocab_size))
+    c = len(content)
+    cipher_rng = np.random.default_rng(task.seed if task.cipher_seed is None else task.cipher_seed)
+    cipher_a = cipher_rng.permutation(content)
+    cipher_b = cipher_rng.permutation(content)
+    while task.style_consistency and np.array_equal(cipher_a, cipher_b):
+        cipher_b = cipher_rng.permutation(content)
+
+    def make_split(n_docs, noisy):
+        split = textcore.DocumentBatch([], [], [])
+        for doc_id in range(n_docs):
+            cipher = cipher_a
+            if task.rule == harness.RULE_CIPHER and task.style_consistency:
+                if rng.random() >= task.style_weight:
+                    cipher = cipher_b
+            for _ in range(task.sentences_per_doc):
+                length = int(rng.integers(task.len_min, task.len_max + 1))
+                start = int(rng.integers(c))
+                src = tuple(content[(start + i) % c] for i in range(length))
+                if task.rule == harness.RULE_COPY:
+                    ref = src
+                elif task.rule == harness.RULE_REVERSE:
+                    ref = tuple(reversed(src))
+                else:
+                    ref = tuple(int(cipher[t - 4]) for t in src)
+                if noisy and task.noise_rate > 0:
+                    ref = tuple(
+                        int(content[rng.integers(c)]) if rng.random() < task.noise_rate else t
+                        for t in ref
+                    )
+                split.sources.append(src)
+                split.references.append(ref)
+                split.doc_ids.append(doc_id)
+        return split
+
+    return (
+        make_split(task.num_documents, noisy=True),
+        make_split(task.valid_documents, noisy=False),
+        make_split(task.test_documents, noisy=False),
+    )
+
+
+def test_generated_corpora_equal_the_per_token_generator():
+    # every rule, with and without style and noise, at vocabularies of one, two and
+    # sixteen content tokens, one to four sentences per document, short and long lines
+    specs = [
+        TaskSpec(
+            vocab_size=v, rule=rule, style_consistency=style, noise_rate=noise,
+            sentences_per_doc=per_doc, len_min=lengths[0], len_max=lengths[1], seed=seed,
+            num_documents=6, valid_documents=2, test_documents=2,
+        )
+        for seed in range(3)
+        for v in (5, 6, 20)
+        for rule in (harness.RULE_COPY, harness.RULE_REVERSE, harness.RULE_CIPHER)
+        for style in (False, True)
+        if not style or (rule == harness.RULE_CIPHER and v >= 6)
+        for noise in (0.0, 0.3)
+        for per_doc in (1, 3, 4)
+        for lengths in ((1, 1), (3, 8), (2, 12))
+    ]
+    assert len(specs) == 594
+    for task in specs:
+        for got, expected in zip(generate_synthetic_corpus(task), reference_synthetic_corpus(task)):
+            columns = (got.sources, got.references, got.doc_ids)
+            assert columns == (expected.sources, expected.references, expected.doc_ids)
+            assert all(type(t) is int for line in got.sources + got.references for t in line)
+
+
 def test_taskspec_validation():
     with pytest.raises(ValueError, match="rule"):
         TaskSpec(rule=7)

@@ -416,9 +416,30 @@ def reference_document_cost(cost_kind, hyps, refs, srcs):
 
 
 def reference_enumerated_risk(params, batch, cost_kind, max_len):
-    """The per-document enumeration loop, the oracle of mrt._enumerated_risk:
-    every document is costed from its sentences by reference_document_cost."""
+    """The per-document enumeration loop, the oracle of mrt._enumerated_risk: a
+    callable costs each document; a sentence-level kind sums the seq_cost of its
+    sentences in sentence order, and a document-level kind scores the sum of their
+    line_stats rows, as doc_cost does. Each (sentence, candidate) pair's seq_cost or
+    row is computed once."""
     spaces = [model.enumerate_output_space(params, src, max_len) for src in batch.sources]
+    refs, srcs = batch.references, batch.sources
+    parts = {}  # (s, i) -> seq_cost or line_stats row of sentence s's candidate i
+
+    def part(s, i):
+        if (s, i) not in parts:
+            hyp = spaces[s][i][0]
+            parts[s, i] = (
+                seq_cost(cost_kind, hyp, refs[s], srcs[s]) if cost_kind.is_sentence_level
+                else metrics.line_stats(cost_kind.metric, [hyp], [refs[s]], [srcs[s]])[0]
+            )
+        return parts[s, i]
+
+    def document_cost(combo_idx, hyps):
+        if not isinstance(cost_kind, CostKind):
+            return cost_kind(hyps, refs, srcs)
+        total = sum(part(s, i) for s, i in enumerate(combo_idx))
+        return total if cost_kind.is_sentence_level else metrics.cost_from_stats(cost_kind, total)
+
     risk = 0.0
     coeffs = [np.zeros(len(space)) for space in spaces]
     for combo_idx in itertools.product(*(range(len(sp)) for sp in spaces)):
@@ -428,7 +449,7 @@ def reference_enumerated_risk(params, batch, cost_kind, max_len):
             sent, prob = spaces[s][i]
             p *= prob
             hyps.append(sent)
-        dp = p * reference_document_cost(cost_kind, hyps, batch.references, batch.sources)
+        dp = p * document_cost(combo_idx, hyps)
         risk += dp
         for s, i in enumerate(combo_idx):
             coeffs[s][i] += dp
@@ -471,9 +492,10 @@ def test_enumerated_risk_equals_reference_loop_bitwise(case):
 
 
 def test_scatter_sums_each_candidates_document_weights():
-    cells = np.array([[0, 2], [1, 2], [0, 0]])  # 3 documents of 2 sentences, 3 candidates
-    got = mrt._scatter(cells, np.array([1.0, 2.0, 4.0]), 3)
-    assert type(got) is np.ndarray and got.tolist() == [[5.0, 2.0, 0.0], [4.0, 0.0, 3.0]]
+    # 3 documents of 2 sentences, 3 candidates each: sentence s's candidate i is cell 3 s + i
+    cells = np.array([[0, 2], [1, 2], [0, 0]]) + [0, 3]
+    got = mrt._scatter(cells, np.array([1.0, 2.0, 4.0]), 6)
+    assert type(got) is np.ndarray and got.tolist() == [5.0, 2.0, 0.0, 4.0, 0.0, 3.0]
 
 
 def test_exact_risk_coefficients_are_one_sentence_by_candidate_array():
@@ -723,6 +745,119 @@ def test_an_mrt_update_extracts_the_stats_of_all_its_micro_batches_at_once(monke
     monkeypatch.setattr(metrics, "line_stats", lambda *a: lines.append(len(a[1])) or line_stats(*a))
     mrt.finetune(params, train, cfg)
     assert len(lines) == cfg.max_updates  # one call per update, not per micro-batch
+
+
+def reference_weigh(cfg, costs, logps):
+    """The weights and the one risk of rows of N documents, as each micro-batch
+    was weighed alone before an update weighed its stack of micro-batches."""
+    n = costs.shape[1]
+    if cfg.estimator == "raw":
+        return costs / n, float(costs.sum()) / n
+    q = np.exp(cfg.alpha * (logps - logps.max(axis=1, keepdims=True)))
+    q /= q.sum(axis=1, keepdims=True)
+    weights = q * costs
+    return weights, float(weights.sum())
+
+
+def reference_micro_batch_estimate(cfg, sample_set, scheme, cells):
+    """(weights, risk) of one micro-batch by the per-micro-batch rule: order,
+    assemble, weigh one row of N documents, and scatter it sentence by sentence."""
+    if scheme == "seq":
+        return reference_weigh(cfg, sample_set.costs, sample_set.log_probs)
+    if scheme == "ordered":
+        cells = sampling.ordered_cells(sampling.order_samples(sample_set))
+    costs, log_probs = sampling.assemble(sample_set, cells)
+    row, risk = reference_weigh(cfg, costs[None], log_probs[None])
+    n = sample_set.n_samples
+    return np.array([np.bincount(col, weights=row[0], minlength=n) for col in cells.T]), risk
+
+
+def reference_finetune_estimates(params, train, cfg):
+    """(sources, candidates, weights, risk) of every micro-batch of a finetune run,
+    each micro-batch drawn, scored and weighed alone, on the same rng stream."""
+    from docmrt.harness import make_batches
+
+    scheme = {"seq_mrt": "seq", "doc_mrt_ordered": "ordered", "doc_mrt_random": "random"}[cfg.mode]
+    rng, params, batches, out = np.random.default_rng(cfg.seed), params.copy(), [], []
+    for _ in range(cfg.max_updates):
+        acc = np.zeros_like(params.theta)
+        for _ in range(cfg.accum_steps):
+            if not batches:
+                seed = int(rng.integers(2**31 - 1))
+                batches = make_batches(train, cfg.batching, cfg.batch_size, seed)
+            batch = batches.pop(0)
+            grid = model.Decoder(params, batch.sources, cfg.max_len).sample(cfg.n_samples, cfg.tau, rng)
+            cells = sampling.random_cells(grid, rng) if scheme == "random" else None
+            sample_set = sampling.score_grids([batch], [grid], cfg.cost_kind)[0]
+            weights, risk = reference_micro_batch_estimate(cfg, sample_set, scheme, cells)
+            out.append((batch.sources, sample_set.sentences, weights, risk))
+            srcs, tgts = _grid_rows(sample_set)
+            acc += model.weighted_log_prob_grad(params, srcs, tgts, weights.ravel(), cfg.max_len)[1]
+        params.theta -= cfg.learning_rate * acc / cfg.accum_steps
+    return out, params
+
+
+def ragged_corpus():
+    """Documents of 9, 3, 10 and 5 lines, V = 8: document batches of 9 lines reach
+    S = 9 and leave batches of 3, 1 and 5; random batches of 8 leave a tail of 3."""
+    rng = np.random.default_rng(21)
+    line = lambda: tuple(rng.integers(4, 8, rng.integers(1, 4)).tolist())
+    doc_ids = [d for d, size in enumerate([9, 3, 10, 5]) for _ in range(size)]
+    return DocumentBatch([line() for _ in doc_ids], [line() for _ in doc_ids], doc_ids)
+
+
+@pytest.mark.parametrize("estimator", mrt.ESTIMATORS)
+@pytest.mark.parametrize("kind", list(CostKind), ids=[kind.value for kind in CostKind])
+@pytest.mark.parametrize("mode", ["seq_mrt", "doc_mrt_ordered", "doc_mrt_random"])
+def test_a_stacked_update_weighs_each_micro_batch_as_it_would_alone(monkeypatch, mode, kind, estimator):
+    # N = 9 and S up to 9 reach numpy's pairwise sums; micro-batches are ragged
+    train, params = ragged_corpus(), model.init_params(8, 3, 3, seed=6)
+    got, weighed, costed = [], [], []
+    weighted_grad, weigh, sentence_costs = mrt._weighted_grad, mrt._weigh, sampling.sentence_costs
+
+    def recording_grad(params, sources, candidates, weights, max_len):
+        got.append([sources, candidates, weights])
+        return weighted_grad(params, sources, candidates, weights, max_len)
+
+    def recording_weigh(cfg, costs, logps, starts):
+        weighed.append(logps)
+        return weigh(cfg, costs, logps, starts)
+
+    monkeypatch.setattr(mrt, "_weighted_grad", recording_grad)
+    monkeypatch.setattr(mrt, "_weigh", recording_weigh)
+    monkeypatch.setattr(sampling, "sentence_costs", lambda *a: costed.append(1) or sentence_costs(*a))
+    update_estimates = mrt._update_estimates
+
+    def recording_estimates(*args):
+        for est in update_estimates(*args):
+            got[-1].append(est.risk)
+            yield est
+
+    monkeypatch.setattr(mrt, "_update_estimates", recording_estimates)
+    for batching, batch_size in (("document", 9), ("random", 8)):
+        for spy in (got, weighed, costed):
+            spy.clear()
+        cfg = TrainConfig(
+            mode=mode, cost_kind=kind, n_samples=9, batch_size=batch_size, estimator=estimator,
+            alpha=0.5, learning_rate=0.3, accum_steps=3, max_updates=2, seed=8, max_len=3,
+            batching=batching,
+        )
+        tuned, _ = mrt.finetune(params, train, cfg)
+        sentence_cost_calls, document_logps = len(costed), list(weighed)
+        expected, expected_params = reference_finetune_estimates(params, train, cfg)
+        sizes = [len(sources) for sources, *_ in got]
+        assert len(set(sizes)) > 1 and max(sizes) >= 8
+        assert len(got) == len(expected) == 6
+        for (sources, candidates, weights, risk), ref in zip(got, expected, strict=True):
+            assert sources == ref[0] and candidates == ref[1]
+            assert weights.shape == ref[2].shape and weights.tobytes() == ref[2].tobytes()
+            assert risk.hex() == ref[3].hex()
+        assert np.array_equal(tuned.theta, expected_params.theta)
+        # what an estimator does not read is not computed
+        scored = mode == "doc_mrt_random" and not kind.is_sentence_level
+        assert sentence_cost_calls == (0 if scored else cfg.max_updates)
+        if mode != "seq_mrt":
+            assert [logps is None for logps in document_logps] == [estimator == "raw"] * 2
 
 
 @pytest.mark.parametrize("eval_every", [None, 0, -1, -3])
